@@ -5,12 +5,13 @@ snapshot first, per-cell progress records as work completes, and a final
 manifest listing every output file with its SHA-256. Replaying a manifest
 reruns the recorded config and reproduces every CSV and checkpoint
 bit-exactly; resuming a directory skips cells whose outputs already exist
-and hash-match.
+and hash-match. A run that fails on its data leaves no directory behind.
 """
 
 import hashlib
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime
@@ -30,7 +31,7 @@ from .ensemble import (
     write_outcome_summary_csv,
     write_verdicts_csv,
 )
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DataFormatError, DivergenceError
 from .layers import build_conv_net, build_mlp, save_network
 from .rng import derive_seed
 from .training import (
@@ -342,11 +343,8 @@ def _sha256_file(path):
 class RunContext:
     """Owns one run directory: stage timing, output hashing, progress."""
 
-    def __init__(self, config, run_dir=None):
+    def __init__(self, config, run_dir):
         self.config = config
-        if run_dir is None:
-            stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
-            run_dir = os.path.join(config.out, config.kind, stamp)
         os.makedirs(run_dir, exist_ok=True)
         self.run_dir = run_dir
         self.stages = []
@@ -482,7 +480,7 @@ def _cell_name(std, n, h):
     return "std%s_n%d_h%d" % (("%g" % std), n, h)
 
 
-def run_synthetic_sweep(config, run_dir=None):
+def run_synthetic_sweep(config, run_dir):
     """The 3x3x3 grid: stds x sizes x hidden widths, trial-averaged."""
     ctx = RunContext(config, run_dir)
     done = ctx.completed_cells()
@@ -562,7 +560,7 @@ def _sweep_width_worker(width):
     return width, net, report, None
 
 
-def run_layer_size_sweep(config, run_dir=None):
+def run_layer_size_sweep(config, run_dir):
     """One multi-class conv net per hidden width at the sweep budget."""
     global _SWEEP_STATE
     ctx = RunContext(config, run_dir)
@@ -654,7 +652,7 @@ def _train_ova(ctx, config):
     return data, ens
 
 
-def run_ova_binary(config, run_dir=None):
+def run_ova_binary(config, run_dir):
     """Per-class binary metrics for the K one-vs-all members."""
     ctx = RunContext(config, run_dir)
     data, ens = _train_ova(ctx, config)
@@ -664,7 +662,7 @@ def run_ova_binary(config, run_dir=None):
     )
 
 
-def run_ova_ensemble(config, run_dir=None):
+def run_ova_ensemble(config, run_dir):
     """Train the ensemble, judge the full test split, and compare against a
     single multi-class network of matching width."""
     ctx = RunContext(config, run_dir)
@@ -731,8 +729,34 @@ _RUNNERS = {
 }
 
 
+def _missing_dirs(path):
+    """path and each ancestor of it that does not exist yet, innermost first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def run_experiment(config, run_dir=None):
-    return _RUNNERS[config.kind](config, run_dir)
+    """Run one experiment. If it fails on its data, the directories it
+    created are removed; a directory that already existed (a resume) stays."""
+    if run_dir is None:
+        stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
+        run_dir = os.path.join(config.out, config.kind, stamp)
+    created = _missing_dirs(run_dir)
+    try:
+        return _RUNNERS[config.kind](config, run_dir)
+    except (DataError, DataFormatError):
+        if created:
+            shutil.rmtree(created[0], ignore_errors=True)
+            for parent in created[1:]:
+                try:
+                    os.rmdir(parent)
+                except OSError:  # another run has written there since
+                    break
+        raise
 
 
 def resume_run(run_dir):

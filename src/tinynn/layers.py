@@ -234,7 +234,8 @@ def forward(net, batch, train=False):
     """Run the stack; returns (output probabilities, cache for backward).
 
     Pure in (parameters, input): repeated calls give bit-identical outputs.
-    With train=False the cache is skipped to keep evaluation memory flat.
+    With train=False the cache is skipped to keep evaluation memory flat,
+    and pooling records no winner indices.
     """
     x = batch.array if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
     expect = tuple(net.spec.input_shape.dims)
@@ -253,7 +254,7 @@ def forward(net, batch, train=False):
                 cache.append({"cols": cols, "z": z, "in_shape": x.shape})
             x = a
         elif isinstance(layer, MaxPool2DSpec):
-            pooled, idx = _maxpool2d(x)
+            pooled, idx = _maxpool2d(x, train)
             if train:
                 cache.append({"idx": idx, "in_hw": x.shape[2:]})
             x = pooled

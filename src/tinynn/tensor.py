@@ -7,7 +7,11 @@ finite; NaN or Inf anywhere is raised as NonFiniteError, never passed on.
 
 The raw ndarray kernels (_conv2d, _maxpool2d, ...) are shared with the
 layer implementations, which run on unwrapped arrays for speed and rely on
-the training loop's divergence check instead of per-op validation.
+the training loop's divergence check instead of per-op validation. Conv
+forward is im2col plus one GEMM; its input gradient is one small GEMM per
+kernel tap, scatter-added into a padded buffer. The conv kernels return
+[N,C,H,W] views of NHWC memory, and the pool kernels keep that layout, so
+the reshapes to [NHW, C] between them are free.
 """
 
 import numpy as np
@@ -147,44 +151,62 @@ def _conv2d(x, w, b):
 def _conv2d_input_grad(dz, w):
     """Gradient of same-padding conv w.r.t. its input.
 
-    Equals the same-padding cross-correlation of dz with the 180-degree
-    rotated kernels, with filter and channel axes swapped.
+    dz [N,F,H,W], w [F,C,kh,kw] -> [N,C,H,W]. Each kernel tap (i, j) sends
+    dz through one GEMM, dz[NHW,F] @ w[:,:,i,j] -> [NHW,C], added into a
+    zero-padded NHWC buffer at offset (i, j); the gradient is its interior.
     """
-    wr = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    out, _ = _conv2d(dz, np.ascontiguousarray(wr), np.zeros(wr.shape[0]))
-    return out
+    n, f, h, wd = dz.shape
+    _, c, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    dzmat = dz.transpose(0, 2, 3, 1).reshape(n * h * wd, f)
+    taps = w.transpose(2, 3, 0, 1)
+    grad = np.zeros((n, h + 2 * ph, wd + 2 * pw, c))
+    for i in range(kh):
+        for j in range(kw):
+            grad[:, i:i + h, j:j + wd] += (dzmat @ taps[i, j]).reshape(n, h, wd, c)
+    return grad[:, ph:ph + h, pw:pw + wd].transpose(0, 3, 1, 2)
 
 
-def _maxpool2d(x):
+# window positions in row-major scan order, the order winner indices use
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _maxpool2d(x, with_index):
     """Non-overlapping 2x2/stride-2 max pool.
 
-    Returns (pooled [N,C,H/2,W/2], winner [N,C,H/2,W/2] int64) where winner
-    indexes the window in row-major scan order 0..3; ties take the first
-    position, which argmax guarantees.
+    Returns (pooled [N,C,H/2,W/2], winner). With with_index, winner is an
+    int64 [N,C,H/2,W/2] map of the window position 0..3 in row-major scan
+    order, ties taking the first position as argmax would; otherwise None.
     """
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise DimensionError(
             "max pool needs even spatial dims, got %dx%d" % (h, w)
         )
-    ho, wo = h // 2, w // 2
-    win = x.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, ho, wo, 4)
-    idx = win.argmax(axis=-1)
-    pooled = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    v0, v1, v2, v3 = (x[:, :, a::2, b::2] for a, b in _WINDOW)
+    pooled = np.maximum(np.maximum(v0, v1), np.maximum(v2, v3))
+    if not with_index:
+        return pooled, None
+    # the winner is the count of leading positions that miss the max, so the
+    # first maximum in scan order wins
+    miss = v0 != pooled
+    idx = miss.astype(np.int64)
+    for v in (v1, v2):
+        miss &= v != pooled
+        idx += miss
     return pooled, idx
 
 
 def _maxpool2d_grad(dz, idx, h, w):
-    """Scatter dz back through the recorded winner positions."""
-    n, c, ho, wo = dz.shape
-    grid = np.zeros((n, c, ho, wo, 4))
-    np.put_along_axis(grid, idx[..., None], dz[..., None], axis=-1)
-    return (
-        grid.reshape(n, c, ho, wo, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h, w)
-    )
+    """Scatter dz back through the recorded winner positions.
+
+    The result is an [N,C,H,W] view of NHWC memory, the conv output layout.
+    """
+    n, c = dz.shape[:2]
+    grad = np.empty((n, h, w, c)).transpose(0, 3, 1, 2)
+    for k, (a, b) in enumerate(_WINDOW):
+        grad[:, :, a::2, b::2] = np.where(idx == k, dz, 0.0)
+    return grad
 
 
 def _relu(x):
@@ -265,7 +287,7 @@ def maxpool2d_forward(input, window=2, stride=2):
     x = _as_array(input)
     if x.ndim != 4:
         raise DimensionError("max pool needs [N,C,H,W], got %r" % (input.shape,))
-    pooled, idx = _maxpool2d(x)
+    pooled, idx = _maxpool2d(x, True)
     pooled = np.ascontiguousarray(pooled)
     _check_finite(pooled, "maxpool2d_forward")
     idx.flags.writeable = False

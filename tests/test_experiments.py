@@ -287,6 +287,25 @@ class TestConfigFile:
 
 
 class TestRunContext:
+    def test_data_error_removes_only_what_the_run_created(self, tmp_path):
+        cfg = ExperimentConfig(
+            kind="ova-binary",
+            dataset="mnist",
+            hidden=(1,),
+            out=str(tmp_path),
+            mnist_dir=str(tmp_path / "empty"),
+        ).validate()
+        fresh = tmp_path / "new" / "run"
+        with pytest.raises(DataError):
+            run_experiment(cfg, str(fresh))
+        assert sorted(os.listdir(tmp_path)) == []
+        existing = tmp_path / "resumed"
+        existing.mkdir()
+        (existing / "config.json").write_text("{}\n")
+        with pytest.raises(DataError):
+            run_experiment(cfg, str(existing))
+        assert (existing / "config.json").read_text() == "{}\n"
+
     def test_config_snapshot_written_once(self, tmp_path):
         cfg = tiny_sweep_config(tmp_path)
         ctx = RunContext(cfg, str(tmp_path / "run"))
@@ -600,6 +619,7 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_missing_data_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
         rc = main(
             [
                 "--experiment",
@@ -610,10 +630,14 @@ class TestCli:
                 "1",
                 "--mnist-dir",
                 str(tmp_path / "empty"),
+                "--out",
+                str(out),
             ]
         )
         assert rc == 2
         assert "data error" in capsys.readouterr().err
+        # the failed run leaves no run directory, nor the parents it made
+        assert not out.exists()
 
     def test_config_file_run_with_flag_override(self, tmp_path, capsys):
         ini = self.write_ini(tmp_path)

@@ -195,6 +195,16 @@ class TestForward:
         b, _ = forward(net, x)
         np.testing.assert_array_equal(a.array, b.array)
 
+    def test_eval_output_matches_train_output(self):
+        # eval pools without winner indices; its output must not differ
+        net = build_conv_net((1, 8, 8), 3, 10, seed=11)
+        randomize_head(net, 1)
+        x = np.maximum(rand((5, 1, 8, 8), 12), 0.0)  # zero windows tie in pool
+        a, _ = forward(net, x, train=False)
+        b, cache = forward(net, x, train=True)
+        assert cache is not None
+        np.testing.assert_array_equal(a.array, b.array)
+
     def test_softmax_head_rows_normalized(self):
         net = build_conv_net((1, 8, 8), 3, 10, seed=13)
         randomize_head(net, 2)

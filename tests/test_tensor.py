@@ -165,6 +165,45 @@ class TestConv2D:
             )
 
 
+def conv_input_grad_oracle(dz, w):
+    """Adjoint of conv_oracle in its input: every output pixel's upstream
+    value flows back along each tap to the input pixel that tap read."""
+    n, f, h, wd = dz.shape
+    _, c, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    out = np.zeros((n, c, h, wd))
+    for ni in range(n):
+        for fi in range(f):
+            for i in range(h):
+                for j in range(wd):
+                    for ci in range(c):
+                        for u in range(kh):
+                            for v in range(kw):
+                                ii, jj = i + u - ph, j + v - pw
+                                if 0 <= ii < h and 0 <= jj < wd:
+                                    out[ni, ci, ii, jj] += dz[ni, fi, i, j] * w[fi, ci, u, v]
+    return out
+
+
+def nhwc(a):
+    """The same [N,C,H,W] values as a view of NHWC memory, the layout the
+    conv kernels return."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+class TestConv2DInputGrad:
+    @pytest.mark.parametrize("layout", [np.asarray, nhwc])
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (5, 5), (3, 5)])
+    def test_against_loop_oracle(self, kh, kw, layout):
+        dz = rand((2, 4, 6, 7), 13)
+        w = rand((4, 3, kh, kw), 14)
+        got = tensor._conv2d_input_grad(layout(dz), w)
+        assert got.shape == (2, 3, 6, 7)
+        np.testing.assert_allclose(
+            got, conv_input_grad_oracle(dz, w), rtol=0, atol=1e-12
+        )
+
+
 def pool_oracle(x):
     n, c, h, w = x.shape
     ho, wo = h // 2, w // 2
@@ -189,21 +228,58 @@ def pool_oracle(x):
     return out, idx
 
 
+def pool_grad_oracle(dz, idx, h, w):
+    n, c, ho, wo = dz.shape
+    out = np.zeros((n, c, h, w))
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    k = idx[ni, ci, i, j]
+                    out[ni, ci, 2 * i + k // 2, 2 * j + k % 2] = dz[ni, ci, i, j]
+    return out
+
+
+def relu_nhwc_input():
+    """A pool input laid out as the conv stack produces it: ReLU output in
+    NHWC memory viewed as [N,C,H,W], with all-zero windows (four-way ties)."""
+    x = np.maximum(rand((3, 2, 8, 6), 23), 0.0)
+    x[:, :, :2, :2] = 0.0
+    x[1, 0, 4:6, 2:4] = 0.0
+    x = nhwc(x)
+    assert not x.flags.c_contiguous
+    return x
+
+
+POOL_INPUTS = (lambda: rand((3, 2, 8, 6), 20), relu_nhwc_input)
+
+
 class TestMaxPool:
     def test_against_loop_oracle(self):
-        x = rand((3, 2, 8, 6), 20)
-        got, gidx = tensor.maxpool2d_forward(Tensor(x))
-        want, widx = pool_oracle(x)
-        np.testing.assert_array_equal(got.array, want)
-        np.testing.assert_array_equal(gidx, widx)
+        for make in POOL_INPUTS:
+            x = make()
+            want, widx = pool_oracle(x)
+            got, gidx = tensor.maxpool2d_forward(Tensor(x))
+            np.testing.assert_array_equal(got.array, want)
+            np.testing.assert_array_equal(gidx, widx)
+            pooled, idx = tensor._maxpool2d(x, True)
+            np.testing.assert_array_equal(pooled, want)
+            np.testing.assert_array_equal(idx, widx)
+            pooled, idx = tensor._maxpool2d(x, False)
+            np.testing.assert_array_equal(pooled, want)
+            assert idx is None
 
     def test_ties_take_first_in_scan_order(self):
-        x = np.zeros((1, 1, 2, 2))  # four-way tie
-        pooled, idx = tensor.maxpool2d_forward(Tensor(x))
-        assert idx[0, 0, 0, 0] == 0
-        x2 = np.array([[[[1.0, 7.0], [7.0, 7.0]]]])  # three-way tie at 7
-        _, idx2 = tensor.maxpool2d_forward(Tensor(x2))
-        assert idx2[0, 0, 0, 0] == 1
+        # channel 0: four-way tie at 0; channel 1: three-way tie at 7
+        x = np.array([[[[0.0, 0.0], [0.0, 0.0]], [[1.0, 7.0], [7.0, 7.0]]]])
+        for layout in (np.asarray, nhwc):
+            pooled, idx = tensor._maxpool2d(layout(x), True)
+            np.testing.assert_array_equal(idx[0, :, 0, 0], [0, 1])
+            np.testing.assert_array_equal(pooled[0, :, 0, 0], [0.0, 7.0])
+            pooled, _ = tensor._maxpool2d(layout(x), False)
+            np.testing.assert_array_equal(pooled[0, :, 0, 0], [0.0, 7.0])
+        _, idx = tensor.maxpool2d_forward(Tensor(x))
+        np.testing.assert_array_equal(idx[0, :, 0, 0], [0, 1])
 
     def test_odd_dims_rejected(self):
         with pytest.raises(DimensionError, match="even"):
@@ -214,17 +290,17 @@ class TestMaxPool:
             tensor.maxpool2d_forward(Tensor(rand((1, 1, 4, 4), 0)), window=3)
 
     def test_scatter_grad_inverts_pool(self):
-        x = rand((2, 3, 4, 4), 21)
-        pooled, idx = tensor.maxpool2d_forward(Tensor(x))
-        dz = rand(pooled.array.shape, 22)
-        back = tensor._maxpool2d_grad(dz, np.asarray(idx), 4, 4)
-        # every window routes its upstream value to exactly the winner
-        assert back.shape == x.shape
-        np.testing.assert_allclose(
-            back.sum(axis=(2, 3)), dz.sum(axis=(2, 3)), atol=1e-12
-        )
-        winners = back != 0
-        assert winners.sum() <= dz.size
+        for make in POOL_INPUTS:
+            x = make()
+            pooled, idx = tensor._maxpool2d(x, True)
+            dz = rand(pooled.shape, 22)
+            back = tensor._maxpool2d_grad(dz, idx, 8, 6)
+            assert back.shape == x.shape
+            # every window routes its upstream value to exactly the winner
+            np.testing.assert_allclose(
+                back.sum(axis=(2, 3)), dz.sum(axis=(2, 3)), atol=1e-12
+            )
+            np.testing.assert_array_equal(back, pool_grad_oracle(dz, idx, 8, 6))
 
 
 class TestPointwise:
