@@ -129,10 +129,7 @@ def generate_synthetic(spec):
     rng = Rng(derive_seed(spec.seed))
     n, d = spec.n_samples, spec.dim
     feats = np.empty((n, d))
-    normal = rng.normal
-    flat = feats.reshape(-1)
-    for i in range(n * d):
-        flat[i] = normal(spec.mean, spec.std)
+    rng.fill_normal(feats.reshape(-1), spec.mean, spec.std)
     half = n // 2
     feats[:half] += spec.bias
     feats[half:] -= spec.bias

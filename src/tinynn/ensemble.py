@@ -143,7 +143,12 @@ def _build_member(data, hidden_units, seed):
 
 def _train_member(view, hidden_units, cfg, seed):
     net = _build_member(view.source, hidden_units, seed)
-    return train(net, view, replace(cfg, seed=seed))
+    try:
+        return train(net, view, replace(cfg, seed=seed))
+    except DivergenceError as e:
+        raise DivergenceError(
+            "member for class %d diverged: %s" % (view.target_class, e)
+        )
 
 
 # Worker-pool tasks are passed through this module global so that fork-based
@@ -171,7 +176,6 @@ def train_ensemble(data, hidden_units, cfg, class_names=None, jobs=1):
     tasks = [
         (views[i], hidden_units, cfg, _member_seed(cfg.seed, i)) for i in range(k)
     ]
-    results = [None] * k
     if jobs > 1 and hasattr(os, "fork"):
         from multiprocessing import get_context
 
@@ -179,18 +183,10 @@ def train_ensemble(data, hidden_units, cfg, class_names=None, jobs=1):
         try:
             with get_context("fork").Pool(min(jobs, k)) as pool:
                 results = pool.map(_train_member_at, range(k))
-        except DivergenceError as e:
-            raise DivergenceError("ensemble member diverged: %s" % e)
         finally:
             _POOL_TASKS = None
     else:
-        for i in range(k):
-            try:
-                results[i] = _train_member(*tasks[i])
-            except DivergenceError as e:
-                raise DivergenceError(
-                    "member for class %d diverged: %s" % (i, e)
-                )
+        results = [_train_member(*task) for task in tasks]
     members = [net for net, _ in results]
     reports = [rep for _, rep in results]
     return OvaEnsemble(

@@ -630,8 +630,11 @@ def _write_per_class_csv(ctx, reports):
 
 
 def _train_ova(ctx, config):
+    """Train and store the K members; returns the loaded dataset, the
+    (possibly subsetted) training dataset and the ensemble."""
     with ctx.stage("load-data"):
-        data = _apply_subset(load_dataset(config), config)
+        full = load_dataset(config)
+        data = _apply_subset(full, config)
     h = config.hidden[0]
     cfg = config.train_config()
     for i in range(data.class_count):
@@ -649,13 +652,13 @@ def _train_ova(ctx, config):
     save_ensemble(ens, ctx.path(ckpt_dir))
     member_files = ["%s/member_%d.ckpt" % (ckpt_dir, i) for i in range(len(ens.members))]
     ctx.register(*member_files, "%s/ensemble.json" % ckpt_dir)
-    return data, ens
+    return full, data, ens
 
 
 def run_ova_binary(config, run_dir):
     """Per-class binary metrics for the K one-vs-all members."""
     ctx = RunContext(config, run_dir)
-    data, ens = _train_ova(ctx, config)
+    _, data, ens = _train_ova(ctx, config)
     manifest = ctx.finish()
     return RunResult(
         ctx.run_dir, manifest, {"reports": ens.member_reports, "ensemble": ens}
@@ -666,7 +669,7 @@ def run_ova_ensemble(config, run_dir):
     """Train the ensemble, judge the full test split, and compare against a
     single multi-class network of matching width."""
     ctx = RunContext(config, run_dir)
-    data, ens = _train_ova(ctx, config)
+    full, data, ens = _train_ova(ctx, config)
     with ctx.stage("evaluate"):
         outcome = evaluate_ensemble(ens, data, policy=config.aggregation)
     idx = data.test_indices
@@ -684,7 +687,6 @@ def run_ova_ensemble(config, run_dir):
     comp_seed = derive_seed(config.seed, _SEED_COMPARISON)
     ctx.seeds["comparison"] = comp_seed
     with ctx.stage("train-comparison"):
-        full = load_dataset(config)
         comp_data = (
             stratified_subset(full, DEFAULT_SWEEP_SUBSET)
             if DEFAULT_SWEEP_SUBSET

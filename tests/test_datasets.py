@@ -1,6 +1,7 @@
 """Synthetic generation, file-format parsing with crafted corrupt inputs,
 stratified subsetting, and balanced one-vs-all views."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -22,6 +23,34 @@ from tinynn.datasets import (
 )
 from tinynn.errors import DataError, DataFormatError
 from tinynn.tensor import Tensor
+
+
+def sha256_of(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# features, labels, train and test indices of generate_synthetic, hashed in
+# that order; frozen from the per-draw normal() and randbelow() loops
+SYNTHETIC_DIGESTS = [
+    (
+        SyntheticSpec(std=0.7, n_samples=200, seed=9),
+        "c090b6687eb872b7dad6b69a5677f0dbd91650c6f8be1b64bdee356c289b6e97",
+    ),
+    (
+        SyntheticSpec(std=1.3, n_samples=1002, seed=17, mean=0.25, bias=1.0, dim=5),
+        "b9d327d3f70da44e8fc41af374925ca1944681b9b642f93825482591f0332d3f",
+    ),
+]
+
+# make_ova_views(grid_dataset(per_class=10, k=3, test_per_class=2), 3, 5)
+OVA_TRAIN_INDICES = [
+    [22, 5, 2, 11, 24, 14, 27, 3, 4, 6, 1, 7, 21, 10, 12, 0],
+    [17, 11, 13, 2, 25, 12, 24, 27, 16, 15, 10, 26, 1, 3, 23, 14],
+    [7, 21, 10, 23, 26, 13, 27, 4, 22, 1, 25, 24, 14, 20, 5, 2],
+]
 
 
 class TestSyntheticSpec:
@@ -53,6 +82,14 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(a.feature_array, b.feature_array)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.train_indices, b.train_indices)
+
+    @pytest.mark.parametrize("spec,digest", SYNTHETIC_DIGESTS)
+    def test_frozen_stream(self, spec, digest):
+        data = generate_synthetic(spec)
+        got = sha256_of(
+            data.feature_array, data.labels, data.train_indices, data.test_indices
+        )
+        assert got == digest
 
     def test_seed_changes_draw(self):
         a = generate_synthetic(SyntheticSpec(std=1.0, n_samples=100, seed=1))
@@ -407,6 +444,11 @@ class TestOvaViews:
         c = make_ova_views(data, 4, balance_seed=6)
         np.testing.assert_array_equal(a[2].train_indices, b[2].train_indices)
         assert (a[2].train_indices != c[2].train_indices).any()
+
+    def test_frozen_stream(self):
+        data = grid_dataset(per_class=10, k=3, test_per_class=2)
+        views = make_ova_views(data, 3, balance_seed=5)
+        assert [v.train_indices.tolist() for v in views] == OVA_TRAIN_INDICES
 
     def test_train_indices_shuffled(self):
         data = grid_dataset()

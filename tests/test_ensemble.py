@@ -23,7 +23,7 @@ from tinynn.ensemble import (
     write_verdicts_csv,
     _member_seed,
 )
-from tinynn.errors import DataError
+from tinynn.errors import DataError, DivergenceError
 from tinynn.layers import build_mlp
 from tinynn.training import TrainConfig
 
@@ -160,6 +160,19 @@ class TestTrainEnsemble:
             for pa, pb in zip(ma.params, mb.params):
                 for key in pa:
                     np.testing.assert_array_equal(pa[key], pb[key])
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [1, pytest.param(2, marks=pytest.mark.skipif(
+            not hasattr(os, "fork"), reason="needs fork"))],
+    )
+    def test_divergence_names_the_class(self, jobs):
+        data = synth_multi(n=600, std=1e200)  # the first step overflows the head
+        cfg = TrainConfig(learning_rate=1.0, epochs=2, seed=3)
+        with pytest.raises(
+            DivergenceError, match=r"member for class [0-2] diverged: loss diverged"
+        ):
+            train_ensemble(data, 2, cfg, jobs=jobs)
 
     def test_needs_two_classes(self):
         rng = np.random.default_rng(0)

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from tinynn import experiments
 from tinynn.cli import main
 from tinynn.errors import ConfigError, DataError
 from tinynn.experiments import (
@@ -26,6 +27,7 @@ from tinynn.experiments import (
     build_config,
     default_hidden,
     load_config_file,
+    load_dataset,
     replay_manifest,
     resume_run,
     run_experiment,
@@ -478,6 +480,14 @@ def tiny_mnist_dir(tmp_path_factory):
     return str(root)
 
 
+# comparison.csv of the ova-ensemble run on tiny_mnist_dir, frozen from the
+# version that loaded the dataset a second time for the comparison stage
+COMPARISON_CSV = (
+    "# tinynn csv v1\nkey,value\nensemble_correct,0.0\n"
+    "single_width,16\nsingle_accuracy,0.1\n"
+)
+
+
 def tiny_image_config(kind, out, mnist_dir, hidden=(1, 2), jobs=1, batch=32):
     # OVA views on subset 40 hold only 8 rows, so those runs need batch <= 8
     return ExperimentConfig(
@@ -552,9 +562,19 @@ class TestOvaRuns:
             assert result.manifest["seeds"]["member-%d" % i] == i
         assert os.path.exists(os.path.join(result.run_dir, "ensemble", "ensemble.json"))
 
-    def test_ensemble_judgement_and_comparison(self, tiny_mnist_dir, tmp_path):
+    def test_ensemble_judgement_and_comparison(self, tiny_mnist_dir, tmp_path, monkeypatch):
+        loads = []
+
+        def counting_load(config):
+            loads.append(config)
+            return load_dataset(config)
+
+        monkeypatch.setattr(experiments, "load_dataset", counting_load)
         cfg = tiny_image_config("ova-ensemble", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
         result = run_experiment(cfg)
+        assert len(loads) == 1  # the comparison stage reuses the loaded dataset
+        with open(os.path.join(result.run_dir, "comparison.csv")) as f:
+            assert f.read() == COMPARISON_CSV
         verdicts = read_csv_rows(os.path.join(result.run_dir, "verdicts.csv"))
         assert len(verdicts) == 40
         assert {r["verdict"] for r in verdicts} <= {

@@ -2,15 +2,21 @@
 
 The u64 streams are pinned against an independent C build of the public
 reference implementations (splitmix64 and xoshiro256++), compiled and run
-once; the expected values below are frozen from its output.
+once; the expected values below are frozen from its output. The shuffle
+outputs are frozen from the per-element Fisher-Yates on `randbelow`, so a
+bulk path that changes the stream fails here.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tinynn.rng import Rng, derive_seed, splitmix64
+from tinynn.layers import build_conv_net
+from tinynn.rng import _FILL_BLOCK, Rng, derive_seed, splitmix64
 
 # first outputs of the reference splitmix64 stream seeded with 0
 SPLITMIX_FROM_0 = 16294208416658607535
@@ -37,6 +43,38 @@ XOSHIRO_FROM_123456789 = [
     184957719097713763,
 ]
 
+# Rng(101).shuffle(list(range(20))) and Rng(202).shuffle(np.arange(20))
+SHUFFLE_LIST_FROM_101 = [
+    1, 5, 6, 11, 18, 2, 8, 19, 15, 14, 9, 3, 0, 13, 16, 7, 4, 10, 17, 12,
+]
+SHUFFLE_ARRAY_FROM_202 = [
+    16, 3, 11, 13, 8, 17, 19, 18, 15, 9, 7, 10, 14, 6, 12, 5, 4, 2, 1, 0,
+]
+
+# SHA-256 over build_conv_net((1, 28, 28), 30, 1, seed=7) parameters, layer by
+# layer, keys sorted; the hidden layer's 94,080 weights span many fill blocks
+CONV_INIT_DIGEST = "29c49839e7d55f65f1fa6d45b8817ccb6a74bc123fd820a30067ed12f3bc4e3c"
+
+
+def shuffle_oracle(rng, seq):
+    """Per-element Fisher-Yates on randbelow, the reference for shuffle."""
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
+def assert_fill_normal_matches_scalar(seed, n, mean, std, spare_in):
+    a, b = Rng(seed), Rng(seed)
+    if spare_in:
+        a.normal()
+        b.normal()
+    want = [a.normal(mean, std) for _ in range(n)]
+    got = np.empty(n)
+    b.fill_normal(got, mean, std)
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    # the spare left behind and the state both carry over
+    assert [b.normal(), b.next_u64()] == [a.normal(), a.next_u64()]
+
 
 class TestReferenceVectors:
     def test_splitmix64_first_output(self):
@@ -49,6 +87,9 @@ class TestReferenceVectors:
     def test_stream_from_123456789(self):
         r = Rng(123456789)
         assert [r.next_u64() for _ in range(8)] == XOSHIRO_FROM_123456789
+
+    def test_block_draws_from_42(self):
+        assert Rng(42)._draws(8).tolist() == XOSHIRO_FROM_42
 
     def test_same_seed_same_stream(self):
         a, b = Rng(7), Rng(7)
@@ -80,10 +121,21 @@ class TestFloats:
 
     def test_fill_uniform_matches_scalar_stream(self):
         a, b = Rng(11), Rng(11)
-        buf = np.empty(64)
-        a.fill_uniform(buf, -1.0, 1.0)
-        want = [b.uniform(-1.0, 1.0) for _ in range(64)]
-        np.testing.assert_array_equal(buf, want)
+        # consecutive fills on either side of the block size
+        for n in (64, _FILL_BLOCK - 1, _FILL_BLOCK, _FILL_BLOCK + 1):
+            buf = np.empty(n)
+            a.fill_uniform(buf, -1.0, 1.0)
+            want = [b.uniform(-1.0, 1.0) for _ in range(n)]
+            np.testing.assert_array_equal(buf, want)
+        assert a.next_u64() == b.next_u64()
+
+    def test_frozen_conv_init(self):
+        net = build_conv_net((1, 28, 28), 30, 1, seed=7)
+        h = hashlib.sha256()
+        for p in net.params:
+            for key in sorted(p):
+                h.update(p[key].tobytes())
+        assert h.hexdigest() == CONV_INIT_DIGEST
 
 
 class TestRandbelow:
@@ -127,6 +179,11 @@ class TestNormal:
         a, b = Rng(23), Rng(23)
         assert [a.normal() for _ in range(9)] == [b.normal() for _ in range(9)]
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 4001])
+    @pytest.mark.parametrize("spare_in", [False, True])
+    def test_fill_normal_matches_scalar_stream(self, n, spare_in):
+        assert_fill_normal_matches_scalar(51, n, 0.25, 1.5, spare_in)
+
     def test_box_muller_pair_identity(self):
         # first two normals must come from one (u1, u2) pair
         r = Rng(31)
@@ -162,10 +219,56 @@ class TestShuffle:
         counts = np.bincount(positions, minlength=10)
         assert counts.min() > 10
 
+    def test_frozen_list_stream(self):
+        seq = list(range(20))
+        Rng(101).shuffle(seq)
+        assert seq == SHUFFLE_LIST_FROM_101
+
+    def test_frozen_array_stream(self):
+        arr = np.arange(20, dtype=np.int64)
+        Rng(202).shuffle(arr)
+        assert arr.dtype == np.int64
+        assert arr.tolist() == SHUFFLE_ARRAY_FROM_202
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5000])
+    @pytest.mark.parametrize("kind", ["list", "int64", "float64"])
+    def test_matches_randbelow_oracle(self, n, kind):
+        make = {
+            "list": lambda: list(range(n)),
+            "int64": lambda: np.arange(n, dtype=np.int64),
+            "float64": lambda: np.arange(n) * 0.5 - 7.25,
+        }[kind]
+        want, got = make(), make()
+        a, b = Rng(53), Rng(53)
+        shuffle_oracle(a, want)
+        b.shuffle(got)
+        assert type(got) is type(want)
+        if kind != "list":
+            assert got.dtype == want.dtype
+        assert list(got) == list(want)
+        assert a.next_u64() == b.next_u64()
+
     def test_works_on_ndarray(self):
         arr = np.arange(30)
         Rng(47).shuffle(arr)
         assert sorted(arr.tolist()) == list(range(30))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(0, 300),
+    mean=st.floats(-1e3, 1e3),
+    std=st.floats(1e-3, 1e3),
+)
+def test_bulk_paths_match_scalar_references(seed, n, mean, std):
+    assert_fill_normal_matches_scalar(seed, n, mean, std, spare_in=seed % 2 == 1)
+    want, got = list(range(n)), list(range(n))
+    a, b = Rng(seed), Rng(seed)
+    shuffle_oracle(a, want)
+    b.shuffle(got)
+    assert got == want
+    assert a.next_u64() == b.next_u64()
 
 
 class TestDeriveSeed:
