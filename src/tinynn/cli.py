@@ -10,9 +10,9 @@ import sys
 
 from .errors import ConfigError, DataError, DataFormatError, DivergenceError
 from .experiments import (
-    AGGREGATIONS,
     DATASETS,
     KINDS,
+    POLICIES,
     build_config,
     load_config_file,
     replay_manifest,
@@ -28,7 +28,9 @@ def _parser():
         "writing reproducible run directories.",
     )
     p.add_argument("--config", help="sectioned key-value config file")
-    p.add_argument("--experiment", choices=KINDS, help="what to run")
+    # every other option's dest is a config field (or data_dir), passed
+    # through to build_config as is
+    p.add_argument("--experiment", choices=KINDS, dest="kind", help="what to run")
     p.add_argument("--dataset", choices=DATASETS)
     p.add_argument("--hidden", help="comma-separated hidden sizes, e.g. 1 or 16,128")
     p.add_argument("--trials", type=int, help="trial repetitions per sweep cell")
@@ -45,7 +47,7 @@ def _parser():
     p.add_argument("--jobs", type=int, help="parallel worker processes")
     p.add_argument(
         "--aggregation",
-        choices=AGGREGATIONS,
+        choices=POLICIES,
         help="ensemble decision rule (non-default choices are diagnostics)",
     )
     p.add_argument("--data-dir", dest="data_dir", help="root holding mnist/ and cifar-10-batches-bin/")
@@ -81,35 +83,16 @@ def _report(result):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    flags = vars(_parser().parse_args(argv))
+    config_path, resume, replay = (flags.pop(k) for k in ("config", "resume", "replay"))
     try:
-        if args.replay:
-            result = replay_manifest(args.replay, out=args.out)
-        elif args.resume:
-            result = resume_run(args.resume)
+        if replay:
+            result = replay_manifest(replay, out=flags["out"])
+        elif resume:
+            result = resume_run(resume)
         else:
-            file_values = load_config_file(args.config) if args.config else {}
-            flag_keys = (
-                "experiment",
-                "dataset",
-                "hidden",
-                "trials",
-                "seed",
-                "out",
-                "epochs",
-                "learning_rate",
-                "batch_size",
-                "subset",
-                "jobs",
-                "aggregation",
-                "data_dir",
-                "mnist_dir",
-                "cifar_dir",
-            )
-            flags = {k: getattr(args, k) for k in flag_keys}
-            flags["kind"] = flags.pop("experiment")
-            config = build_config(file_values, flags)
-            result = run_experiment(config)
+            file_values = load_config_file(config_path) if config_path else {}
+            result = run_experiment(build_config(file_values, flags))
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return 1

@@ -142,17 +142,6 @@ def generate_synthetic(spec):
     return LabeledDataset(Tensor._wrap(feats), labels, 2, train_idx, test_idx)
 
 
-def export_synthetic_csv(data, path):
-    """Write features and labels as x0,..,x{d-1},label rows."""
-    feats = data.feature_array
-    d = feats.shape[1]
-    with open(path, "w") as f:
-        f.write("# tinynn csv v1\n")
-        f.write(",".join("x%d" % i for i in range(d)) + ",label\n")
-        for row, lab in zip(feats, data.labels):
-            f.write(",".join(repr(float(v)) for v in row) + ",%d\n" % lab)
-
-
 # ---------------------------------------------------------------------------
 # IDX (images/labels) parsing
 
@@ -243,17 +232,6 @@ def load_mnist(images_path, labels_path, test_images_path=None, test_labels_path
     )
 
 
-def mnist_image_payload(data, indices=None):
-    """Re-serialize features to IDX pixel bytes (the round-trip check)."""
-    feats = data.feature_array if indices is None else data.feature_array[indices]
-    return np.rint(feats * 255.0).astype(np.uint8).tobytes()
-
-
-def mnist_label_payload(data, indices=None):
-    labels = data.labels if indices is None else data.labels[indices]
-    return labels.astype(np.uint8).tobytes()
-
-
 # ---------------------------------------------------------------------------
 # CIFAR-10 binary batches
 
@@ -300,19 +278,6 @@ def load_cifar10(batch_paths, test_path=None):
         Tensor._wrap(feats), labels, 10,
         np.arange(n_train), np.arange(n_train, n),
     )
-
-
-def cifar_record_bytes(data, indices=None):
-    """Re-serialize samples to 3073-byte records (the round-trip check)."""
-    if indices is None:
-        indices = np.arange(data.feature_array.shape[0])
-    feats = data.feature_array[indices]
-    labels = data.labels[indices]
-    n = len(indices)
-    out = np.empty((n, _CIFAR_RECORD), np.uint8)
-    out[:, 0] = labels
-    out[:, 1:] = np.rint(feats * 255.0).reshape(n, -1)
-    return out.tobytes()
 
 
 # ---------------------------------------------------------------------------

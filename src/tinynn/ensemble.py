@@ -17,7 +17,7 @@ from .datasets import make_ova_views
 from .errors import DataError, DivergenceError
 from .layers import build_conv_net, build_mlp, load_network, save_network
 from .rng import _MASK64
-from .training import predict_scores, train
+from .training import fork_map, predict_scores, train
 
 POLICIES = ("redundant-error", "priority", "argmax")
 
@@ -79,29 +79,38 @@ class EnsembleOutcome:
         return (self.counts["no_positive"] + self.counts["wrong_single"]) / self.n
 
 
-def outcome_from_positive_sets(positive_sets, true_labels, policy="redundant-error"):
-    """Tally verdicts for precomputed positive sets (one iterable per sample)."""
+def outcome_from_positive_sets(
+    positive_sets, true_labels, policy="redundant-error", argmax=None
+):
+    """Tally verdicts for precomputed positive sets (one iterable per sample).
+
+    argmax, each sample's highest-scoring member, is read by the argmax
+    policy only.
+    """
     if policy not in POLICIES:
         raise DataError("unknown aggregation policy %r" % (policy,))
+    if policy == "argmax" and argmax is None:
+        raise DataError("argmax policy needs raw scores; use evaluate()")
     verdicts = []
     counts = {"correct": 0, "redundant": 0, "no_positive": 0, "wrong_single": 0}
     max_set = 0
-    for pos, true in zip(positive_sets, true_labels):
+    for i, (pos, true) in enumerate(zip(positive_sets, true_labels)):
         positives = tuple(sorted(pos))
         max_set = max(max_set, len(positives))
         if policy == "redundant-error":
             v = resolve_verdict(positives, true)
-        elif policy == "priority":
-            # diagnostic only: first positive wins, redundancy hidden
-            if positives:
-                pred = positives[0]
-                v = Verdict(
-                    "correct" if pred == true else "wrong_single", positives, pred
-                )
-            else:
-                v = Verdict("no_positive", positives)
         else:
-            raise DataError("argmax policy needs raw scores; use evaluate()")
+            # diagnostics only, both hide redundancy: priority takes the
+            # first positive, argmax the top score whatever the threshold
+            if policy == "argmax":
+                pred = int(argmax[i])
+            else:
+                pred = positives[0] if positives else None
+            if pred is None:
+                v = Verdict("no_positive", positives)
+            else:
+                kind = "correct" if pred == true else "wrong_single"
+                v = Verdict(kind, positives, pred)
         verdicts.append(v)
         counts[v.kind] += 1
     return EnsembleOutcome(
@@ -151,15 +160,6 @@ def _train_member(view, hidden_units, cfg, seed):
         )
 
 
-# Worker-pool tasks are passed through this module global so that fork-based
-# workers inherit the dataset instead of receiving it pickled per task.
-_POOL_TASKS = None
-
-
-def _train_member_at(i):
-    return _train_member(*_POOL_TASKS[i])
-
-
 def train_ensemble(data, hidden_units, cfg, class_names=None, jobs=1):
     """Train one binary network per class on its balanced view.
 
@@ -168,41 +168,20 @@ def train_ensemble(data, hidden_units, cfg, class_names=None, jobs=1):
     in parallel) with bit-identical results. Any member divergence aborts
     the ensemble, naming the class.
     """
-    global _POOL_TASKS
     k = data.class_count
     if k < 2:
         raise DataError("need at least 2 classes, got %d" % k)
     views = make_ova_views(data, k, cfg.seed)
-    tasks = [
-        (views[i], hidden_units, cfg, _member_seed(cfg.seed, i)) for i in range(k)
-    ]
-    if jobs > 1 and hasattr(os, "fork"):
-        from multiprocessing import get_context
 
-        _POOL_TASKS = tasks
-        try:
-            with get_context("fork").Pool(min(jobs, k)) as pool:
-                results = pool.map(_train_member_at, range(k))
-        finally:
-            _POOL_TASKS = None
-    else:
-        results = [_train_member(*task) for task in tasks]
+    def member(i):
+        return _train_member(views[i], hidden_units, cfg, _member_seed(cfg.seed, i))
+
+    results = fork_map(member, k, jobs)
     members = [net for net, _ in results]
     reports = [rep for _, rep in results]
     return OvaEnsemble(
         members=members, class_names=class_names, member_reports=reports
     )
-
-
-def predict(ensemble, features, indices=None):
-    """Positive set per sample: members whose sigmoid output clears the
-    threshold (strictly; an output of exactly 0.5 is a negative)."""
-    if indices is None:
-        indices = np.arange(features.shape[0] if hasattr(features, "shape")
-                            else len(features))
-    scores = member_scores(ensemble, features, indices)
-    fired = scores > ensemble.threshold
-    return [tuple(np.flatnonzero(row)) for row in fired]
 
 
 def member_scores(ensemble, features, indices):
@@ -218,22 +197,10 @@ def evaluate(ensemble, data, policy="redundant-error"):
     idx = data.test_indices
     if len(idx) == 0:
         raise DataError("test split is empty")
-    labels = data.labels_at(idx)
     scores = member_scores(ensemble, data.feature_array, idx)
-    if policy == "argmax":
-        # diagnostic only: ignores the threshold rule entirely
-        preds = scores.argmax(axis=1)
-        verdicts = []
-        counts = {"correct": 0, "redundant": 0, "no_positive": 0, "wrong_single": 0}
-        fired = scores > ensemble.threshold
-        max_set = int(fired.sum(axis=1).max()) if len(idx) else 0
-        for pred, true, row in zip(preds, labels, fired):
-            kind = "correct" if pred == true else "wrong_single"
-            verdicts.append(Verdict(kind, tuple(np.flatnonzero(row)), int(pred)))
-            counts[kind] += 1
-        return EnsembleOutcome(verdicts, counts, len(verdicts), max_set)
     pos_sets = [tuple(np.flatnonzero(row)) for row in scores > ensemble.threshold]
-    return outcome_from_positive_sets(pos_sets, labels, policy)
+    argmax = scores.argmax(axis=1) if policy == "argmax" else None
+    return outcome_from_positive_sets(pos_sets, data.labels_at(idx), policy, argmax)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ class DimensionError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A public tensor operation produced NaN or Inf."""
+    """A Tensor was constructed from values holding NaN or Inf."""
 
 
 class DataFormatError(ValueError):

@@ -13,7 +13,8 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime
 
 from . import __version__
@@ -25,6 +26,8 @@ from .datasets import (
     stratified_subset,
 )
 from .ensemble import (
+    POLICIES,
+    _member_seed,
     evaluate as evaluate_ensemble,
     save_ensemble,
     train_ensemble,
@@ -36,6 +39,7 @@ from .layers import build_conv_net, build_mlp, save_network
 from .rng import derive_seed
 from .training import (
     TrainConfig,
+    fork_map,
     repeat_trials,
     train,
     write_loss_curve_csv,
@@ -45,29 +49,40 @@ from .training import (
 
 KINDS = ("synthetic-sweep", "layer-size-sweep", "ova-binary", "ova-ensemble")
 DATASETS = ("synthetic", "mnist", "cifar10")
-AGGREGATIONS = ("redundant-error", "priority", "argmax")
 
 DEFAULT_WIDTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 DEFAULT_SYNTH_HIDDEN = (1, 10, 100)
 DEFAULT_STDS = (0.1, 0.5, 1.0)
 DEFAULT_SIZES = (1000, 10000, 100000)
 
-# Layer-size sweeps train every width to convergence on a small stratified
-# subset. Each net ends up fitting those samples outright, so the measured
-# accuracy reflects generalization from the sample count rather than how far
-# optimization got within the budget, and widening the hidden layer moves it
-# only marginally. The budget is part of the resolved config and so lands in
-# every manifest. Subset 0 means the full training split.
-DEFAULT_SWEEP_SUBSET = 125
-DEFAULT_SWEEP_EPOCHS = 70
-DEFAULT_SWEEP_LR = 0.05
 
-# Synthetic trial cells use a short budget on purpose: the reference
-# accuracy table reflects undertrained networks (single neuron ~0.70, wider
-# ~0.78-0.81), which two epochs at lr 0.02 reproduce. Fully converged MLPs
-# would all sit at the Bayes rate instead.
-SYNTH_EPOCHS = 2
-SYNTH_LR = 0.02
+@dataclass(frozen=True)
+class Budget:
+    """A default training budget. Its field names are the config fields it
+    fills when a run does not set them."""
+
+    learning_rate: float
+    epochs: int
+    subset: int = 0  # stratified cap on training rows; 0 is the full split
+
+
+BUDGETS = {
+    # Synthetic trial cells use a short budget on purpose: the reference
+    # accuracy table reflects undertrained networks (single neuron ~0.70,
+    # wider ~0.78-0.81), which two epochs at lr 0.02 reproduce. Fully
+    # converged MLPs would all sit at the Bayes rate instead.
+    "synthetic": Budget(0.02, 2),
+    # Layer-size sweeps train every width to convergence on a small
+    # stratified subset. Each net ends up fitting those samples outright, so
+    # the measured accuracy reflects generalization from the sample count
+    # rather than how far optimization got within the budget, and widening
+    # the hidden layer moves it only marginally. The budget is part of the
+    # resolved config and so lands in every manifest. ova-ensemble trains
+    # its comparison net at it too.
+    "layer-sweep": Budget(0.05, 70, 125),
+    "conv-members": Budget(0.015, 5),
+    "mlp-members": Budget(0.05, 20),
+}
 
 _SEED_DATA = 101
 _SEED_COMPARISON = 103
@@ -81,28 +96,73 @@ MNIST_FILES = (
 CIFAR_FILES = tuple("data_batch_%d.bin" % i for i in range(1, 6)) + ("test_batch.bin",)
 
 
+# ---------------------------------------------------------------------------
+# config fields: each carries its INI location and the parser that coerces
+# INI text and CLI flag values
+
+
+def _text(name, value):
+    return value
+
+
+def _number(kind, what):
+    def parse(name, value):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError("%s must be %s, got %r" % (name, what, value))
+
+    return parse
+
+
+def _number_list(kind, what):
+    def parse(name, value):
+        if isinstance(value, tuple):
+            return value
+        try:
+            return tuple(kind(p) for p in str(value).split(",") if p.strip() != "")
+        except ValueError:
+            raise ConfigError(
+                "expected a comma-separated %s list, got %r" % (what, value)
+            )
+
+    return parse
+
+
+_int, _float = _number(int, "an integer"), _number(float, "a number")
+_int_list, _float_list = _number_list(int, "integer"), _number_list(float, "float")
+
+
+def _setting(section, key, parse, default=MISSING):
+    return field(default=default, metadata={"ini": (section, key), "parse": parse})
+
+
 @dataclass
 class ExperimentConfig:
-    """Fully resolved run parameters; the manifest stores exactly this."""
+    """Fully resolved run parameters; the manifest stores exactly this.
 
-    kind: str
-    dataset: str
-    hidden: tuple
-    trials: int = 100
-    seed: int = 0
-    out: str = "runs"
-    learning_rate: float = None
-    batch_size: int = 32
-    epochs: int = None
-    subset: int = None
-    jobs: int = 1
-    aggregation: str = "redundant-error"
-    stds: tuple = DEFAULT_STDS
-    sizes: tuple = DEFAULT_SIZES
-    synth_std: float = 1.0
-    synth_n: int = 10000
-    mnist_dir: str = None
-    cifar_dir: str = None
+    learning_rate, epochs and subset left at None take the run's default
+    budget from BUDGETS.
+    """
+
+    kind: str = _setting("experiment", "kind", _text)
+    dataset: str = _setting("experiment", "dataset", _text)
+    hidden: tuple = _setting("experiment", "hidden", _int_list)
+    trials: int = _setting("experiment", "trials", _int, 100)
+    seed: int = _setting("experiment", "seed", _int, 0)
+    out: str = _setting("output", "out", _text, "runs")
+    learning_rate: float = _setting("training", "lr", _float, None)
+    batch_size: int = _setting("training", "batch", _int, TrainConfig.batch_size)
+    epochs: int = _setting("training", "epochs", _int, None)
+    subset: int = _setting("experiment", "subset", _int, None)
+    jobs: int = _setting("experiment", "jobs", _int, 1)
+    aggregation: str = _setting("experiment", "aggregation", _text, "redundant-error")
+    stds: tuple = _setting("experiment", "stds", _float_list, DEFAULT_STDS)
+    sizes: tuple = _setting("experiment", "sizes", _int_list, DEFAULT_SIZES)
+    synth_std: float = _setting("experiment", "synth_std", _float, 1.0)
+    synth_n: int = _setting("experiment", "synth_n", _int, 10000)
+    mnist_dir: str = _setting("data", "mnist_dir", _text, None)
+    cifar_dir: str = _setting("data", "cifar_dir", _text, None)
 
     def validate(self):
         if self.kind not in KINDS:
@@ -117,8 +177,10 @@ class ExperimentConfig:
             )
         if self.kind == "synthetic-sweep" and self.dataset != "synthetic":
             raise ConfigError("synthetic-sweep runs on the synthetic dataset")
-        if self.kind == "layer-size-sweep" and self.dataset == "synthetic":
-            raise ConfigError("layer-size-sweep needs an image dataset")
+        # ova-ensemble's comparison net is the conv stack
+        needs_images = ("layer-size-sweep", "ova-ensemble")
+        if self.kind in needs_images and self.dataset == "synthetic":
+            raise ConfigError("%s needs an image dataset" % self.kind)
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ConfigError("hidden sizes must be a non-empty list of >= 1")
         if self.kind in ("ova-binary", "ova-ensemble") and len(self.hidden) != 1:
@@ -131,10 +193,10 @@ class ExperimentConfig:
             raise ConfigError("subset must be >= 0, got %r" % (self.subset,))
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1, got %r" % (self.jobs,))
-        if self.aggregation not in AGGREGATIONS:
+        if self.aggregation not in POLICIES:
             raise ConfigError(
                 "unknown aggregation %r (expected one of %s)"
-                % (self.aggregation, ", ".join(AGGREGATIONS))
+                % (self.aggregation, ", ".join(POLICIES))
             )
         if self.learning_rate is not None and not (0.0 < self.learning_rate <= 1.0):
             raise ConfigError("lr must be in (0, 1], got %r" % (self.learning_rate,))
@@ -142,78 +204,61 @@ class ExperimentConfig:
             raise ConfigError("epochs must be >= 1, got %r" % (self.epochs,))
         if self.batch_size < 1:
             raise ConfigError("batch must be >= 1, got %r" % (self.batch_size,))
+        if not all(s > 0 for s in (*self.stds, self.synth_std)):
+            raise ConfigError(
+                "stds and synth_std must be positive, got %r and %r"
+                % (self.stds, self.synth_std)
+            )
+        if any(n < 2 or n % 2 for n in (*self.sizes, self.synth_n)):
+            raise ConfigError(
+                "sizes and synth_n must be even and >= 2, got %r and %r"
+                % (self.sizes, self.synth_n)
+            )
         return self
+
+    def budget(self):
+        """The run's default budget, overridden by the values it sets."""
+        if self.kind == "synthetic-sweep":
+            default = BUDGETS["synthetic"]
+        elif self.kind == "layer-size-sweep":
+            default = BUDGETS["layer-sweep"]
+        elif self.dataset == "synthetic":
+            default = BUDGETS["mlp-members"]
+        else:
+            default = BUDGETS["conv-members"]
+        explicit = {
+            f.name: getattr(self, f.name)
+            for f in fields(Budget)
+            if getattr(self, f.name) is not None
+        }
+        return replace(default, **explicit)
 
     def resolved(self):
         """Concrete values for every knob, as stored in the manifest."""
-        d = {
-            "kind": self.kind,
-            "dataset": self.dataset,
-            "hidden": list(self.hidden),
-            "trials": self.trials,
-            "seed": self.seed,
-            "out": self.out,
-            "batch_size": self.batch_size,
-            "learning_rate": self._lr(),
-            "epochs": self._epochs(),
-            "subset": self._subset(),
-            "jobs": self.jobs,
-            "aggregation": self.aggregation,
-            "stds": list(self.stds),
-            "sizes": list(self.sizes),
-            "synth_std": self.synth_std,
-            "synth_n": self.synth_n,
-            "mnist_dir": self.mnist_dir,
-            "cifar_dir": self.cifar_dir,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update(asdict(self.budget()))
+        d = {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
         if self.kind == "ova-ensemble":
-            d["comparison_subset"] = DEFAULT_SWEEP_SUBSET
-            d["comparison_epochs"] = DEFAULT_SWEEP_EPOCHS
-            d["comparison_lr"] = DEFAULT_SWEEP_LR
+            comparison = BUDGETS["layer-sweep"]
+            d["comparison_subset"] = comparison.subset
+            d["comparison_epochs"] = comparison.epochs
+            d["comparison_lr"] = comparison.learning_rate
         return d
 
-    def _uses_conv(self):
-        return self.dataset in ("mnist", "cifar10")
-
-    def _lr(self):
-        if self.learning_rate is not None:
-            return self.learning_rate
-        if self.kind == "synthetic-sweep":
-            return SYNTH_LR
-        if self.kind == "layer-size-sweep":
-            return DEFAULT_SWEEP_LR
-        return 0.015 if self._uses_conv() else 0.05
-
-    def _epochs(self):
-        if self.epochs is not None:
-            return self.epochs
-        if self.kind == "synthetic-sweep":
-            return SYNTH_EPOCHS
-        if self.kind == "layer-size-sweep":
-            return DEFAULT_SWEEP_EPOCHS
-        return 5 if self._uses_conv() else 20
-
-    def _subset(self):
-        if self.subset is not None:
-            return self.subset
-        return DEFAULT_SWEEP_SUBSET if self.kind == "layer-size-sweep" else 0
-
     def train_config(self, seed=None):
+        budget = self.budget()
         return TrainConfig(
-            learning_rate=self._lr(),
+            learning_rate=budget.learning_rate,
+            epochs=budget.epochs,
             batch_size=self.batch_size,
-            epochs=self._epochs(),
             seed=self.seed if seed is None else seed,
         )
 
     @classmethod
     def from_resolved(cls, d):
         """Rebuild a config from a manifest snapshot (the replay path)."""
-        keep = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in d.items() if k in keep}
-        for k in ("hidden", "stds", "sizes"):
-            if k in kwargs and kwargs[k] is not None:
-                kwargs[k] = tuple(kwargs[k])
+        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in kwargs.items()}
         return cls(**kwargs).validate()
 
 
@@ -228,6 +273,11 @@ def default_hidden(kind):
 # ---------------------------------------------------------------------------
 # config file parsing
 
+# INI (section, key) -> config field; data_dir is no field of its own but
+# expands into mnist_dir and cifar_dir in build_config
+_INI_KEYS = {f.metadata["ini"]: f.name for f in fields(ExperimentConfig)}
+_INI_KEYS[("data", "data_dir")] = "data_dir"
+
 
 def load_config_file(path):
     """Read the sectioned key-value config format into a flat dict."""
@@ -238,30 +288,9 @@ def load_config_file(path):
     if not read:
         raise ConfigError("config file %r not found or unreadable" % (path,))
     values = {}
-    mapping = {
-        ("experiment", "kind"): "kind",
-        ("experiment", "dataset"): "dataset",
-        ("experiment", "hidden"): "hidden",
-        ("experiment", "trials"): "trials",
-        ("experiment", "seed"): "seed",
-        ("experiment", "subset"): "subset",
-        ("experiment", "jobs"): "jobs",
-        ("experiment", "aggregation"): "aggregation",
-        ("experiment", "stds"): "stds",
-        ("experiment", "sizes"): "sizes",
-        ("experiment", "synth_std"): "synth_std",
-        ("experiment", "synth_n"): "synth_n",
-        ("training", "lr"): "learning_rate",
-        ("training", "batch"): "batch_size",
-        ("training", "epochs"): "epochs",
-        ("data", "mnist_dir"): "mnist_dir",
-        ("data", "cifar_dir"): "cifar_dir",
-        ("data", "data_dir"): "data_dir",
-        ("output", "out"): "out",
-    }
     for section in parser.sections():
         for key in parser[section]:
-            target = mapping.get((section, key))
+            target = _INI_KEYS.get((section, key))
             if target is None:
                 raise ConfigError(
                     "unknown config key [%s] %s in %r" % (section, key, path)
@@ -270,27 +299,15 @@ def load_config_file(path):
     return values
 
 
-def _parse_int_list(text):
-    try:
-        return tuple(int(p) for p in str(text).split(",") if p.strip() != "")
-    except ValueError:
-        raise ConfigError("expected a comma-separated integer list, got %r" % (text,))
-
-
-def _parse_float_list(text):
-    try:
-        return tuple(float(p) for p in str(text).split(",") if p.strip() != "")
-    except ValueError:
-        raise ConfigError("expected a comma-separated float list, got %r" % (text,))
-
-
 def build_config(file_values=None, flag_values=None):
-    """Merge config-file values and CLI flags (flags win) into a config."""
+    """Merge config-file values and CLI flags (flags win) into a config.
+
+    Both are keyed by config field, plus data_dir; strings are coerced by
+    each field's parser.
+    """
     merged = {}
     for source in (file_values or {}, flag_values or {}):
-        for k, v in source.items():
-            if v is not None:
-                merged[k] = v
+        merged.update((k, v) for k, v in source.items() if v is not None)
     data_dir = merged.pop("data_dir", None)
     if data_dir is not None:
         merged.setdefault("mnist_dir", os.path.join(data_dir, "mnist"))
@@ -302,28 +319,8 @@ def build_config(file_values=None, flag_values=None):
         raise ConfigError("an experiment kind is required (--experiment)")
     if merged.get("dataset") is None:
         raise ConfigError("a dataset is required (--dataset)")
-    ints = {"trials", "seed", "subset", "jobs", "batch_size", "epochs", "synth_n"}
-    floats = {"learning_rate", "synth_std"}
-    kwargs = {}
-    for k, v in merged.items():
-        if k in ints:
-            try:
-                kwargs[k] = int(v)
-            except ValueError:
-                raise ConfigError("%s must be an integer, got %r" % (k, v))
-        elif k in floats:
-            try:
-                kwargs[k] = float(v)
-            except ValueError:
-                raise ConfigError("%s must be a number, got %r" % (k, v))
-        elif k == "hidden":
-            kwargs[k] = _parse_int_list(v) if not isinstance(v, tuple) else v
-        elif k == "sizes":
-            kwargs[k] = _parse_int_list(v) if not isinstance(v, tuple) else v
-        elif k == "stds":
-            kwargs[k] = _parse_float_list(v) if not isinstance(v, tuple) else v
-        else:
-            kwargs[k] = v
+    parsers = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)}
+    kwargs = {k: parsers[k](k, v) for k, v in merged.items()}
     kwargs.setdefault("hidden", default_hidden(kind))
     return ExperimentConfig(**kwargs).validate()
 
@@ -467,8 +464,7 @@ def load_dataset(config):
     return load_cifar10(paths[:5], paths[5])
 
 
-def _apply_subset(data, config):
-    n = config._subset()
+def _apply_subset(data, n):
     return stratified_subset(data, n) if n else data
 
 
@@ -543,18 +539,14 @@ def run_synthetic_sweep(config, run_dir):
     return RunResult(ctx.run_dir, manifest, {"rows": grid_rows})
 
 
-_SWEEP_STATE = None
-
-
-def _sweep_width_worker(width):
-    data, config = _SWEEP_STATE
+def _train_width(data, config, width):
+    """One sweep width; a divergence comes back as its message."""
     seed = derive_seed(config.seed, width)
     net = build_conv_net(
         tuple(data.feature_array.shape[1:]), width, data.class_count, seed
     )
-    cfg = config.train_config(seed)
     try:
-        net, report = train(net, data, cfg)
+        net, report = train(net, data, config.train_config(seed))
     except DivergenceError as e:
         return width, None, None, str(e)
     return width, net, report, None
@@ -562,32 +554,23 @@ def _sweep_width_worker(width):
 
 def run_layer_size_sweep(config, run_dir):
     """One multi-class conv net per hidden width at the sweep budget."""
-    global _SWEEP_STATE
     ctx = RunContext(config, run_dir)
     done = ctx.completed_cells()
     with ctx.stage("load-data"):
-        data = _apply_subset(load_dataset(config), config)
+        data = _apply_subset(load_dataset(config), config.budget().subset)
     rows = []
     todo = [w for w in config.hidden if ("w%d" % w) not in done]
     rows.extend(done[c]["row"] for c in done)
+
+    def train_width(i):
+        # a forked worker's stage record is dropped with the worker
+        with ctx.stage("width-%d" % todo[i]):
+            return _train_width(data, config, todo[i])
+
     results = []
     if todo:
-        _SWEEP_STATE = (data, config)
-        try:
-            if config.jobs > 1 and hasattr(os, "fork"):
-                from multiprocessing import get_context
-
-                with ctx.stage("train-widths"):
-                    with get_context("fork").Pool(
-                        min(config.jobs, len(todo))
-                    ) as pool:
-                        results = pool.map(_sweep_width_worker, todo)
-            else:
-                for w in todo:
-                    with ctx.stage("width-%d" % w):
-                        results.append(_sweep_width_worker(w))
-        finally:
-            _SWEEP_STATE = None
+        with ctx.stage("train-widths") if config.jobs > 1 else nullcontext():
+            results = fork_map(train_width, len(todo), config.jobs)
     for width, net, report, err in results:
         ctx.seeds["width-%d" % width] = derive_seed(config.seed, width)
         cell = "w%d" % width
@@ -634,11 +617,11 @@ def _train_ova(ctx, config):
     (possibly subsetted) training dataset and the ensemble."""
     with ctx.stage("load-data"):
         full = load_dataset(config)
-        data = _apply_subset(full, config)
+        data = _apply_subset(full, config.budget().subset)
     h = config.hidden[0]
     cfg = config.train_config()
     for i in range(data.class_count):
-        ctx.seeds["member-%d" % i] = (config.seed ^ i) & 0xFFFFFFFFFFFFFFFF
+        ctx.seeds["member-%d" % i] = _member_seed(config.seed, i)
     with ctx.stage("train-members"):
         ens = train_ensemble(data, h, cfg, jobs=config.jobs)
     _write_per_class_csv(ctx, ens.member_reports)
@@ -686,19 +669,16 @@ def run_ova_ensemble(config, run_dir):
         width *= 2
     comp_seed = derive_seed(config.seed, _SEED_COMPARISON)
     ctx.seeds["comparison"] = comp_seed
+    budget = BUDGETS["layer-sweep"]
     with ctx.stage("train-comparison"):
-        comp_data = (
-            stratified_subset(full, DEFAULT_SWEEP_SUBSET)
-            if DEFAULT_SWEEP_SUBSET
-            else full
-        )
+        comp_data = _apply_subset(full, budget.subset)
         comp_net = build_conv_net(
             tuple(comp_data.feature_array.shape[1:]), width, k, comp_seed
         )
         comp_cfg = TrainConfig(
-            learning_rate=DEFAULT_SWEEP_LR,
+            learning_rate=budget.learning_rate,
+            epochs=budget.epochs,
             batch_size=config.batch_size,
-            epochs=DEFAULT_SWEEP_EPOCHS,
             seed=comp_seed,
         )
         comp_net, comp_report = train(comp_net, comp_data, comp_cfg)

@@ -1,17 +1,16 @@
-"""Dense float64 tensors and the numerical kernels built on them.
+"""Dense float64 tensors and the numerical kernels the layers run.
 
 A Tensor is an immutable wrapper around a C-contiguous float64 ndarray of
 rank <= 4 (batch x channel x height x width is the largest layout in use).
-Every public operation returns a new Tensor and verifies the result is
-finite; NaN or Inf anywhere is raised as NonFiniteError, never passed on.
+Constructing one verifies the values are finite; NaN or Inf is raised as
+NonFiniteError, never passed on.
 
-The raw ndarray kernels (_conv2d, _maxpool2d, ...) are shared with the
-layer implementations, which run on unwrapped arrays for speed and rely on
-the training loop's divergence check instead of per-op validation. Conv
-forward is im2col plus one GEMM; its input gradient is one small GEMM per
-kernel tap, scatter-added into a padded buffer. The conv kernels return
-[N,C,H,W] views of NHWC memory, and the pool kernels keep that layout, so
-the reshapes to [NHW, C] between them are free.
+The raw ndarray kernels (_conv2d, _maxpool2d, ...) run on unwrapped arrays
+for speed and rely on the training loop's divergence check instead of
+per-op validation. Conv forward is im2col plus one GEMM; its input gradient
+is one small GEMM per kernel tap, scatter-added into a padded buffer. The
+conv kernels return [N,C,H,W] views of NHWC memory, and the pool kernels
+keep that layout, so the reshapes to [NHW, C] between them are free.
 """
 
 import numpy as np
@@ -61,11 +60,6 @@ class Shape:
         return "Shape(%s)" % (", ".join(str(d) for d in self.dims),)
 
 
-def _check_finite(arr, op):
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("%s produced non-finite values" % op)
-
-
 class Tensor:
     """Immutable float64 array with shape metadata."""
 
@@ -76,7 +70,8 @@ class Tensor:
         if arr.ndim == 0:
             arr = arr.reshape(1)
         Shape(arr.shape)  # validates rank and extents
-        _check_finite(arr, "Tensor construction")
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("Tensor construction produced non-finite values")
         arr.flags.writeable = False
         self.array = arr
 
@@ -88,45 +83,16 @@ class Tensor:
         t.array = arr
         return t
 
-    @classmethod
-    def zeros(cls, dims):
-        return cls._wrap(np.zeros(Shape(dims).dims))
-
-    @classmethod
-    def from_flat(cls, dims, flat):
-        shape = Shape(dims)
-        arr = np.asarray(flat, dtype=np.float64)
-        if arr.size != shape.count:
-            raise DimensionError(
-                "flat length %d does not fill %r" % (arr.size, shape)
-            )
-        return cls(arr.reshape(shape.dims))
-
     @property
     def shape(self):
         return Shape(self.array.shape)
-
-    @property
-    def flat(self):
-        """Row-major flat read-only view of the data."""
-        return self.array.reshape(-1)
 
     def __repr__(self):
         return "Tensor(%r)" % (self.shape,)
 
 
-def _as_array(t):
-    if isinstance(t, Tensor):
-        return t.array
-    raise TypeError("expected Tensor, got %r" % type(t).__name__)
-
-
 # ---------------------------------------------------------------------------
 # raw ndarray kernels
-
-
-def _matmul(a, b):
-    return a @ b
 
 
 def _conv2d(x, w, b):
@@ -213,10 +179,6 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
-def _relu_grad(x):
-    return (x > 0.0).astype(np.float64)
-
-
 def _sigmoid(x):
     # two-branch form: never exponentiates a positive argument
     out = np.empty_like(x)
@@ -231,102 +193,3 @@ def _softmax_rows(x):
     z = x - x.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# public operations
-
-
-def matmul(a, b):
-    """Matrix product of two rank-2 tensors."""
-    aa, ba = _as_array(a), _as_array(b)
-    if aa.ndim != 2 or ba.ndim != 2:
-        raise DimensionError(
-            "matmul needs rank-2 operands, got %r x %r" % (a.shape, b.shape)
-        )
-    if aa.shape[1] != ba.shape[0]:
-        raise DimensionError(
-            "matmul inner dimensions differ: %r x %r" % (a.shape, b.shape)
-        )
-    out = _matmul(aa, ba)
-    _check_finite(out, "matmul")
-    return Tensor._wrap(out)
-
-
-def conv2d_forward(input, kernels, bias, padding="same"):
-    """Stride-1 'same' zero-padded cross-correlation plus per-filter bias."""
-    if padding != "same":
-        raise ValueError("only 'same' padding is supported, got %r" % (padding,))
-    x, w, b = _as_array(input), _as_array(kernels), _as_array(bias)
-    if x.ndim != 4 or w.ndim != 4:
-        raise DimensionError(
-            "conv2d needs [N,C,H,W] input and [F,C,kh,kw] kernels, got %r and %r"
-            % (input.shape, kernels.shape)
-        )
-    if w.shape[2] % 2 == 0 or w.shape[3] % 2 == 0:
-        raise DimensionError("kernel dims must be odd, got %r" % (kernels.shape,))
-    if x.shape[1] != w.shape[1]:
-        raise DimensionError(
-            "input channels %r do not match kernel channels %r"
-            % (input.shape, kernels.shape)
-        )
-    if b.ndim != 1 or b.shape[0] != w.shape[0]:
-        raise DimensionError(
-            "bias shape %r does not match filter count %r" % (bias.shape, kernels.shape)
-        )
-    out, _ = _conv2d(x, w, b)
-    out = np.ascontiguousarray(out)
-    _check_finite(out, "conv2d_forward")
-    return Tensor._wrap(out)
-
-
-def maxpool2d_forward(input, window=2, stride=2):
-    """2x2/stride-2 max pool; returns (pooled tensor, winner-index map)."""
-    if window != 2 or stride != 2:
-        raise ValueError("only window=2, stride=2 pooling is supported")
-    x = _as_array(input)
-    if x.ndim != 4:
-        raise DimensionError("max pool needs [N,C,H,W], got %r" % (input.shape,))
-    pooled, idx = _maxpool2d(x, True)
-    pooled = np.ascontiguousarray(pooled)
-    _check_finite(pooled, "maxpool2d_forward")
-    idx.flags.writeable = False
-    return Tensor._wrap(pooled), idx
-
-
-def relu(t):
-    return Tensor._wrap(_relu(_as_array(t)))
-
-
-def relu_grad(t):
-    """Derivative mask of relu: 1 where input > 0, else 0 (0 at exactly 0)."""
-    return Tensor._wrap(_relu_grad(_as_array(t)))
-
-
-def sigmoid(t):
-    return Tensor._wrap(_sigmoid(_as_array(t)))
-
-
-def softmax_rows(t):
-    a = _as_array(t)
-    if a.ndim != 2:
-        raise DimensionError("softmax_rows needs rank-2 input, got %r" % (t.shape,))
-    return Tensor._wrap(_softmax_rows(a))
-
-
-def add(a, b):
-    """Elementwise sum; rank-1 b broadcasts over the last axis of rank-2 a."""
-    aa, ba = _as_array(a), _as_array(b)
-    if aa.shape != ba.shape and not (
-        aa.ndim == 2 and ba.ndim == 1 and aa.shape[1] == ba.shape[0]
-    ):
-        raise DimensionError("cannot add %r and %r" % (a.shape, b.shape))
-    out = aa + ba
-    _check_finite(out, "add")
-    return Tensor._wrap(out)
-
-
-def scale(t, factor):
-    out = _as_array(t) * float(factor)
-    _check_finite(out, "scale")
-    return Tensor._wrap(out)

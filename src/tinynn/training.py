@@ -1,4 +1,5 @@
-"""Mini-batch SGD training, metrics, and repeated-trial averaging.
+"""Mini-batch SGD training, metrics, repeated-trial averaging, and the
+forked map that trains independent networks in parallel.
 
 Determinism contract: a run is a pure function of (network seed, config
 seed, dataset); identical seeds give bit-identical trained parameters.
@@ -7,6 +8,7 @@ the package's own generator, never a library RNG.
 """
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -14,20 +16,20 @@ import numpy as np
 from .errors import ConfigError, DataError, DivergenceError
 from .layers import DenseSpec, backward, forward
 from .rng import Rng, derive_seed
-from .tensor import Tensor
 
 
 @dataclass
 class TrainConfig:
     """Hyperparameters for one training run.
 
-    Defaults are the MLP set; conv_defaults() gives the conv-stack set.
-    Both were fixed once against the benchmark accuracy bands and stay put.
+    The learning rate and epoch count have no defaults: every caller passes
+    the budget it trains at (the experiment runners take theirs from
+    experiments.BUDGETS).
     """
 
-    learning_rate: float = 0.05
+    learning_rate: float
+    epochs: int
     batch_size: int = 32
-    epochs: int = 20
     seed: int = 0
     shuffle: bool = True
     orient_dead_units: bool = True
@@ -41,16 +43,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1, got %r" % (self.batch_size,))
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1, got %r" % (self.epochs,))
-
-    @classmethod
-    def mlp_defaults(cls, seed=0, **overrides):
-        return cls(seed=seed, **overrides)
-
-    @classmethod
-    def conv_defaults(cls, seed=0, **overrides):
-        merged = {"learning_rate": 0.015, "epochs": 5}
-        merged.update(overrides)
-        return cls(seed=seed, **merged)
 
 
 @dataclass
@@ -71,36 +63,6 @@ class MetricsReport:
 
 # ---------------------------------------------------------------------------
 # losses
-
-
-def cross_entropy_loss(probs, labels):
-    """Mean negative log-likelihood from output probabilities.
-
-    Returns (loss, gradient w.r.t. the pre-activation logits): the fused
-    (p - y)/B form for softmax rows, (s - y)/B for sigmoid scalars.
-    """
-    p = probs.array if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels)
-    if p.ndim != 2 or y.ndim != 1 or p.shape[0] != y.shape[0]:
-        raise DataError(
-            "probabilities %r and labels %r do not align" % (p.shape, y.shape)
-        )
-    b, k = p.shape
-    if k == 1:
-        if np.any((y != 0) & (y != 1)):
-            raise DataError("binary labels must be 0 or 1")
-        s = p[:, 0]
-        yf = y.astype(np.float64)
-        loss = float(-np.mean(yf * np.log(s) + (1.0 - yf) * np.log(1.0 - s)))
-        grad = ((s - yf) / b)[:, None]
-    else:
-        if np.any((y < 0) | (y >= k)):
-            raise DataError("labels must lie in [0, %d)" % k)
-        loss = float(-np.mean(np.log(p[np.arange(b), y])))
-        grad = p.copy()
-        grad[np.arange(b), y] -= 1.0
-        grad /= b
-    return loss, Tensor._wrap(grad)
 
 
 def _binary_ce_from_logits(z, labels):
@@ -349,6 +311,35 @@ def repeat_trials(build_network, generate_data, cfg, n_trials):
         means=means, stds=stds, n_trials=n_trials, divergences=divergences,
         trials=rows,
     )
+
+
+# ---------------------------------------------------------------------------
+# parallel training
+
+# The task reaches the workers through this module global, so that fork-based
+# workers inherit it, and the dataset it closes over, instead of receiving
+# them pickled per task.
+_FORK_TASK = None
+
+
+def _run_fork_task(i):
+    return _FORK_TASK(i)
+
+
+def fork_map(task, n, jobs):
+    """[task(i) for i in range(n)], spread over min(jobs, n) forked worker
+    processes when jobs > 1. Results come back in index order."""
+    global _FORK_TASK
+    if jobs <= 1 or not hasattr(os, "fork"):
+        return [task(i) for i in range(n)]
+    from multiprocessing import get_context
+
+    _FORK_TASK = task
+    try:
+        with get_context("fork").Pool(min(jobs, n)) as pool:
+            return pool.map(_run_fork_task, range(n))
+    finally:
+        _FORK_TASK = None
 
 
 # ---------------------------------------------------------------------------

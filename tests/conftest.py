@@ -1,6 +1,9 @@
 import os
+import shutil
+import tempfile
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 DATA_ROOT = os.environ.get("TINYNN_DATA_DIR", "/root/data")
 
@@ -11,6 +14,17 @@ MNIST_NAMES = (
     "t10k-labels-idx1-ubyte",
 )
 CIFAR_NAMES = tuple("data_batch_%d.bin" % i for i in range(1, 6)) + ("test_batch.bin",)
+
+
+def pytest_configure(config):
+    # hypothesis keeps its example database and constants under its home
+    # directory, ./.hypothesis by default; the suite writes only to temp dirs
+    config.hypothesis_home = tempfile.mkdtemp(prefix="tinynn-hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

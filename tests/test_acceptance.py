@@ -22,7 +22,8 @@ from tinynn.experiments import (
 )
 from tinynn.layers import build_conv_net, build_mlp, forward, backward
 from tinynn.rng import Rng
-from tinynn.training import cross_entropy_loss
+
+from reference import cross_entropy_loss
 
 
 def file_bytes(path):

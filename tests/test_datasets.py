@@ -11,18 +11,42 @@ from tinynn.datasets import (
     BinaryTaskView,
     LabeledDataset,
     SyntheticSpec,
-    cifar_record_bytes,
-    export_synthetic_csv,
     generate_synthetic,
     load_cifar10,
     load_mnist,
     make_ova_views,
-    mnist_image_payload,
-    mnist_label_payload,
     stratified_subset,
 )
 from tinynn.errors import DataError, DataFormatError
 from tinynn.tensor import Tensor
+
+
+def export_synthetic_csv(data, path):
+    """Write features and labels as x0,..,x{d-1},label rows."""
+    feats = data.feature_array
+    with open(path, "w") as f:
+        f.write("# tinynn csv v1\n")
+        f.write(",".join("x%d" % i for i in range(feats.shape[1])) + ",label\n")
+        for row, lab in zip(feats, data.labels):
+            f.write(",".join(repr(float(v)) for v in row) + ",%d\n" % lab)
+
+
+def mnist_image_payload(data, indices):
+    """Re-serialize features to IDX pixel bytes (the round-trip check)."""
+    return np.rint(data.feature_array[indices] * 255.0).astype(np.uint8).tobytes()
+
+
+def mnist_label_payload(data, indices):
+    return data.labels[indices].astype(np.uint8).tobytes()
+
+
+def cifar_record_bytes(data, indices):
+    """Re-serialize samples to 3073-byte records (the round-trip check)."""
+    n = len(indices)
+    out = np.empty((n, 3073), np.uint8)
+    out[:, 0] = data.labels[indices]
+    out[:, 1:] = np.rint(data.feature_array[indices] * 255.0).reshape(n, -1)
+    return out.tobytes()
 
 
 def sha256_of(*arrays):

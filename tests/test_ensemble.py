@@ -15,7 +15,6 @@ from tinynn.ensemble import (
     load_ensemble,
     member_scores,
     outcome_from_positive_sets,
-    predict,
     resolve_verdict,
     save_ensemble,
     train_ensemble,
@@ -84,6 +83,14 @@ class TestOutcome:
         kinds = [v.kind for v in out.verdicts]
         assert kinds == ["correct", "wrong_single", "no_positive"]
 
+    def test_argmax_policy_takes_the_given_argmax(self):
+        sets = [(1, 2), (), (0,)]
+        out = outcome_from_positive_sets(sets, [2, 1, 1], "argmax", argmax=[2, 1, 0])
+        assert [v.kind for v in out.verdicts] == ["correct", "correct", "wrong_single"]
+        assert [v.predicted for v in out.verdicts] == [2, 1, 0]
+        assert [v.positives for v in out.verdicts] == sets
+        assert out.max_positive_set == 2
+
     def test_argmax_policy_rejected_without_scores(self):
         with pytest.raises(DataError, match="argmax"):
             outcome_from_positive_sets([(1,)], [1], policy="argmax")
@@ -137,12 +144,12 @@ class TestTrainEnsemble:
 
     def test_member_seeds_follow_xor(self):
         data = synth_multi()
-        ens = train_ensemble(data, 2, TrainConfig(epochs=1, seed=12))
+        ens = train_ensemble(data, 2, TrainConfig(learning_rate=0.05, epochs=1, seed=12))
         assert [m.spec.seed for m in ens.members] == [12 ^ 0, 12 ^ 1, 12 ^ 2]
 
     def test_deterministic(self):
         data = synth_multi()
-        cfg = TrainConfig(epochs=2, seed=7)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=7)
         a = train_ensemble(data, 3, cfg)
         b = train_ensemble(data, 3, cfg)
         for ma, mb in zip(a.members, b.members):
@@ -153,7 +160,7 @@ class TestTrainEnsemble:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_parallel_jobs_match_sequential(self):
         data = synth_multi(n=600)
-        cfg = TrainConfig(epochs=1, seed=3)
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, seed=3)
         seq = train_ensemble(data, 2, cfg, jobs=1)
         par = train_ensemble(data, 2, cfg, jobs=2)
         for ma, mb in zip(seq.members, par.members):
@@ -184,7 +191,7 @@ class TestTrainEnsemble:
             np.arange(30), np.arange(30, 40),
         )
         with pytest.raises(DataError):
-            train_ensemble(one, 2, TrainConfig(epochs=1))
+            train_ensemble(one, 2, TrainConfig(learning_rate=0.05, epochs=1))
 
 
 class TestPredictEvaluate:
@@ -198,9 +205,10 @@ class TestPredictEvaluate:
     def test_positive_sets_respect_threshold_strictness(self):
         data, ens = self.setup_ensemble()
         scores = member_scores(ens, data.feature_array, data.test_indices)
-        sets = predict(ens, data.feature_array, data.test_indices)
-        for row, pos in zip(scores, sets):
-            assert pos == tuple(np.flatnonzero(row > 0.5))
+        for policy in ("redundant-error", "priority", "argmax"):
+            verdicts = evaluate(ens, data, policy).verdicts
+            for row, v in zip(scores, verdicts):
+                assert v.positives == tuple(np.flatnonzero(row > 0.5))
 
     def test_evaluate_covers_full_test_split(self):
         data, ens = self.setup_ensemble()
@@ -210,17 +218,19 @@ class TestPredictEvaluate:
 
     def test_raising_threshold_never_grows_positive_sets(self):
         data, ens = self.setup_ensemble()
-        low = predict(ens, data.feature_array, data.test_indices)
+        low = evaluate(ens, data).verdicts
         ens_hi = OvaEnsemble(
             members=ens.members, threshold=0.9, class_names=ens.class_names
         )
-        high = predict(ens_hi, data.feature_array, data.test_indices)
-        for lo_set, hi_set in zip(low, high):
-            assert set(hi_set) <= set(lo_set)
+        high = evaluate(ens_hi, data).verdicts
+        for lo, hi in zip(low, high):
+            assert set(hi.positives) <= set(lo.positives)
 
     def test_argmax_policy_always_predicts(self):
         data, ens = self.setup_ensemble()
         out = evaluate(ens, data, policy="argmax")
+        scores = member_scores(ens, data.feature_array, data.test_indices)
+        assert [v.predicted for v in out.verdicts] == list(scores.argmax(axis=1))
         assert out.counts["no_positive"] == 0
         assert out.counts["redundant"] == 0
         # argmax can only do better than the strict rule on these blobs
@@ -230,7 +240,7 @@ class TestPredictEvaluate:
 class TestPersistence:
     def test_round_trip_identical_predictions(self, tmp_path):
         data = synth_multi(n=600)
-        ens = train_ensemble(data, 3, TrainConfig(epochs=2, seed=9))
+        ens = train_ensemble(data, 3, TrainConfig(learning_rate=0.05, epochs=2, seed=9))
         d = str(tmp_path / "ens")
         save_ensemble(ens, d)
         assert sorted(os.listdir(d)) == [

@@ -12,14 +12,11 @@ from tinynn import experiments
 from tinynn.cli import main
 from tinynn.errors import ConfigError, DataError
 from tinynn.experiments import (
-    DEFAULT_SWEEP_EPOCHS,
-    DEFAULT_SWEEP_LR,
-    DEFAULT_SWEEP_SUBSET,
+    BUDGETS,
     DEFAULT_SYNTH_HIDDEN,
     DEFAULT_WIDTHS,
     MNIST_FILES,
-    SYNTH_EPOCHS,
-    SYNTH_LR,
+    Budget,
     ExperimentConfig,
     RunContext,
     RunResult,
@@ -71,22 +68,18 @@ class TestDefaults:
     def test_synthetic_sweep_budget(self):
         cfg = build_config(flag_values={"kind": "synthetic-sweep", "dataset": "synthetic"})
         assert cfg.hidden == DEFAULT_SYNTH_HIDDEN
-        assert cfg._lr() == SYNTH_LR
-        assert cfg._epochs() == SYNTH_EPOCHS
-        assert cfg._subset() == 0
+        assert cfg.budget() == BUDGETS["synthetic"] == Budget(0.02, 2, 0)
 
     def test_layer_sweep_budget(self):
         cfg = build_config(flag_values={"kind": "layer-size-sweep", "dataset": "mnist"})
         assert cfg.hidden == DEFAULT_WIDTHS
-        assert cfg._lr() == DEFAULT_SWEEP_LR
-        assert cfg._epochs() == DEFAULT_SWEEP_EPOCHS
-        assert cfg._subset() == DEFAULT_SWEEP_SUBSET
+        assert cfg.budget() == BUDGETS["layer-sweep"] == Budget(0.05, 70, 125)
 
     def test_ova_budgets_follow_dataset(self):
         conv = build_config(flag_values={"kind": "ova-binary", "dataset": "mnist"})
-        assert (conv._lr(), conv._epochs(), conv._subset()) == (0.015, 5, 0)
-        mlp = build_config(flag_values={"kind": "ova-ensemble", "dataset": "synthetic"})
-        assert (mlp._lr(), mlp._epochs()) == (0.05, 20)
+        assert conv.budget() == Budget(0.015, 5, 0)
+        mlp = build_config(flag_values={"kind": "ova-binary", "dataset": "synthetic"})
+        assert mlp.budget() == Budget(0.05, 20, 0)
 
     def test_explicit_values_win_over_resolution(self):
         cfg = build_config(
@@ -98,12 +91,12 @@ class TestDefaults:
                 "subset": 123,
             }
         )
-        assert (cfg._lr(), cfg._epochs(), cfg._subset()) == (0.2, 7, 123)
+        assert cfg.budget() == Budget(0.2, 7, 123)
 
     def test_train_config_carries_resolved_budget(self):
         cfg = tiny_sweep_config("runs")
         tc = cfg.train_config()
-        assert tc.learning_rate == cfg._lr()
+        assert tc.learning_rate == cfg.budget().learning_rate
         assert tc.epochs == 1
         assert tc.seed == cfg.seed
         assert cfg.train_config(99).seed == 99
@@ -193,8 +186,8 @@ class TestBuildConfig:
 
     def test_from_resolved_ignores_derived_keys(self):
         d = tiny_sweep_config("runs").resolved()
-        d["comparison_subset"] = DEFAULT_SWEEP_SUBSET
-        d["comparison_epochs"] = DEFAULT_SWEEP_EPOCHS
+        d["comparison_subset"] = 125
+        d["comparison_epochs"] = 70
         assert ExperimentConfig.from_resolved(d).kind == "synthetic-sweep"
 
 
@@ -217,6 +210,7 @@ class TestValidation:
             ({"learning_rate": 1.5}, "lr"),
             ({"epochs": 0}, "epochs"),
             ({"batch_size": 0}, "batch"),
+            ({"kind": "ova-ensemble", "dataset": "synthetic"}, "image dataset"),
         ],
     )
     def test_rejects(self, overrides, fragment):
@@ -657,6 +651,33 @@ class TestCli:
         assert rc == 2
         assert "data error" in capsys.readouterr().err
         # the failed run leaves no run directory, nor the parents it made
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind,setting",
+        [
+            ("synthetic-sweep", "stds = 0.5,-1"),
+            ("synthetic-sweep", "sizes = 240,0"),
+            ("ova-binary", "synth_std = 0"),
+            ("ova-binary", "synth_n = 7"),
+        ],
+    )
+    def test_bad_synthetic_setting_is_config_error(self, kind, setting, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(
+            "[experiment]\nkind = %s\ndataset = synthetic\nhidden = 1\n%s\n"
+            % (kind, setting)
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(ini), "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ova_ensemble_on_synthetic_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["--experiment", "ova-ensemble", "--dataset", "synthetic", "--out", str(out)])
+        assert rc == 1
+        assert "image dataset" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_file_run_with_flag_override(self, tmp_path, capsys):

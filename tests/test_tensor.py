@@ -1,4 +1,5 @@
-"""Tensor wrapper semantics plus loop-oracle checks of every kernel.
+"""Tensor wrapper semantics plus loop-oracle checks of every kernel the
+layers run.
 
 The oracles are deliberately naive quadruple loops; the vectorized kernels
 must agree with them to near machine precision.
@@ -11,6 +12,14 @@ import pytest
 
 from tinynn import tensor
 from tinynn.errors import DimensionError, NonFiniteError
+from tinynn.layers import (
+    DenseSpec,
+    MaxPool2DSpec,
+    Network,
+    NetworkSpec,
+    _activation_grad,
+    forward,
+)
 from tinynn.tensor import Shape, Tensor
 
 
@@ -58,39 +67,20 @@ class TestTensor:
     def test_scalar_promotes_to_rank_one(self):
         assert Tensor(3.5).shape == Shape((1,))
 
-    def test_from_flat_round_trip(self):
-        t = Tensor.from_flat((2, 3), [1, 2, 3, 4, 5, 6])
-        assert t.array[1, 2] == 6.0
-        assert list(t.flat) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-
-    def test_from_flat_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            Tensor.from_flat((2, 2), [1.0, 2.0, 3.0])
-
-    def test_zeros(self):
-        t = Tensor.zeros((3, 2))
-        assert t.array.sum() == 0.0
-        assert t.shape == Shape((3, 2))
-
 
 class TestMatmul:
     def test_against_loop_oracle(self):
+        # the dense layer's product, x[N,D] @ w[D,U]
         a, b = rand((7, 5), 0), rand((5, 4), 1)
         want = np.zeros((7, 4))
         for i in range(7):
             for j in range(4):
                 for k in range(5):
                     want[i, j] += a[i, k] * b[k, j]
-        got = tensor.matmul(Tensor(a), Tensor(b)).array
+        net = Network(NetworkSpec(Shape((5,)), [DenseSpec(4)], seed=0))
+        net.params[0]["w"][...] = b
+        got = forward(net, a)[0].array
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-    def test_inner_dim_mismatch_names_shapes(self):
-        with pytest.raises(DimensionError, match=r"Shape\(2, 3\).*Shape\(4, 2\)"):
-            tensor.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-
-    def test_rank_check(self):
-        with pytest.raises(DimensionError):
-            tensor.matmul(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 2))))
 
 
 def conv_oracle(x, w, b):
@@ -120,49 +110,12 @@ class TestConv2D:
         x = rand((2, 3, 6, 7), 10)
         w = rand((4, 3, kh, kw), 11)
         b = rand((4,), 12)
-        got = tensor.conv2d_forward(Tensor(x), Tensor(w), Tensor(b)).array
+        got = tensor._conv2d(x, w, b)[0]
         np.testing.assert_allclose(got, conv_oracle(x, w, b), rtol=0, atol=1e-12)
 
     def test_output_shape_matches_input(self):
-        out = tensor.conv2d_forward(
-            Tensor(rand((1, 1, 9, 9), 0)),
-            Tensor(rand((6, 1, 5, 5), 1)),
-            Tensor(np.zeros(6)),
-        )
-        assert out.shape == Shape((1, 6, 9, 9))
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(DimensionError, match="odd"):
-            tensor.conv2d_forward(
-                Tensor(rand((1, 1, 4, 4), 0)),
-                Tensor(rand((1, 1, 2, 2), 1)),
-                Tensor(np.zeros(1)),
-            )
-
-    def test_channel_mismatch_named(self):
-        with pytest.raises(DimensionError, match="channels"):
-            tensor.conv2d_forward(
-                Tensor(rand((1, 2, 4, 4), 0)),
-                Tensor(rand((1, 3, 3, 3), 1)),
-                Tensor(np.zeros(1)),
-            )
-
-    def test_bias_length_checked(self):
-        with pytest.raises(DimensionError, match="bias"):
-            tensor.conv2d_forward(
-                Tensor(rand((1, 1, 4, 4), 0)),
-                Tensor(rand((2, 1, 3, 3), 1)),
-                Tensor(np.zeros(3)),
-            )
-
-    def test_only_same_padding(self):
-        with pytest.raises(ValueError, match="same"):
-            tensor.conv2d_forward(
-                Tensor(rand((1, 1, 4, 4), 0)),
-                Tensor(rand((1, 1, 3, 3), 1)),
-                Tensor(np.zeros(1)),
-                padding="valid",
-            )
+        x, w = rand((1, 1, 9, 9), 0), rand((6, 1, 5, 5), 1)
+        assert tensor._conv2d(x, w, np.zeros(6))[0].shape == (1, 6, 9, 9)
 
 
 def conv_input_grad_oracle(dz, w):
@@ -259,9 +212,6 @@ class TestMaxPool:
         for make in POOL_INPUTS:
             x = make()
             want, widx = pool_oracle(x)
-            got, gidx = tensor.maxpool2d_forward(Tensor(x))
-            np.testing.assert_array_equal(got.array, want)
-            np.testing.assert_array_equal(gidx, widx)
             pooled, idx = tensor._maxpool2d(x, True)
             np.testing.assert_array_equal(pooled, want)
             np.testing.assert_array_equal(idx, widx)
@@ -278,16 +228,14 @@ class TestMaxPool:
             np.testing.assert_array_equal(pooled[0, :, 0, 0], [0.0, 7.0])
             pooled, _ = tensor._maxpool2d(layout(x), False)
             np.testing.assert_array_equal(pooled[0, :, 0, 0], [0.0, 7.0])
-        _, idx = tensor.maxpool2d_forward(Tensor(x))
-        np.testing.assert_array_equal(idx[0, :, 0, 0], [0, 1])
 
     def test_odd_dims_rejected(self):
         with pytest.raises(DimensionError, match="even"):
-            tensor.maxpool2d_forward(Tensor(rand((1, 1, 5, 4), 0)))
+            tensor._maxpool2d(rand((1, 1, 5, 4), 0), True)
 
     def test_only_2x2_stride_2(self):
-        with pytest.raises(ValueError):
-            tensor.maxpool2d_forward(Tensor(rand((1, 1, 4, 4), 0)), window=3)
+        with pytest.raises(DimensionError, match="2x2"):
+            NetworkSpec(Shape((1, 6, 6)), [MaxPool2DSpec(3, 3)], seed=0)
 
     def test_scatter_grad_inverts_pool(self):
         for make in POOL_INPUTS:
@@ -306,79 +254,39 @@ class TestMaxPool:
 class TestPointwise:
     def test_relu_clamps_negatives(self):
         x = np.array([[-2.0, 0.0, 3.5]])
-        np.testing.assert_array_equal(
-            tensor.relu(Tensor(x)).array, [[0.0, 0.0, 3.5]]
-        )
+        np.testing.assert_array_equal(tensor._relu(x), [[0.0, 0.0, 3.5]])
 
     def test_relu_grad_zero_at_zero(self):
-        x = np.array([[-1.0, 0.0, 2.0]])
+        z = np.array([[-1.0, 0.0, 2.0]])
         np.testing.assert_array_equal(
-            tensor.relu_grad(Tensor(x)).array, [[0.0, 0.0, 1.0]]
+            _activation_grad("relu", np.ones_like(z), {"z": z}), [[0.0, 0.0, 1.0]]
         )
 
     def test_sigmoid_known_values(self):
-        got = tensor.sigmoid(Tensor([0.0, 2.0, -2.0])).array
+        got = tensor._sigmoid(np.array([0.0, 2.0, -2.0]))
         assert got[0] == 0.5
         assert got[1] == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-15)
         assert got[2] == pytest.approx(1.0 - got[1], abs=1e-15)
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
-        got = tensor.sigmoid(Tensor([-745.0, 745.0, -1e8, 1e8])).array
+        got = tensor._sigmoid(np.array([-745.0, 745.0, -1e8, 1e8]))
         assert np.isfinite(got).all()
         assert got[0] >= 0.0 and got[1] <= 1.0
 
     def test_sigmoid_symmetry(self):
         z = rand((100,), 3)
-        s = tensor.sigmoid(Tensor(z)).array
-        sn = tensor.sigmoid(Tensor(-z)).array
+        s, sn = tensor._sigmoid(z), tensor._sigmoid(-z)
         np.testing.assert_allclose(s + sn, np.ones_like(z), atol=1e-15)
 
     def test_softmax_rows_normalize(self):
-        x = rand((5, 7), 30)
-        got = tensor.softmax_rows(Tensor(x)).array
+        got = tensor._softmax_rows(rand((5, 7), 30))
         np.testing.assert_allclose(got.sum(axis=1), np.ones(5), atol=1e-12)
         assert (got > 0).all()
 
     def test_softmax_shift_invariant_and_stable(self):
         x = rand((3, 4), 31)
-        a = tensor.softmax_rows(Tensor(x)).array
-        b = tensor.softmax_rows(Tensor(x + 1000.0)).array
+        a = tensor._softmax_rows(x)
+        b = tensor._softmax_rows(x + 1000.0)
         np.testing.assert_allclose(a, b, atol=1e-12)
-        huge = tensor.softmax_rows(Tensor(np.array([[1e6, 0.0, -1e6]]))).array
+        huge = tensor._softmax_rows(np.array([[1e6, 0.0, -1e6]]))
         assert np.isfinite(huge).all()
-
-    def test_softmax_needs_rank_two(self):
-        with pytest.raises(DimensionError):
-            tensor.softmax_rows(Tensor([1.0, 2.0]))
-
-
-class TestAddScale:
-    def test_elementwise_add(self):
-        a, b = rand((3, 4), 40), rand((3, 4), 41)
-        np.testing.assert_allclose(
-            tensor.add(Tensor(a), Tensor(b)).array, a + b, atol=0
-        )
-
-    def test_bias_broadcast(self):
-        a, b = rand((3, 4), 42), rand((4,), 43)
-        np.testing.assert_allclose(
-            tensor.add(Tensor(a), Tensor(b)).array, a + b, atol=0
-        )
-
-    def test_shape_mismatch_names_both(self):
-        with pytest.raises(DimensionError, match=r"Shape\(3, 4\).*Shape\(2, 4\)"):
-            tensor.add(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4))))
-
-    def test_scale(self):
-        a = rand((2, 2), 44)
-        np.testing.assert_allclose(tensor.scale(Tensor(a), -2.5).array, a * -2.5)
-
-    def test_overflow_raises(self):
-        big = Tensor(np.full((2, 2), 1e308))
-        with np.errstate(over="ignore"):
-            with pytest.raises(NonFiniteError):
-                tensor.add(big, big)
-
-    def test_rejects_bare_arrays(self):
-        with pytest.raises(TypeError):
-            tensor.matmul(np.zeros((2, 2)), Tensor(np.zeros((2, 2))))

@@ -7,13 +7,13 @@ import pytest
 
 from tinynn.datasets import SyntheticSpec, generate_synthetic
 from tinynn.errors import ConfigError, DataError, DivergenceError
+from tinynn.experiments import build_config
 from tinynn.layers import build_mlp, forward
 from tinynn.tensor import Tensor
 from tinynn.training import (
     MetricsReport,
     TrainConfig,
     TrialSummary,
-    cross_entropy_loss,
     evaluate,
     repeat_trials,
     sgd_step,
@@ -27,16 +27,21 @@ from tinynn.training import (
     _softmax_ce_from_logits,
 )
 
+from reference import cross_entropy_loss
+
 
 class TestTrainConfig:
     def test_defaults(self):
-        cfg = TrainConfig()
-        assert cfg.learning_rate == 0.05
-        assert cfg.batch_size == 32
-        assert cfg.epochs == 20
+        cfg = TrainConfig(learning_rate=0.05, epochs=20)
+        assert (cfg.batch_size, cfg.seed, cfg.shuffle) == (32, 0, True)
+        assert cfg.orient_dead_units
+        with pytest.raises(TypeError):
+            TrainConfig()  # the budget has no default
 
     def test_conv_defaults(self):
-        cfg = TrainConfig.conv_defaults(seed=3)
+        cfg = build_config(
+            flag_values={"kind": "ova-binary", "dataset": "mnist", "seed": 3}
+        ).train_config()
         assert cfg.learning_rate == 0.015
         assert cfg.epochs == 5
         assert cfg.seed == 3
@@ -47,7 +52,7 @@ class TestTrainConfig:
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
-            TrainConfig(**kw)
+            TrainConfig(**{"learning_rate": 0.05, "epochs": 1, **kw})
 
 
 class TestCrossEntropy:
@@ -59,7 +64,7 @@ class TestCrossEntropy:
         want = -(math.log(0.8) + math.log(0.7)) / 2.0
         assert loss == pytest.approx(want, abs=1e-15)
         np.testing.assert_allclose(
-            grad.array, [[(0.8 - 1.0) / 2], [(0.3 - 0.0) / 2]], atol=1e-15
+            grad, [[(0.8 - 1.0) / 2], [(0.3 - 0.0) / 2]], atol=1e-15
         )
 
     def test_multiclass_known_value(self):
@@ -68,7 +73,7 @@ class TestCrossEntropy:
         want = -(math.log(0.7) + math.log(0.8)) / 2.0
         assert loss == pytest.approx(want, abs=1e-15)
         want_grad = np.array([[0.7 - 1, 0.2, 0.1], [0.1, 0.1, 0.8 - 1]]) / 2.0
-        np.testing.assert_allclose(grad.array, want_grad, atol=1e-15)
+        np.testing.assert_allclose(grad, want_grad, atol=1e-15)
 
     def test_label_range_checked(self):
         with pytest.raises(DataError):
@@ -89,7 +94,7 @@ class TestFusedLogitLosses:
         s = 1.0 / (1.0 + np.exp(-z))
         loss_p, grad_p = cross_entropy_loss(Tensor(s), y)
         assert loss_z == pytest.approx(loss_p, rel=1e-12)
-        np.testing.assert_allclose(grad_z, grad_p.array, atol=1e-12)
+        np.testing.assert_allclose(grad_z, grad_p, atol=1e-12)
 
     def test_binary_gradient_is_exactly_antisymmetric(self):
         # the property the training loop's mirror behaviour rests on:
@@ -114,7 +119,7 @@ class TestFusedLogitLosses:
         p = e / e.sum(axis=1, keepdims=True)
         loss_p, grad_p = cross_entropy_loss(Tensor(p), y)
         assert loss_z == pytest.approx(loss_p, rel=1e-12)
-        np.testing.assert_allclose(grad_z, grad_p.array, atol=1e-12)
+        np.testing.assert_allclose(grad_z, grad_p, atol=1e-12)
 
     def test_softmax_extreme_logits_finite(self):
         z = np.array([[1000.0, -1000.0, 0.0]])
@@ -140,7 +145,7 @@ def synth(seed=0, n=2000, std=1.0):
 class TestTrainLoop:
     def test_deterministic_end_to_end(self):
         data = synth(7)
-        cfg = TrainConfig(epochs=3, seed=5)
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, seed=5)
         a, _ = train(build_mlp(3, 4, seed=9), data, cfg)
         b, _ = train(build_mlp(3, 4, seed=9), data, cfg)
         for pa, pb in zip(a.params, b.params):
@@ -149,7 +154,7 @@ class TestTrainLoop:
 
     def test_loss_curve_length_and_decrease(self):
         data = synth(8, n=4000)
-        cfg = TrainConfig(epochs=6, seed=1)
+        cfg = TrainConfig(learning_rate=0.05, epochs=6, seed=1)
         _, rep = train(build_mlp(3, 10, seed=2), data, cfg)
         assert len(rep.loss_curve) == 6
         # soft check: end of training below the start
@@ -157,14 +162,14 @@ class TestTrainLoop:
 
     def test_learns_separable_data(self):
         data = synth(9, n=4000, std=0.25)
-        cfg = TrainConfig(epochs=8, seed=3)
+        cfg = TrainConfig(learning_rate=0.05, epochs=8, seed=3)
         _, rep = train(build_mlp(3, 10, seed=4), data, cfg)
         assert rep.accuracy > 0.9
 
     def test_batch_size_larger_than_split_rejected(self):
         data = synth(10, n=100)
         with pytest.raises(ConfigError):
-            train(build_mlp(3, 2, seed=0), data, TrainConfig(batch_size=1000))
+            train(build_mlp(3, 2, seed=0), data, TrainConfig(learning_rate=0.05, epochs=1, batch_size=1000))
 
     def test_divergence_reported_with_position(self):
         data = synth(11, n=200)
@@ -172,7 +177,7 @@ class TestTrainLoop:
         net.params[0]["w"][:] = 1e160  # overflow on the first forward
         net.params[-1]["w"][:] = 1e160
         with pytest.raises(DivergenceError, match="epoch 1, batch 1"):
-            train(net, data, TrainConfig(epochs=1, orient_dead_units=False))
+            train(net, data, TrainConfig(learning_rate=0.05, epochs=1, orient_dead_units=False))
 
     def test_label_swap_runs_are_exact_mirrors(self):
         """Swapping class labels must mirror the learned decision exactly:
@@ -189,7 +194,7 @@ class TestTrainLoop:
             def labels_at(idx):
                 return 1 - base.labels_at(idx)
 
-        cfg = TrainConfig(epochs=4, seed=6)
+        cfg = TrainConfig(learning_rate=0.05, epochs=4, seed=6)
         _, rep_a = train(build_mlp(3, 8, seed=13), base, cfg)
         _, rep_b = train(build_mlp(3, 8, seed=13), Swapped(), cfg)
         assert rep_a.accuracy == rep_b.accuracy
@@ -239,7 +244,7 @@ class TestMetrics:
 class TestEvaluate:
     def test_split_selection(self):
         data = synth(14, n=1000, std=0.25)
-        net, _ = train(build_mlp(3, 6, seed=1), data, TrainConfig(epochs=5))
+        net, _ = train(build_mlp(3, 6, seed=1), data, TrainConfig(learning_rate=0.05, epochs=5))
         test_rep = evaluate(net, data, split="test")
         train_rep = evaluate(net, data, split="train")
         n_test = sum(test_rep.confusion.values())
@@ -251,7 +256,7 @@ class TestEvaluate:
 class TestRepeatTrials:
     def test_prefix_stability(self):
         # the first k trials do not depend on how many trials follow
-        cfg = TrainConfig(epochs=1, seed=77)
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, seed=77)
         gen = lambda s: synth(s, n=400)
         build = lambda s: build_mlp(3, 2, s)
         a = repeat_trials(build, gen, cfg, 3)
@@ -261,12 +266,12 @@ class TestRepeatTrials:
     def test_base_seed_changes_trials(self):
         gen = lambda s: synth(s, n=400)
         build = lambda s: build_mlp(3, 2, s)
-        a = repeat_trials(build, gen, TrainConfig(epochs=1, seed=1), 2)
-        b = repeat_trials(build, gen, TrainConfig(epochs=1, seed=2), 2)
+        a = repeat_trials(build, gen, TrainConfig(learning_rate=0.05, epochs=1, seed=1), 2)
+        b = repeat_trials(build, gen, TrainConfig(learning_rate=0.05, epochs=1, seed=2), 2)
         assert a.trials != b.trials
 
     def test_summary_moments_match_rows(self):
-        cfg = TrainConfig(epochs=2, seed=5)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=5)
         summ = repeat_trials(
             lambda s: build_mlp(3, 4, s), lambda s: synth(s, n=600), cfg, 4
         )
@@ -285,7 +290,7 @@ class TestRepeatTrials:
                 net.params[-1]["w"][:] = 1e160
             return net
 
-        cfg = TrainConfig(epochs=1, seed=9, orient_dead_units=False)
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, seed=9, orient_dead_units=False)
         summ = repeat_trials(build, lambda s: synth(s, n=200), cfg, 3)
         assert summ.divergences == 1
         assert len(summ.trials) == 2
@@ -294,7 +299,7 @@ class TestRepeatTrials:
     def test_requires_two_trials(self):
         with pytest.raises(ConfigError):
             repeat_trials(
-                lambda s: build_mlp(3, 2, s), lambda s: synth(s), TrainConfig(), 1
+                lambda s: build_mlp(3, 2, s), lambda s: synth(s), TrainConfig(learning_rate=0.05, epochs=1), 1
             )
 
 
