@@ -17,16 +17,17 @@ from .datasets import make_ova_views
 from .errors import DataError, DivergenceError
 from .layers import build_conv_net, build_mlp, load_network, save_network
 from .rng import _MASK64
-from .training import fork_map, predict_scores, train
+from .training import fork_map, predict_scores, train, write_csv
 
 POLICIES = ("redundant-error", "priority", "argmax")
+VERDICT_KINDS = ("correct", "redundant", "no_positive", "wrong_single")
 
 
 @dataclass(frozen=True)
 class Verdict:
     """Per-sample outcome.
 
-    kind is one of "correct", "redundant", "no_positive", "wrong_single";
+    kind is one of VERDICT_KINDS;
     positives is the sorted tuple of classes that fired; predicted is the
     single predicted class when there is one, else None.
     """
@@ -92,7 +93,7 @@ def outcome_from_positive_sets(
     if policy == "argmax" and argmax is None:
         raise DataError("argmax policy needs raw scores; use evaluate()")
     verdicts = []
-    counts = {"correct": 0, "redundant": 0, "no_positive": 0, "wrong_single": 0}
+    counts = dict.fromkeys(VERDICT_KINDS, 0)
     max_set = 0
     for i, (pos, true) in enumerate(zip(positive_sets, true_labels)):
         positives = tuple(sorted(pos))
@@ -132,7 +133,7 @@ class OvaEnsemble:
             self.class_names = [str(i) for i in range(len(self.members))]
         if len(self.class_names) != len(self.members):
             raise DataError("one class name per member required")
-        shapes = {tuple(m.spec.input_shape.dims) for m in self.members}
+        shapes = {m.spec.input_shape for m in self.members}
         if len(shapes) > 1:
             raise DataError("members disagree on input shape: %r" % (shapes,))
 
@@ -208,12 +209,12 @@ def evaluate(ensemble, data, policy="redundant-error"):
 
 
 def save_ensemble(ensemble, dirpath):
+    """Write one checkpoint per member plus ensemble.json; returns the names
+    of the files written, relative to dirpath."""
     os.makedirs(dirpath, exist_ok=True)
-    names = []
-    for i, net in enumerate(ensemble.members):
-        name = "member_%d.ckpt" % i
+    names = ["member_%d.ckpt" % i for i in range(len(ensemble.members))]
+    for net, name in zip(ensemble.members, names):
         save_network(net, os.path.join(dirpath, name))
-        names.append(name)
     manifest = {
         "class_names": ensemble.class_names,
         "threshold": ensemble.threshold,
@@ -223,6 +224,7 @@ def save_ensemble(ensemble, dirpath):
     with open(os.path.join(dirpath, "ensemble.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
+    return names + ["ensemble.json"]
 
 
 def load_ensemble(dirpath):
@@ -244,23 +246,17 @@ def load_ensemble(dirpath):
 
 def write_verdicts_csv(path, outcome, test_indices, labels):
     """Per-sample rows: sample_index,true_label,positive_set,verdict."""
-    with open(path, "w") as f:
-        f.write("# tinynn csv v1\n")
-        f.write("sample_index,true_label,positive_set,verdict\n")
-        for i, v in enumerate(outcome.verdicts):
-            pos = "|".join(str(c) for c in v.positives)
-            f.write("%d,%d,%s,%s\n" % (test_indices[i], labels[i], pos, v.kind))
+    write_csv(path, "sample_index,true_label,positive_set,verdict", (
+        (i, y, "|".join(map(str, v.positives)), v.kind)
+        for i, y, v in zip(test_indices, labels, outcome.verdicts)
+    ))
 
 
 def write_outcome_summary_csv(path, outcome):
     """Aggregate counts, fractions, and the largest positive set seen."""
-    with open(path, "w") as f:
-        f.write("# tinynn csv v1\n")
-        f.write("key,value\n")
-        for k in ("correct", "redundant", "no_positive", "wrong_single"):
-            f.write("count_%s,%d\n" % (k, outcome.counts[k]))
-        f.write("n,%d\n" % outcome.n)
-        f.write("fraction_correct,%r\n" % outcome.fraction_correct)
-        f.write("fraction_redundant,%r\n" % outcome.fraction_redundant)
-        f.write("fraction_misclassified,%r\n" % outcome.fraction_misclassified)
-        f.write("max_positive_set,%d\n" % outcome.max_positive_set)
+    rows = [("count_" + k, outcome.counts[k]) for k in VERDICT_KINDS]
+    rows += [(k, getattr(outcome, k)) for k in (
+        "n", "fraction_correct", "fraction_redundant", "fraction_misclassified",
+        "max_positive_set",
+    )]
+    write_csv(path, "key,value", rows)

@@ -42,6 +42,7 @@ from .training import (
     fork_map,
     repeat_trials,
     train,
+    write_csv,
     write_loss_curve_csv,
     write_summary_csv,
     write_trials_csv,
@@ -204,6 +205,8 @@ class ExperimentConfig:
             raise ConfigError("epochs must be >= 1, got %r" % (self.epochs,))
         if self.batch_size < 1:
             raise ConfigError("batch must be >= 1, got %r" % (self.batch_size,))
+        if not self.stds or not self.sizes:
+            raise ConfigError("stds and sizes must be non-empty lists")
         if not all(s > 0 for s in (*self.stds, self.synth_std)):
             raise ConfigError(
                 "stds and synth_std must be positive, got %r and %r"
@@ -376,6 +379,11 @@ class RunContext:
         for name in names:
             self.outputs[name] = _sha256_file(self.path(name))
 
+    def write(self, name, writer, *args):
+        """writer(path, *args) writes the named output; it is then hashed."""
+        writer(self.path(name), *args)
+        self.register(name)
+
     def mark_cell(self, cell, names, row=None):
         entry = {"cell": cell, "outputs": {n: self.outputs[n] for n in names}}
         if row is not None:
@@ -504,9 +512,8 @@ def run_synthetic_sweep(config, run_dir):
                 cfg = config.train_config(cell_seed)
                 with ctx.stage(cell):
                     summary = repeat_trials(build, gen, cfg, config.trials)
-                write_trials_csv(ctx.path(trials_name), summary)
-                write_summary_csv(ctx.path(summary_name), summary)
-                ctx.register(trials_name, summary_name)
+                ctx.write(trials_name, write_trials_csv, summary)
+                ctx.write(summary_name, write_summary_csv, summary)
                 if summary.divergences:
                     ctx.divergences.append(
                         {"cell": cell, "count": summary.divergences}
@@ -523,18 +530,12 @@ def run_synthetic_sweep(config, run_dir):
                 }
                 ctx.mark_cell(cell, [trials_name, summary_name], row)
                 grid_rows.append(row)
-    with open(ctx.path("grid.csv"), "w") as f:
-        f.write("# tinynn csv v1\n")
-        f.write("std,n_samples,hidden,metric,mean,stddev,n\n")
-        for row in grid_rows:
-            for m in ("accuracy", "sensitivity", "specificity"):
-                mean, std_ = row["metrics"][m]
-                f.write(
-                    "%g,%d,%d,%s,%r,%r,%d\n"
-                    % (row["std"], row["n_samples"], row["hidden"], m,
-                       mean, std_, row["n_ok"])
-                )
-    ctx.register("grid.csv")
+    ctx.write("grid.csv", write_csv, "std,n_samples,hidden,metric,mean,stddev,n", (
+        ("%g" % row["std"], row["n_samples"], row["hidden"], m, *row["metrics"][m],
+         row["n_ok"])
+        for row in grid_rows
+        for m in ("accuracy", "sensitivity", "specificity")
+    ))
     manifest = ctx.finish()
     return RunResult(ctx.run_dir, manifest, {"rows": grid_rows})
 
@@ -581,35 +582,19 @@ def run_layer_size_sweep(config, run_dir):
         else:
             curve_name = "loss_w%d.csv" % width
             ckpt_name = "width_%d.ckpt" % width
-            write_loss_curve_csv(ctx.path(curve_name), report.loss_curve)
-            save_network(net, ctx.path(ckpt_name))
-            ctx.register(curve_name, ckpt_name)
+            ctx.write(curve_name, write_loss_curve_csv, report.loss_curve)
+            ctx.write(ckpt_name, lambda path: save_network(net, path))
             names = [curve_name, ckpt_name]
             row = {"width": width, "accuracy": report.accuracy, "diverged": 0}
         ctx.mark_cell(cell, names, row)
         rows.append(row)
     rows.sort(key=lambda r: r["width"])
-    with open(ctx.path("accuracy_vs_width.csv"), "w") as f:
-        f.write("# tinynn csv v1\n")
-        f.write("width,accuracy,diverged\n")
-        for row in rows:
-            acc = "" if row["accuracy"] is None else repr(row["accuracy"])
-            f.write("%d,%s,%d\n" % (row["width"], acc, row["diverged"]))
-    ctx.register("accuracy_vs_width.csv")
+    ctx.write("accuracy_vs_width.csv", write_csv, "width,accuracy,diverged", (
+        (r["width"], "" if r["accuracy"] is None else r["accuracy"], r["diverged"])
+        for r in rows
+    ))
     manifest = ctx.finish()
     return RunResult(ctx.run_dir, manifest, {"rows": rows})
-
-
-def _write_per_class_csv(ctx, reports):
-    with open(ctx.path("per_class.csv"), "w") as f:
-        f.write("# tinynn csv v1\n")
-        f.write("class,accuracy,sensitivity,specificity\n")
-        for i, rep in enumerate(reports):
-            f.write(
-                "%d,%r,%r,%r\n"
-                % (i, rep.accuracy, rep.sensitivity, rep.specificity)
-            )
-    ctx.register("per_class.csv")
 
 
 def _train_ova(ctx, config):
@@ -624,17 +609,14 @@ def _train_ova(ctx, config):
         ctx.seeds["member-%d" % i] = _member_seed(config.seed, i)
     with ctx.stage("train-members"):
         ens = train_ensemble(data, h, cfg, jobs=config.jobs)
-    _write_per_class_csv(ctx, ens.member_reports)
-    names = []
-    for i, rep in enumerate(ens.member_reports):
-        name = "loss_class_%d.csv" % i
-        write_loss_curve_csv(ctx.path(name), rep.loss_curve)
-        names.append(name)
-    ctx.register(*names)
-    ckpt_dir = "ensemble"
-    save_ensemble(ens, ctx.path(ckpt_dir))
-    member_files = ["%s/member_%d.ckpt" % (ckpt_dir, i) for i in range(len(ens.members))]
-    ctx.register(*member_files, "%s/ensemble.json" % ckpt_dir)
+    reports = ens.member_reports
+    ctx.write("per_class.csv", write_csv, "class,accuracy,sensitivity,specificity", (
+        (i, r.accuracy, r.sensitivity, r.specificity) for i, r in enumerate(reports)
+    ))
+    for i, rep in enumerate(reports):
+        ctx.write("loss_class_%d.csv" % i, write_loss_curve_csv, rep.loss_curve)
+    saved = save_ensemble(ens, ctx.path("ensemble"))
+    ctx.register(*("ensemble/" + name for name in saved))
     return full, data, ens
 
 
@@ -656,9 +638,8 @@ def run_ova_ensemble(config, run_dir):
     with ctx.stage("evaluate"):
         outcome = evaluate_ensemble(ens, data, policy=config.aggregation)
     idx = data.test_indices
-    write_verdicts_csv(ctx.path("verdicts.csv"), outcome, idx, data.labels_at(idx))
-    write_outcome_summary_csv(ctx.path("summary.csv"), outcome)
-    ctx.register("verdicts.csv", "summary.csv")
+    ctx.write("verdicts.csv", write_verdicts_csv, outcome, idx, data.labels_at(idx))
+    ctx.write("summary.csv", write_outcome_summary_csv, outcome)
 
     # equal-width single network: K members of width h have K*h hidden units;
     # compare against the next power of two, trained exactly like a sweep
@@ -682,13 +663,11 @@ def run_ova_ensemble(config, run_dir):
             seed=comp_seed,
         )
         comp_net, comp_report = train(comp_net, comp_data, comp_cfg)
-    with open(ctx.path("comparison.csv"), "w") as f:
-        f.write("# tinynn csv v1\n")
-        f.write("key,value\n")
-        f.write("ensemble_correct,%r\n" % outcome.fraction_correct)
-        f.write("single_width,%d\n" % width)
-        f.write("single_accuracy,%r\n" % comp_report.accuracy)
-    ctx.register("comparison.csv")
+    ctx.write("comparison.csv", write_csv, "key,value", [
+        ("ensemble_correct", outcome.fraction_correct),
+        ("single_width", width),
+        ("single_accuracy", comp_report.accuracy),
+    ])
     manifest = ctx.finish()
     return RunResult(
         ctx.run_dir,

@@ -10,15 +10,15 @@ sigmoid cross-entropy forms), so the output activation's local derivative is
 never applied separately.
 """
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import CheckpointError, DimensionError, StateError
 from .rng import Rng
 from .tensor import (
-    Shape,
     Tensor,
     _conv2d,
     _conv2d_input_grad,
@@ -27,6 +27,7 @@ from .tensor import (
     _relu,
     _sigmoid,
     _softmax_rows,
+    check_dims,
 )
 
 ACTIVATIONS = ("none", "relu", "sigmoid", "softmax")
@@ -79,9 +80,7 @@ class NetworkSpec:
     """Input shape plus an ordered layer list; validated by shape inference."""
 
     def __init__(self, input_shape, layers, seed):
-        self.input_shape = (
-            input_shape if isinstance(input_shape, Shape) else Shape(input_shape)
-        )
+        self.input_shape = check_dims(input_shape)
         self.layers = list(layers)
         self.seed = int(seed)
         if not self.layers:
@@ -100,7 +99,7 @@ class NetworkSpec:
     def _infer_shapes(self):
         """Per-layer output shapes (sample shape, no batch axis)."""
         shapes = []
-        cur = tuple(self.input_shape.dims)
+        cur = self.input_shape
         for spec in self.layers:
             if isinstance(spec, Conv2DSpec):
                 if len(cur) != 3:
@@ -151,6 +150,23 @@ class Network:
         return sum(v.size for p in self.params for v in p.values())
 
 
+def _param_shapes(spec):
+    """Per layer, {parameter name: shape} in storage order; empty for
+    layers without parameters."""
+    shapes = []
+    cur = spec.input_shape
+    for layer, out in zip(spec.layers, spec.layer_shapes):
+        if isinstance(layer, Conv2DSpec):
+            k = layer.kernel_size
+            shapes.append({"w": (layer.filters, cur[0], k, k), "b": (layer.filters,)})
+        elif isinstance(layer, DenseSpec):
+            shapes.append({"w": (cur[0], layer.units), "b": (layer.units,)})
+        else:
+            shapes.append({})
+        cur = out
+    return shapes
+
+
 def _init_params(spec):
     """He-style uniform fan-in init, biases zero, from the spec's seed.
 
@@ -159,32 +175,22 @@ def _init_params(spec):
     """
     rng = Rng(spec.seed)
     params = []
-    cur = tuple(spec.input_shape.dims)
     last = len(spec.layers) - 1
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Conv2DSpec):
-            c = cur[0]
-            w = np.zeros((layer.filters, c, layer.kernel_size, layer.kernel_size))
-            bound = np.sqrt(6.0 / (c * layer.kernel_size * layer.kernel_size))
-            rng.fill_uniform(w.reshape(-1), -bound, bound)
-            params.append({"w": w, "b": np.zeros(layer.filters)})
-        elif isinstance(layer, DenseSpec):
-            w = np.zeros((cur[0], layer.units))
-            if i != last:
-                bound = np.sqrt(6.0 / cur[0])
-                rng.fill_uniform(w.reshape(-1), -bound, bound)
-            params.append({"w": w, "b": np.zeros(layer.units)})
-        else:
-            params.append({})
-        cur = spec.layer_shapes[i]
+    for i, shapes in enumerate(_param_shapes(spec)):
+        p = {name: np.zeros(shape) for name, shape in shapes.items()}
+        if p and not (i == last and isinstance(spec.layers[i], DenseSpec)):
+            # fan-in: weights per output unit
+            bound = np.sqrt(6.0 / (p["w"].size // p["b"].size))
+            rng.fill_uniform(p["w"].reshape(-1), -bound, bound)
+        params.append(p)
     return params
 
 
 def build_conv_net(input_shape, hidden_units, output_units, seed):
     """The fixed conv stack: 32 then 64 5x5 filters, each pooled 2x2, then a
     ReLU hidden layer of the given width and a probability head."""
-    shape = input_shape if isinstance(input_shape, Shape) else Shape(input_shape)
-    if shape.rank != 3:
+    shape = check_dims(input_shape)
+    if len(shape) != 3:
         raise DimensionError("expected [C,H,W] input, got %r" % (shape,))
     if shape[1] % 4 or shape[2] % 4:
         raise DimensionError(
@@ -213,7 +219,7 @@ def build_mlp(input_dim, hidden_units, seed):
     if input_dim < 1:
         raise DimensionError("input_dim must be >= 1, got %r" % (input_dim,))
     spec = NetworkSpec(
-        Shape((input_dim,)),
+        (input_dim,),
         [DenseSpec(hidden_units, "relu"), DenseSpec(1, "sigmoid")],
         seed,
     )
@@ -238,7 +244,7 @@ def forward(net, batch, train=False):
     and pooling records no winner indices.
     """
     x = batch.array if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
-    expect = tuple(net.spec.input_shape.dims)
+    expect = net.spec.input_shape
     if x.shape[1:] != expect:
         raise DimensionError(
             "batch sample shape %r does not match input shape %r"
@@ -328,12 +334,15 @@ def _activation_grad(act, d_out, c):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, tagged layer records (little-endian u32 fields),
-# then all parameters as little-endian f64 in layer order, row-major
+# checkpoint format SENS1: magic; the input rank and dims, the seed as two
+# words and the layer count; one record per layer; then all parameters as
+# little-endian f64 in layer order, row-major. A layer record is its tag
+# followed by its spec's dataclass fields in declaration order, activations
+# by code; every header value is a little-endian u32. The order of a spec's
+# fields is therefore part of the format.
 
 _MAGIC = b"SENS1"
 _LAYER_TAGS = {Conv2DSpec: 1, MaxPool2DSpec: 2, FlattenSpec: 3, DenseSpec: 4}
-_ACT_CODES = {a: i for i, a in enumerate(ACTIVATIONS)}
 
 
 def _u32(*vals):
@@ -343,22 +352,17 @@ def _u32(*vals):
 def save_network(net, path):
     """Write the SENS1 checkpoint: spec header then raw parameters."""
     spec = net.spec
-    head = [_MAGIC]
-    head.append(_u32(spec.input_shape.rank, *spec.input_shape.dims))
     seed = spec.seed & 0xFFFFFFFFFFFFFFFF
-    head.append(_u32(seed & 0xFFFFFFFF, seed >> 32))
-    head.append(_u32(len(spec.layers)))
+    head = [
+        _MAGIC,
+        _u32(len(spec.input_shape), *spec.input_shape),
+        _u32(seed & 0xFFFFFFFF, seed >> 32, len(spec.layers)),
+    ]
     for layer in spec.layers:
-        tag = _LAYER_TAGS[type(layer)]
-        if isinstance(layer, Conv2DSpec):
-            head.append(_u32(tag, layer.filters, layer.kernel_size,
-                             _ACT_CODES[layer.activation]))
-        elif isinstance(layer, MaxPool2DSpec):
-            head.append(_u32(tag, layer.window, layer.stride))
-        elif isinstance(layer, FlattenSpec):
-            head.append(_u32(tag))
-        else:
-            head.append(_u32(tag, layer.units, _ACT_CODES[layer.activation]))
+        record = asdict(layer)
+        if "activation" in record:
+            record["activation"] = ACTIVATIONS.index(record["activation"])
+        head.append(_u32(_LAYER_TAGS[type(layer)], *record.values()))
     body = [v.astype("<f8").tobytes(order="C")
             for p in net.params for v in p.values()]
     with open(path, "wb") as f:
@@ -400,58 +404,37 @@ def load_network(path):
     seed_lo = r.u32("seed low word")
     seed_hi = r.u32("seed high word")
     n_layers = r.u32("layer count")
-    tags = {v: k for k, v in _LAYER_TAGS.items()}
-    acts = {v: k for k, v in _ACT_CODES.items()}
+    kinds = {v: k for k, v in _LAYER_TAGS.items()}
     layers = []
     for _ in range(n_layers):
         tag = r.u32("layer tag")
-        if tag not in tags:
+        if tag not in kinds:
             raise CheckpointError(
                 "unknown layer tag %d at offset %d" % (tag, r.pos - 4)
             )
-        kind = tags[tag]
-        if kind is Conv2DSpec:
-            f_, k_, a_ = r.u32("filters"), r.u32("kernel"), r.u32("activation")
-            if a_ not in acts:
-                raise CheckpointError("unknown activation code %d" % a_)
-            layers.append(Conv2DSpec(f_, k_, acts[a_]))
-        elif kind is MaxPool2DSpec:
-            layers.append(MaxPool2DSpec(r.u32("window"), r.u32("stride")))
-        elif kind is FlattenSpec:
-            layers.append(FlattenSpec())
-        else:
-            u_, a_ = r.u32("units"), r.u32("activation")
-            if a_ not in acts:
-                raise CheckpointError("unknown activation code %d" % a_)
-            layers.append(DenseSpec(u_, acts[a_]))
+        record = {f.name: r.u32(f.name) for f in fields(kinds[tag])}
+        if "activation" in record:
+            code = record["activation"]
+            if code >= len(ACTIVATIONS):
+                raise CheckpointError("unknown activation code %d" % code)
+            record["activation"] = ACTIVATIONS[code]
+        layers.append(kinds[tag](**record))
     try:
-        spec = NetworkSpec(Shape(dims), layers, seed_lo | (seed_hi << 32))
+        spec = NetworkSpec(dims, layers, seed_lo | (seed_hi << 32))
     except DimensionError as e:
         raise CheckpointError("checkpoint spec is not instantiable: %s" % e)
     params = []
-    cur = tuple(spec.input_shape.dims)
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Conv2DSpec):
-            shapes = {"w": (layer.filters, cur[0], layer.kernel_size,
-                            layer.kernel_size), "b": (layer.filters,)}
-        elif isinstance(layer, DenseSpec):
-            shapes = {"w": (cur[0], layer.units), "b": (layer.units,)}
-        else:
-            shapes = {}
+    for i, shapes in enumerate(_param_shapes(spec)):
         p = {}
-        for name, shp in shapes.items():
-            n = 1
-            for d in shp:
-                n *= d
-            raw = r.take(8 * n, "layer %d %s" % (i, name))
-            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shp)
+        for name, shape in shapes.items():
+            raw = r.take(8 * math.prod(shape), "layer %d %s" % (i, name))
+            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
             if not np.isfinite(arr).all():
                 raise CheckpointError(
                     "non-finite parameter values in layer %d %s" % (i, name)
                 )
             p[name] = arr
         params.append(p)
-        cur = spec.layer_shapes[i]
     if r.pos != len(data):
         raise CheckpointError(
             "checkpoint has %d trailing bytes at offset %d: parameter shapes "

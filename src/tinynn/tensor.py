@@ -2,8 +2,10 @@
 
 A Tensor is an immutable wrapper around a C-contiguous float64 ndarray of
 rank <= 4 (batch x channel x height x width is the largest layout in use).
-Constructing one verifies the values are finite; NaN or Inf is raised as
-NonFiniteError, never passed on.
+Shapes are plain tuples; check_dims holds the rank and extent rule that
+Tensor construction and checkpoint headers share. Constructing a Tensor
+verifies the values are finite; NaN or Inf is raised as NonFiniteError,
+never passed on.
 
 The raw ndarray kernels (_conv2d, _maxpool2d, ...) run on unwrapped arrays
 for speed and rely on the training loop's divergence check instead of
@@ -20,48 +22,18 @@ from .errors import DimensionError, NonFiniteError
 _MAX_RANK = 4
 
 
-class Shape:
-    """Ordered positive extents; rank at most 4."""
-
-    __slots__ = ("dims",)
-
-    def __init__(self, dims):
-        dims = tuple(int(d) for d in dims)
-        if len(dims) == 0 or len(dims) > _MAX_RANK:
-            raise DimensionError("rank must be 1..%d, got %r" % (_MAX_RANK, dims))
-        if any(d < 1 for d in dims):
-            raise DimensionError("extents must be >= 1, got %r" % (dims,))
-        self.dims = dims
-
-    @property
-    def rank(self):
-        return len(self.dims)
-
-    @property
-    def count(self):
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
-
-    def __eq__(self, other):
-        return isinstance(other, Shape) and self.dims == other.dims
-
-    def __hash__(self):
-        return hash(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __getitem__(self, i):
-        return self.dims[i]
-
-    def __repr__(self):
-        return "Shape(%s)" % (", ".join(str(d) for d in self.dims),)
+def check_dims(dims):
+    """dims as a tuple of ints, rejecting rank outside 1..4 or an extent < 1."""
+    dims = tuple(int(d) for d in dims)
+    if not 1 <= len(dims) <= _MAX_RANK:
+        raise DimensionError("rank must be 1..%d, got %r" % (_MAX_RANK, dims))
+    if any(d < 1 for d in dims):
+        raise DimensionError("extents must be >= 1, got %r" % (dims,))
+    return dims
 
 
 class Tensor:
-    """Immutable float64 array with shape metadata."""
+    """Immutable float64 array; its shape is the array's shape tuple."""
 
     __slots__ = ("array",)
 
@@ -69,7 +41,7 @@ class Tensor:
         arr = np.array(values, dtype=np.float64, order="C")
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        Shape(arr.shape)  # validates rank and extents
+        check_dims(arr.shape)
         if not np.isfinite(arr).all():
             raise NonFiniteError("Tensor construction produced non-finite values")
         arr.flags.writeable = False
@@ -85,7 +57,7 @@ class Tensor:
 
     @property
     def shape(self):
-        return Shape(self.array.shape)
+        return self.array.shape
 
     def __repr__(self):
         return "Tensor(%r)" % (self.shape,)

@@ -31,7 +31,6 @@ class TrainConfig:
     epochs: int
     batch_size: int = 32
     seed: int = 0
-    shuffle: bool = True
     orient_dead_units: bool = True
 
     def __post_init__(self):
@@ -163,8 +162,7 @@ def train(net, data, cfg):
     # intermediate overflow warnings on the way there are just noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(cfg.epochs):
-            if cfg.shuffle:
-                rng.shuffle(order)
+            rng.shuffle(order)
             total = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
@@ -187,8 +185,8 @@ def train(net, data, cfg):
     return net, report
 
 
-def _binary_report(scores, labels, threshold):
-    preds = scores > threshold
+def _binary_report(scores, labels):
+    preds = scores > 0.5  # a score of exactly 0.5 is negative
     actual = labels == 1
     tp = int(np.count_nonzero(preds & actual))
     tn = int(np.count_nonzero(~preds & ~actual))
@@ -226,7 +224,7 @@ def _multiclass_report(preds, labels, k):
 
 def predict_scores(net, features, idx):
     """Forward a set of rows in fixed-size chunks; returns the raw outputs."""
-    chunk = 64 if net.spec.input_shape.rank == 3 else 4096
+    chunk = 64 if len(net.spec.input_shape) == 3 else 4096
     outs = []
     for start in range(0, len(idx), chunk):
         batch = features[idx[start:start + chunk]]
@@ -235,7 +233,7 @@ def predict_scores(net, features, idx):
     return np.concatenate(outs, axis=0)
 
 
-def evaluate(net, data, split="test", threshold=0.5):
+def evaluate(net, data, split="test"):
     """Metrics on the dataset's held-out (or named) split."""
     idx = data.test_indices if split == "test" else data.train_indices
     if len(idx) == 0:
@@ -243,7 +241,7 @@ def evaluate(net, data, split="test", threshold=0.5):
     out = predict_scores(net, data.feature_array, idx)
     labels = data.labels_at(idx)
     if net.spec.output_units == 1:
-        return _binary_report(out[:, 0], labels, threshold)
+        return _binary_report(out[:, 0], labels)
     return _multiclass_report(out.argmax(axis=1), labels, out.shape[1])
 
 
@@ -343,38 +341,32 @@ def fork_map(task, n, jobs):
 
 
 # ---------------------------------------------------------------------------
-# CSV export
+# CSV export: every CSV a run writes goes through write_csv
 
-_CSV_VERSION = "# tinynn csv v1"
+
+def write_csv(path, header, rows):
+    """A version line, the header line, then each row's values as str(),
+    comma-joined. str() of a float is its shortest round-trip repr."""
+    with open(path, "w") as f:
+        f.write("# tinynn csv v1\n%s\n" % header)
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_trials_csv(path, summary):
     """Long-format per-trial metrics: trial,metric,value."""
-    with open(path, "w") as f:
-        f.write(_CSV_VERSION + "\n")
-        f.write("trial,metric,value\n")
-        for row in summary.trials:
-            for m in _SUMMARY_METRICS:
-                f.write("%d,%s,%r\n" % (row["trial"], m, row[m]))
+    write_csv(path, "trial,metric,value", (
+        (row["trial"], m, row[m]) for row in summary.trials for m in _SUMMARY_METRICS
+    ))
 
 
 def write_summary_csv(path, summary):
     """Aggregate metrics: metric,mean,std,n."""
-    with open(path, "w") as f:
-        f.write(_CSV_VERSION + "\n")
-        f.write("metric,mean,std,n\n")
-        for m in _SUMMARY_METRICS:
-            f.write(
-                "%s,%r,%r,%d\n"
-                % (m, summary.means[m], summary.stds[m],
-                   summary.n_trials - summary.divergences)
-            )
+    n = summary.n_trials - summary.divergences
+    write_csv(path, "metric,mean,std,n", (
+        (m, summary.means[m], summary.stds[m], n) for m in _SUMMARY_METRICS
+    ))
 
 
 def write_loss_curve_csv(path, curve):
     """Per-epoch mean training loss: epoch,mean_loss (1-based epochs)."""
-    with open(path, "w") as f:
-        f.write(_CSV_VERSION + "\n")
-        f.write("epoch,mean_loss\n")
-        for i, v in enumerate(curve):
-            f.write("%d,%r\n" % (i + 1, v))
+    write_csv(path, "epoch,mean_loss", enumerate(curve, 1))

@@ -1,9 +1,16 @@
-"""Probability-space cross-entropy: the reference the fused logit losses in
-tinynn.training and the finite-difference gradient checks are judged by."""
+"""References the library is judged by: the probability-space
+cross-entropy, which the fused logit losses in tinynn.training must match,
+and the central finite-difference check of backward's gradients.
+
+Gradient checks perturb parameters by +-eps and compare the central
+difference of the loss against the analytic gradient with the symmetric
+relative error |a - n| / max(1e-8, |a| + |n|).
+"""
 
 import numpy as np
 
 from tinynn.errors import DataError
+from tinynn.layers import backward, forward
 
 
 def cross_entropy_loss(probs, labels):
@@ -35,3 +42,62 @@ def cross_entropy_loss(probs, labels):
         grad[np.arange(b), y] -= 1.0
         grad /= b
     return loss, grad
+
+
+def randomize_head(net, rng):
+    """Give the zero-initialized output head small nonzero weights, drawn
+    from rng, so that gradient signal reaches every layer in one backward
+    pass."""
+    head = net.params[-1]
+    rng.fill_uniform(head["w"].reshape(-1), -0.5, 0.5)
+    rng.fill_uniform(head["b"], -0.1, 0.1)
+
+
+def loss_of(net, x, labels):
+    out, _ = forward(net, x)
+    loss, _ = cross_entropy_loss(out, labels)
+    return loss
+
+
+def analytic_grads(net, x, labels):
+    out, cache = forward(net, x, train=True)
+    _, dz = cross_entropy_loss(out, labels)
+    backward(net, dz, cache)
+    return [{k: v.copy() for k, v in g.items()} for g in net.grads]
+
+
+def fd_check(net, x, labels, n_params, rng, tol, eps=1e-5):
+    """Assert every checked coordinate's relative error is below tol; returns
+    the worst. A net with at most n_params parameters has all of them
+    checked; otherwise n_params coordinates are drawn from rng, with
+    replacement."""
+    grads = analytic_grads(net, x, labels)
+    coords = [
+        (li, key, j)
+        for li, p in enumerate(net.params)
+        for key, arr in p.items()
+        for j in range(arr.size)
+    ]
+    picked = (
+        coords
+        if len(coords) <= n_params
+        else [coords[rng.randbelow(len(coords))] for _ in range(n_params)]
+    )
+    worst = 0.0
+    for li, key, j in picked:
+        flat = net.params[li][key].reshape(-1)
+        old = flat[j]
+        flat[j] = old + eps
+        lp = loss_of(net, x, labels)
+        flat[j] = old - eps
+        lm = loss_of(net, x, labels)
+        flat[j] = old
+        numeric = (lp - lm) / (2.0 * eps)
+        a = grads[li][key].reshape(-1)[j]
+        rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+        worst = max(worst, rel)
+        assert rel < tol, (
+            "layer %d %s[%d]: analytic %r vs numeric %r (rel %r)"
+            % (li, key, j, a, numeric, rel)
+        )
+    return worst

@@ -20,10 +20,10 @@ from tinynn.experiments import (
     replay_manifest,
     run_experiment,
 )
-from tinynn.layers import build_conv_net, build_mlp, forward, backward
+from tinynn.layers import build_conv_net, build_mlp
 from tinynn.rng import Rng
 
-from reference import cross_entropy_loss
+from reference import fd_check, randomize_head
 
 
 def file_bytes(path):
@@ -35,48 +35,6 @@ def file_bytes(path):
 # criterion 1: analytic gradients match central finite differences
 
 
-def _randomize_head(net, rng):
-    # the output head initializes to zero; give it small weights so one
-    # backward pass carries signal into every layer
-    head = net.params[-1]
-    rng.fill_uniform(head["w"].reshape(-1), -0.5, 0.5)
-    rng.fill_uniform(head["b"], -0.1, 0.1)
-
-
-def _loss(net, x, labels):
-    out, _ = forward(net, x)
-    loss, _ = cross_entropy_loss(out, labels)
-    return loss
-
-
-def _worst_rel_error(net, x, labels, n_coords, rng, eps=1e-5):
-    out, cache = forward(net, x, train=True)
-    _, dz = cross_entropy_loss(out, labels)
-    backward(net, dz, cache)
-    grads = [{k: v.copy() for k, v in g.items()} for g in net.grads]
-    coords = [
-        (li, key, j)
-        for li, p in enumerate(net.params)
-        for key, arr in p.items()
-        for j in range(arr.size)
-    ]
-    picked = [coords[rng.randbelow(len(coords))] for _ in range(n_coords)]
-    worst = 0.0
-    for li, key, j in picked:
-        flat = net.params[li][key].reshape(-1)
-        old = flat[j]
-        flat[j] = old + eps
-        lp = _loss(net, x, labels)
-        flat[j] = old - eps
-        lm = _loss(net, x, labels)
-        flat[j] = old
-        numeric = (lp - lm) / (2.0 * eps)
-        analytic = grads[li][key].reshape(-1)[j]
-        rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-        worst = max(worst, rel)
-    return worst
-
-
 def test_criterion_1_gradient_checks_against_finite_differences():
     """Every layer kind, 5 seeds x >=200 sampled parameters, rel err < 1e-4,
     under one minute."""
@@ -85,18 +43,19 @@ def test_criterion_1_gradient_checks_against_finite_differences():
     for seed in range(5):
         rng = Rng(1000 + seed)
         conv = build_conv_net((1, 12, 12), 3, 4, seed)
-        _randomize_head(conv, rng)
+        randomize_head(conv, rng)
         x = np.empty((3, 1, 12, 12))
         rng.fill_uniform(x.reshape(-1), -1.0, 1.0)
         labels = np.array([rng.randbelow(4) for _ in range(3)])
-        worst = max(worst, _worst_rel_error(conv, x, labels, 150, rng))
+        worst = max(worst, fd_check(conv, x, labels, 150, rng, tol=1e-4))
 
         mlp = build_mlp(6, 7, seed)
-        _randomize_head(mlp, rng)
+        randomize_head(mlp, rng)
         xm = np.empty((8, 6))
         rng.fill_uniform(xm.reshape(-1), -1.0, 1.0)
         ym = np.array([rng.randbelow(2) for _ in range(8)])
-        worst = max(worst, _worst_rel_error(mlp, xm, ym, 57, rng))
+        # all 57 parameters of the 6-7-1 MLP
+        worst = max(worst, fd_check(mlp, xm, ym, 57, rng, tol=1e-4))
     elapsed = time.perf_counter() - t0
     print("gradient check: worst rel err %.3g over 5 seeds x 207 params, %.1fs"
           % (worst, elapsed))

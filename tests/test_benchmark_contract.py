@@ -3,17 +3,21 @@
 The benchmark records spans by patching library functions by name, and a
 target that no longer resolves reads as an absent span with value 0. This
 checks every target still resolves, without installing the tracer, plus the
-two calls the benchmark makes directly.
+calls the benchmark makes directly (perfbench/child.py, perfbench/inputs.py
+and perfbench/selftest.py), with the outputs it checks.
 """
 
+import hashlib
 import importlib.util
 import os
 
 import numpy as np
 import pytest
 
-from tinynn.datasets import LabeledDataset
-from tinynn.layers import build_mlp, forward
+from tinynn import ensemble
+from tinynn.datasets import LabeledDataset, SyntheticSpec, generate_synthetic, make_ova_views
+from tinynn.experiments import build_config
+from tinynn.layers import build_conv_net, build_mlp, forward
 from tinynn.tensor import Tensor
 
 
@@ -45,3 +49,117 @@ def test_dataset_from_tensor():
         np.arange(4), np.zeros(0, np.int64),
     )
     assert data.feature_array.shape == (4, 1, 28, 28)
+
+
+def small_outcome():
+    # one correct, one redundant, one with no positive member
+    return ensemble.outcome_from_positive_sets([(1,), (2, 0), ()], [1, 1, 0])
+
+
+def test_write_verdicts_csv_text(tmp_path):
+    path = str(tmp_path / "verdicts.csv")
+    ensemble.write_verdicts_csv(path, small_outcome(), np.array([5, 6, 9]), np.array([1, 1, 0]))
+    assert open(path).read() == (
+        "# tinynn csv v1\n"
+        "sample_index,true_label,positive_set,verdict\n"
+        "5,1,1,correct\n"
+        "6,1,0|2,redundant\n"
+        "9,0,,no_positive\n"
+    )
+
+
+def test_write_outcome_summary_csv_text(tmp_path):
+    path = str(tmp_path / "summary.csv")
+    ensemble.write_outcome_summary_csv(path, small_outcome())
+    assert open(path).read() == (
+        "# tinynn csv v1\n"
+        "key,value\n"
+        "count_correct,1\n"
+        "count_redundant,1\n"
+        "count_no_positive,1\n"
+        "count_wrong_single,0\n"
+        "n,3\n"
+        "fraction_correct,0.3333333333333333\n"
+        "fraction_redundant,0.3333333333333333\n"
+        "fraction_misclassified,0.3333333333333333\n"
+        "max_positive_set,2\n"
+    )
+
+
+def conv_members():
+    members = [build_conv_net((1, 28, 28), 2, 1, seed) for seed in (3, 4)]
+    members[1].params[-1]["b"][0] = 1.0  # member 1 fires on every row
+    return members
+
+
+def test_save_and_load_ensemble(tmp_path):
+    members = conv_members()
+    d = str(tmp_path / "ens")
+    ensemble.save_ensemble(ensemble.OvaEnsemble(members=members), d)
+    assert sorted(os.listdir(d)) == ["ensemble.json", "member_0.ckpt", "member_1.ckpt"]
+    loaded = ensemble.load_ensemble(d)
+    assert loaded.class_names == ["0", "1"]
+    assert loaded.threshold == 0.5
+    for a, b in zip(members, loaded.members):
+        assert b.spec.seed == a.spec.seed
+        for pa, pb in zip(a.params, b.params):
+            assert pa.keys() == pb.keys()
+            for k in pa:
+                np.testing.assert_array_equal(pa[k], pb[k])
+
+
+def test_member_scores_and_evaluate(monkeypatch):
+    ens = ensemble.OvaEnsemble(members=conv_members())
+    rng = np.random.default_rng(0)
+    data = LabeledDataset(
+        Tensor(rng.random((6, 1, 28, 28))), np.arange(6) % 2, 2,
+        np.arange(3), np.arange(3, 6),
+    )
+    idx = data.test_indices
+    scores = ensemble.member_scores(ens, data.feature_array, idx)
+    assert scores.shape == (3, 2)
+    np.testing.assert_array_equal(scores[:, 0], 0.5)  # a zero head scores 0.5
+    assert (scores[:, 1] > 0.5).all()
+    # the benchmark captures the scores by patching member_scores by name
+    calls = []
+    monkeypatch.setattr(
+        ensemble, "member_scores", lambda *a: calls.append(a) or scores
+    )
+    outcome = ensemble.evaluate(ens, data, policy="redundant-error")
+    assert len(calls) == 1
+    assert outcome.n == 3  # test labels 1, 0, 1; only member 1 fires
+    assert outcome.counts == {
+        "correct": 2, "redundant": 0, "no_positive": 0, "wrong_single": 1,
+    }
+
+
+def test_build_config_with_benchmark_keys():
+    cfg = build_config(
+        {}, {"kind": "ova-binary", "dataset": "mnist", "mnist_dir": "/m", "hidden": (3,)}
+    )
+    assert (cfg.kind, cfg.dataset, cfg.mnist_dir, cfg.hidden) == (
+        "ova-binary", "mnist", "/m", (3,)
+    )
+
+
+def test_generate_synthetic_stream():
+    d = generate_synthetic(SyntheticSpec(std=0.5, n_samples=10, seed=3))
+    assert d.labels.tolist() == [0, 1, 1, 0, 0, 1, 0, 1, 0, 1]
+    assert d.train_indices.tolist() == [0, 2, 3, 4, 5, 7, 8, 9]
+    assert d.test_indices.tolist() == [1, 6]
+    assert hashlib.sha256(d.feature_array.tobytes()).hexdigest() == (
+        "bb668159ffc3961e946d2695a973aad940fd669554f159928f075f4cd137a1f2"
+    )
+
+
+def test_make_ova_views_stream():
+    data = LabeledDataset(
+        Tensor(np.zeros((12, 1, 4, 4))), np.arange(12) % 3, 3,
+        np.arange(12), np.zeros(0, np.int64),
+    )
+    views = make_ova_views(data, 3, 5)
+    assert [v.train_indices.tolist() for v in views] == [
+        [10, 0, 7, 4, 1, 6, 9, 3],
+        [7, 2, 8, 0, 4, 1, 10, 11],
+        [8, 0, 2, 1, 3, 9, 11, 5],
+    ]

@@ -58,6 +58,75 @@ def file_bytes(path):
         return f.read()
 
 
+# manifest["outputs"] of the runs below, pinned so a change that must keep
+# output bytes (CSV text, checkpoint layout) shows any drift file by file
+SWEEP_OUTPUTS = {
+    "grid.csv":
+        "0d86a85750e0eb2d6078c1ad4806cef0683edfb924acb66f9aaa7a9c62f9c49e",
+    "std0.5_n240_h1_summary.csv":
+        "15dfbc1d6eb363714fd705a4a8751998392b744120d7299835bce23f4b41c104",
+    "std0.5_n240_h1_trials.csv":
+        "c39706eb22c0cbbd1763135fe08e98d42bfa6a86fda6c240e81790bdb7b35c4c",
+    "std0.5_n240_h2_summary.csv":
+        "b46b69643db691a2b7fdcaa281494b5ae10df0122cd1438f13af414c2dbe3804",
+    "std0.5_n240_h2_trials.csv":
+        "7f376101340d8272448ae4be4a5fcd7bb6c3cac6a2c1f2feb84445e5dd634d01",
+}
+LAYER_SWEEP_OUTPUTS = {
+    "accuracy_vs_width.csv":
+        "a6378acefce0fe003ca346efe6981a782f27db1476db0ca438cc07506eeeefa7",
+    "loss_w1.csv":
+        "446c999f008afac0dfff4bdb06b5ab726ace8c67c60d5fcca59f5f69430e1b69",
+    "loss_w2.csv":
+        "88c4997c458968690dac48d6a651c08581d54074ccd0415361fa77e117787d83",
+    "width_1.ckpt":
+        "8d743011cbf13889eae56f440467f4157e0ccdb4d1582f2d6378b496b0bc4bf7",
+    "width_2.ckpt":
+        "74ec6128c1d8d33af3aca6153d524ca05eb58c4b94845ff8da817e3216cc4c73",
+}
+OVA_MEMBER_OUTPUTS = {
+    "ensemble/ensemble.json":
+        "1aa32cd0435814289c273acbdcfbfefb949adfda43c4b3906e190df61022272b",
+    "ensemble/member_0.ckpt":
+        "621259678dc07a8ead725d3c9cbbdcbc6a1bb410dcbff0b19570e5c3024c0630",
+    "ensemble/member_1.ckpt":
+        "1e5798dc1d40bff0f45acbde314eaeca228eb894965c76f9eeea4513c83afa83",
+    "ensemble/member_2.ckpt":
+        "68ac73e8502f1cf89567f22cc3ecf8015ddb39d890966be366338bb9b0766b71",
+    "ensemble/member_3.ckpt":
+        "2ffbd2ba76449043f6cced505fa03d3176672598f969fe47a0cc5e181c4f7553",
+    "ensemble/member_4.ckpt":
+        "f3863f7f4249eb8493c4c6a3d031388be16d9fb940b809c678fc5e018cb13da9",
+    "ensemble/member_5.ckpt":
+        "351a701673d4b78997b18bf95d8955d9421e5e6167795e1af0713774fdb9eb53",
+    "ensemble/member_6.ckpt":
+        "12070c6e67b12ea4669ee8e0bcfe80f6745c061d06f6d0d843dc790bd7127f1f",
+    "ensemble/member_7.ckpt":
+        "94978f2a790156c437d46e26aa1dd29fbbd809c1a145d3aed9d0b5086c2f5fb2",
+    "ensemble/member_8.ckpt":
+        "545ccb7785ce86d99c32d283689a97d183da72ba9092bdeae28169d36055d67d",
+    "ensemble/member_9.ckpt":
+        "305f77fc21a634029256b51040ac4a4ba6ed668c5ce3a618fc784359687a2edc",
+    "per_class.csv":
+        "95a3aa5dc5c8ca81977605c27ff7beef6759ac39277691592693159fc60ec729",
+}
+# every member's one-epoch loss curve comes out the same on this data
+OVA_MEMBER_OUTPUTS.update(
+    ("loss_class_%d.csv" % i,
+     "7a6a97b3a6adac186a6070227afe610d5b09640214051597364f5ad318d4159b")
+    for i in range(10)
+)
+OVA_ENSEMBLE_OUTPUTS = {
+    **OVA_MEMBER_OUTPUTS,
+    "comparison.csv":
+        "e7d23576469ddcc98c8c458d26e540285ee924fe28fcba819eb8e456b69a8757",
+    "summary.csv":
+        "f5d15e7fae6be4c83f339ee2a251d1d775f0220c5f9ed972fceb43bafa8d7e6a",
+    "verdicts.csv":
+        "faaf310bb1b1fcb8975fd0ee53697340d1ec6e9b451626f72d87246ad98b473d",
+}
+
+
 class TestDefaults:
     def test_default_hidden_by_kind(self):
         assert default_hidden("synthetic-sweep") == DEFAULT_SYNTH_HIDDEN
@@ -396,6 +465,7 @@ class TestSyntheticSweepRun:
             assert r["n"] == "2"
 
     def test_manifest_hashes_match_files(self, sweep_run):
+        assert sweep_run.manifest["outputs"] == SWEEP_OUTPUTS
         for name, digest in sweep_run.manifest["outputs"].items():
             path = os.path.join(sweep_run.run_dir, name)
             assert hashlib.sha256(file_bytes(path)).hexdigest() == digest
@@ -509,6 +579,7 @@ class TestLayerSizeSweepRun:
             assert os.path.exists(os.path.join(result.run_dir, "width_%d.ckpt" % w))
             assert os.path.exists(os.path.join(result.run_dir, "loss_w%d.csv" % w))
             assert result.manifest["seeds"]["width-%d" % w] == derive_seed(0, w)
+        assert result.manifest["outputs"] == LAYER_SWEEP_OUTPUTS
 
     def test_parallel_run_is_bit_identical(self, tiny_mnist_dir, tmp_path):
         serial = run_experiment(
@@ -555,6 +626,7 @@ class TestOvaRuns:
             assert os.path.exists(os.path.join(result.run_dir, "loss_class_%d.csv" % i))
             assert result.manifest["seeds"]["member-%d" % i] == i
         assert os.path.exists(os.path.join(result.run_dir, "ensemble", "ensemble.json"))
+        assert result.manifest["outputs"] == OVA_MEMBER_OUTPUTS
 
     def test_ensemble_judgement_and_comparison(self, tiny_mnist_dir, tmp_path, monkeypatch):
         loads = []
@@ -591,6 +663,7 @@ class TestOvaRuns:
             + outcome.fraction_misclassified
         )
         assert total == pytest.approx(1.0)
+        assert result.manifest["outputs"] == OVA_ENSEMBLE_OUTPUTS
 
 
 class TestCli:
@@ -658,6 +731,8 @@ class TestCli:
         [
             ("synthetic-sweep", "stds = 0.5,-1"),
             ("synthetic-sweep", "sizes = 240,0"),
+            ("synthetic-sweep", "stds ="),
+            ("synthetic-sweep", "sizes ="),
             ("ova-binary", "synth_std = 0"),
             ("ova-binary", "synth_n = 7"),
         ],

@@ -1,10 +1,5 @@
-"""Network construction, shape inference, backprop vs finite differences,
-and the checkpoint format.
-
-Gradient checks perturb parameters by +-1e-5 and compare the central
-difference of the loss against the analytic gradient with the symmetric
-relative error |a - n| / max(1e-8, |a| + |n|).
-"""
+"""Network construction, shape inference, backprop vs finite differences
+(reference.fd_check), and the checkpoint format."""
 
 import struct
 
@@ -27,67 +22,12 @@ from tinynn.layers import (
     save_network,
 )
 from tinynn.rng import Rng
-from tinynn.tensor import Shape
 
-from reference import cross_entropy_loss
+from reference import analytic_grads, cross_entropy_loss, fd_check, randomize_head
 
 
 def rand(shape, seed):
     return np.random.default_rng(seed).normal(size=shape)
-
-
-def randomize_head(net, seed):
-    """Give the zero-initialized output head small nonzero weights so that
-    gradient signal reaches every layer in one backward pass."""
-    r = Rng(seed)
-    head = net.params[-1]
-    r.fill_uniform(head["w"].reshape(-1), -0.5, 0.5)
-    r.fill_uniform(head["b"], -0.1, 0.1)
-
-
-def loss_of(net, x, labels):
-    out, _ = forward(net, x)
-    loss, _ = cross_entropy_loss(out, labels)
-    return loss
-
-
-def analytic_grads(net, x, labels):
-    out, cache = forward(net, x, train=True)
-    _, dz = cross_entropy_loss(out, labels)
-    backward(net, dz, cache)
-    return [{k: v.copy() for k, v in g.items()} for g in net.grads]
-
-
-def fd_check(net, x, labels, n_params, seed, tol, eps=1e-5):
-    grads = analytic_grads(net, x, labels)
-    coords = []
-    for li, p in enumerate(net.params):
-        for key, arr in p.items():
-            coords.extend((li, key, j) for j in range(arr.size))
-    r = Rng(seed)
-    picked = (
-        coords
-        if len(coords) <= n_params
-        else [coords[r.randbelow(len(coords))] for _ in range(n_params)]
-    )
-    worst = 0.0
-    for li, key, j in picked:
-        flat = net.params[li][key].reshape(-1)
-        old = flat[j]
-        flat[j] = old + eps
-        lp = loss_of(net, x, labels)
-        flat[j] = old - eps
-        lm = loss_of(net, x, labels)
-        flat[j] = old
-        numeric = (lp - lm) / (2.0 * eps)
-        a = grads[li][key].reshape(-1)[j]
-        rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-        worst = max(worst, rel)
-        assert rel < tol, (
-            "layer %d %s[%d]: analytic %r vs numeric %r (rel %r)"
-            % (li, key, j, a, numeric, rel)
-        )
-    return worst
 
 
 class TestShapeInference:
@@ -106,7 +46,7 @@ class TestShapeInference:
     def test_odd_pool_dim_rejected(self):
         with pytest.raises(DimensionError, match="even|odd"):
             NetworkSpec(
-                Shape((1, 6, 6)),
+                (1, 6, 6),
                 [Conv2DSpec(4, 3, "relu"), MaxPool2DSpec(), MaxPool2DSpec(),
                  MaxPool2DSpec()],
                 seed=0,
@@ -119,22 +59,22 @@ class TestShapeInference:
     def test_dense_on_unflattened_rejected(self):
         with pytest.raises(DimensionError):
             NetworkSpec(
-                Shape((1, 8, 8)), [Conv2DSpec(2, 3), DenseSpec(4)], seed=0
+                (1, 8, 8), [Conv2DSpec(2, 3), DenseSpec(4)], seed=0
             )
 
     def test_softmax_only_on_final_dense(self):
         with pytest.raises(ValueError, match="softmax"):
             NetworkSpec(
-                Shape((5,)),
+                (5,),
                 [DenseSpec(4, "softmax"), DenseSpec(2, "softmax")],
                 seed=0,
             )
 
     def test_even_kernel_rejected_at_assembly(self):
         with pytest.raises(DimensionError):
-            NetworkSpec(Shape((1, 8, 8)), [Conv2DSpec(4, 6)], seed=0)
+            NetworkSpec((1, 8, 8), [Conv2DSpec(4, 6)], seed=0)
         with pytest.raises(DimensionError):
-            NetworkSpec(Shape((1, 8, 8)), [Conv2DSpec(4, 4, "relu")], seed=0)
+            NetworkSpec((1, 8, 8), [Conv2DSpec(4, 4, "relu")], seed=0)
 
 
 class TestParameterCounts:
@@ -190,7 +130,7 @@ class TestInitialization:
 class TestForward:
     def test_repeated_calls_bit_identical(self):
         net = build_conv_net((1, 8, 8), 3, 10, seed=11)
-        randomize_head(net, 1)
+        randomize_head(net, Rng(1))
         x = rand((5, 1, 8, 8), 12)
         a, _ = forward(net, x)
         b, _ = forward(net, x)
@@ -199,7 +139,7 @@ class TestForward:
     def test_eval_output_matches_train_output(self):
         # eval pools without winner indices; its output must not differ
         net = build_conv_net((1, 8, 8), 3, 10, seed=11)
-        randomize_head(net, 1)
+        randomize_head(net, Rng(1))
         x = np.maximum(rand((5, 1, 8, 8), 12), 0.0)  # zero windows tie in pool
         a, _ = forward(net, x, train=False)
         b, cache = forward(net, x, train=True)
@@ -208,7 +148,7 @@ class TestForward:
 
     def test_softmax_head_rows_normalized(self):
         net = build_conv_net((1, 8, 8), 3, 10, seed=13)
-        randomize_head(net, 2)
+        randomize_head(net, Rng(2))
         out, _ = forward(net, rand((6, 1, 8, 8), 14))
         np.testing.assert_allclose(out.array.sum(axis=1), np.ones(6), atol=1e-12)
 
@@ -245,39 +185,39 @@ class TestGradients:
     def test_dense_sigmoid_head_tight(self):
         # dense-only stack admits a tighter bound: no kinks in the path
         net = build_mlp(6, 8, seed=21)
-        randomize_head(net, 3)
+        randomize_head(net, Rng(3))
         # soften the relu kink risk: keep preactivations away from zero
         x = rand((10, 6), 22) + 0.5
         labels = np.array([0, 1] * 5)
-        fd_check(net, x, labels, n_params=len_params(net), seed=1, tol=1e-6)
+        fd_check(net, x, labels, n_params=len_params(net), rng=Rng(1), tol=1e-6)
 
     def test_dense_softmax_head_tight(self):
         spec = NetworkSpec(
-            Shape((5,)), [DenseSpec(7, "relu"), DenseSpec(4, "softmax")], seed=23
+            (5,), [DenseSpec(7, "relu"), DenseSpec(4, "softmax")], seed=23
         )
         net = Network(spec)
-        randomize_head(net, 4)
+        randomize_head(net, Rng(4))
         x = rand((9, 5), 24)
         labels = np.array([0, 1, 2, 3, 0, 1, 2, 3, 2])
-        fd_check(net, x, labels, n_params=len_params(net), seed=2, tol=1e-6)
+        fd_check(net, x, labels, n_params=len_params(net), rng=Rng(2), tol=1e-6)
 
     def test_conv_relu_pool_stack(self):
         net = build_conv_net((2, 8, 8), 4, 3, seed=25)
-        randomize_head(net, 5)
+        randomize_head(net, Rng(5))
         x = rand((4, 2, 8, 8), 26)
         labels = np.array([0, 1, 2, 1])
-        fd_check(net, x, labels, n_params=250, seed=3, tol=1e-4)
+        fd_check(net, x, labels, n_params=250, rng=Rng(3), tol=1e-4)
 
     def test_conv_sigmoid_binary_head(self):
         net = build_conv_net((1, 8, 8), 2, 1, seed=27)
-        randomize_head(net, 6)
+        randomize_head(net, Rng(6))
         x = rand((5, 1, 8, 8), 28)
         labels = np.array([0, 1, 1, 0, 1])
-        fd_check(net, x, labels, n_params=200, seed=4, tol=1e-4)
+        fd_check(net, x, labels, n_params=200, rng=Rng(4), tol=1e-4)
 
     def test_gradients_all_finite(self):
         net = build_conv_net((1, 8, 8), 3, 5, seed=29)
-        randomize_head(net, 7)
+        randomize_head(net, Rng(7))
         x = rand((3, 1, 8, 8), 30)
         grads = analytic_grads(net, x, np.array([0, 2, 4]))
         for g in grads:
@@ -334,7 +274,7 @@ class TestCheckpoint:
 
     def test_conv_round_trip(self, tmp_path):
         net = build_conv_net((1, 8, 8), 2, 4, seed=42)
-        randomize_head(net, 8)
+        randomize_head(net, Rng(8))
         path = self.round_trip(net, tmp_path)
         # loaded network computes identical outputs
         x = rand((3, 1, 8, 8), 43)
@@ -388,6 +328,40 @@ class TestCheckpoint:
         struct.pack_into("<I", raw, off, 99)
         open(path, "wb").write(bytes(raw))
         with pytest.raises(CheckpointError, match="tag"):
+            load_network(path)
+
+    def test_header_layout(self, tmp_path):
+        # magic, rank and dims, seed words, layer count, then per layer its
+        # tag and spec fields (dense: units, activation code)
+        path = str(tmp_path / "mlp.ckpt")
+        save_network(build_mlp(3, 2, seed=5), path)
+        raw = open(path, "rb").read()
+        head = b"SENS1" + struct.pack("<9I", 1, 3, 5, 0, 2, 4, 2, 1, 4) + struct.pack(
+            "<2I", 1, 2
+        )
+        assert raw[:len(head)] == head
+        assert len(raw) == len(head) + 8 * (3 * 2 + 2 + 2 * 1 + 1)
+
+    def test_unknown_activation_code_rejected(self, tmp_path):
+        path = str(tmp_path / "act.ckpt")
+        save_network(build_mlp(3, 2, seed=2), path)
+        raw = bytearray(open(path, "rb").read())
+        off = 5 + 4 + 4 * 1 + 8 + 4 + 8  # the first dense record's activation
+        assert struct.unpack_from("<I", raw, off)[0] == 1  # relu
+        struct.pack_into("<I", raw, off, 9)
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(CheckpointError, match="activation"):
+            load_network(path)
+
+    @pytest.mark.parametrize("off", [5 + 4, 5 + 4 + 4 * 1 + 8 + 4 + 4])
+    def test_uninstantiable_spec_rejected(self, tmp_path, off):
+        # a zero input dim, then zero hidden units
+        path = str(tmp_path / "spec.ckpt")
+        save_network(build_mlp(3, 2, seed=2), path)
+        raw = bytearray(open(path, "rb").read())
+        struct.pack_into("<I", raw, off, 0)
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(CheckpointError, match="not instantiable"):
             load_network(path)
 
     def test_error_reports_byte_offset(self, tmp_path):

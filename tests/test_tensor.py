@@ -14,13 +14,14 @@ from tinynn import tensor
 from tinynn.errors import DimensionError, NonFiniteError
 from tinynn.layers import (
     DenseSpec,
+    FlattenSpec,
     MaxPool2DSpec,
     Network,
     NetworkSpec,
     _activation_grad,
     forward,
 )
-from tinynn.tensor import Shape, Tensor
+from tinynn.tensor import Tensor, check_dims
 
 
 def rand(shape, seed):
@@ -29,21 +30,19 @@ def rand(shape, seed):
 
 class TestShape:
     def test_basic_properties(self):
-        s = Shape((2, 3, 4))
-        assert s.rank == 3
-        assert s.count == 24
-        assert tuple(s) == (2, 3, 4)
-        assert s[1] == 3
-
-    def test_equality_and_hash(self):
-        assert Shape((2, 3)) == Shape((2, 3))
-        assert Shape((2, 3)) != Shape((3, 2))
-        assert hash(Shape((5,))) == hash(Shape((5,)))
+        # shapes are plain tuples of Python ints
+        dims = check_dims(np.array([2, 3, 4]))
+        assert dims == (2, 3, 4) and type(dims) is tuple
+        assert all(type(d) is int for d in dims)
+        assert Tensor(np.zeros((2, 3))).shape == (2, 3)
+        assert NetworkSpec(np.array([5]), [DenseSpec(4)], seed=0).input_shape == (5,)
 
     @pytest.mark.parametrize("dims", [(), (1, 2, 3, 4, 5), (0,), (3, -1)])
     def test_rejects_bad_dims(self, dims):
         with pytest.raises(DimensionError):
-            Shape(dims)
+            check_dims(dims)
+        with pytest.raises(DimensionError):
+            NetworkSpec(dims, [FlattenSpec()], seed=0)
 
 
 class TestTensor:
@@ -65,7 +64,7 @@ class TestTensor:
             Tensor([float("inf")])
 
     def test_scalar_promotes_to_rank_one(self):
-        assert Tensor(3.5).shape == Shape((1,))
+        assert Tensor(3.5).shape == (1,)
 
 
 class TestMatmul:
@@ -77,7 +76,7 @@ class TestMatmul:
             for j in range(4):
                 for k in range(5):
                     want[i, j] += a[i, k] * b[k, j]
-        net = Network(NetworkSpec(Shape((5,)), [DenseSpec(4)], seed=0))
+        net = Network(NetworkSpec((5,), [DenseSpec(4)], seed=0))
         net.params[0]["w"][...] = b
         got = forward(net, a)[0].array
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -235,7 +234,7 @@ class TestMaxPool:
 
     def test_only_2x2_stride_2(self):
         with pytest.raises(DimensionError, match="2x2"):
-            NetworkSpec(Shape((1, 6, 6)), [MaxPool2DSpec(3, 3)], seed=0)
+            NetworkSpec((1, 6, 6), [MaxPool2DSpec(3, 3)], seed=0)
 
     def test_scatter_grad_inverts_pool(self):
         for make in POOL_INPUTS:

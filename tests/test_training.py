@@ -33,7 +33,7 @@ from reference import cross_entropy_loss
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig(learning_rate=0.05, epochs=20)
-        assert (cfg.batch_size, cfg.seed, cfg.shuffle) == (32, 0, True)
+        assert (cfg.batch_size, cfg.seed) == (32, 0)
         assert cfg.orient_dead_units
         with pytest.raises(TypeError):
             TrainConfig()  # the budget has no default
@@ -208,19 +208,19 @@ class TestMetrics:
     def test_binary_counts_and_rates(self):
         scores = np.array([0.9, 0.6, 0.4, 0.2, 0.8, 0.3])
         labels = np.array([1, 0, 1, 0, 1, 0])
-        rep = _binary_report(scores, labels, 0.5)
+        rep = _binary_report(scores, labels)
         assert rep.confusion == {"tp": 2, "tn": 2, "fp": 1, "fn": 1}
         assert rep.accuracy == pytest.approx(4 / 6)
         assert rep.sensitivity == pytest.approx(2 / 3)
         assert rep.specificity == pytest.approx(2 / 3)
 
     def test_threshold_is_strict(self):
-        rep = _binary_report(np.array([0.5, 0.5]), np.array([1, 0]), 0.5)
+        rep = _binary_report(np.array([0.5, 0.5]), np.array([1, 0]))
         # exactly 0.5 is not positive
         assert rep.confusion == {"tp": 0, "tn": 1, "fp": 0, "fn": 1}
 
     def test_empty_denominators_are_zero(self):
-        rep = _binary_report(np.array([0.4, 0.3]), np.array([0, 0]), 0.5)
+        rep = _binary_report(np.array([0.4, 0.3]), np.array([0, 0]))
         assert rep.sensitivity == 0.0
         assert rep.specificity == 1.0
 
