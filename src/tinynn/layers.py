@@ -8,6 +8,11 @@ Gradient convention: the loss layer hands backward() the gradient with
 respect to the final layer's pre-activation logits (the fused softmax and
 sigmoid cross-entropy forms), so the output activation's local derivative is
 never applied separately.
+
+Trial stacks: the parameters of T same-shaped dense networks can carry a
+leading trial axis (a dense w of [T, in, out], b of [T, out]). forward and
+backward then take [T, batch, ...] arrays and run one matmul per layer for
+all T; a network without that axis runs the same lines.
 """
 
 import math
@@ -22,6 +27,7 @@ from .tensor import (
     Tensor,
     _conv2d,
     _conv2d_input_grad,
+    _conv2d_kernel_grad,
     _maxpool2d,
     _maxpool2d_grad,
     _relu,
@@ -149,6 +155,22 @@ class Network:
     def parameter_count(self):
         return sum(v.size for p in self.params for v in p.values())
 
+    @property
+    def lanes(self):
+        """The leading trial axes of the parameters: () for one network,
+        (T,) for a stack of T trials."""
+        for p in self.params:
+            if p:
+                return p["b"].shape[:-1]
+        return ()
+
+    def lane(self, index):
+        """The trials `index` (an int or a slice) of a stack, as a network
+        that shares their parameters."""
+        return Network(
+            self.spec, [{k: v[index] for k, v in p.items()} for p in self.params]
+        )
+
 
 def _param_shapes(spec):
     """Per layer, {parameter name: shape} in storage order; empty for
@@ -241,14 +263,15 @@ def forward(net, batch, train=False):
 
     Pure in (parameters, input): repeated calls give bit-identical outputs.
     With train=False the cache is skipped to keep evaluation memory flat,
-    and pooling records no winner indices.
+    and pooling records no winner indices. A trial stack takes a
+    [T, batch, ...] array, trial t's rows forwarded through trial t.
     """
     x = batch.array if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
     expect = net.spec.input_shape
-    if x.shape[1:] != expect:
+    lanes = net.lanes
+    if x.shape[:len(lanes)] != lanes or x.shape[len(lanes) + 1:] != expect:
         raise DimensionError(
-            "batch sample shape %r does not match input shape %r"
-            % (x.shape[1:], expect)
+            "batch shape %r does not match input shape %r" % (x.shape, expect)
         )
     cache = [] if train else None
     for i, layer in enumerate(net.spec.layers):
@@ -270,7 +293,7 @@ def forward(net, batch, train=False):
             x = x.reshape(x.shape[0], -1)
         else:  # Dense
             p = net.params[i]
-            z = x @ p["w"] + p["b"]
+            z = x @ p["w"] + p["b"][..., None, :]
             a = _apply_activation(layer.activation, z)
             if train:
                 cache.append({"x": x, "z": z, "a": a})
@@ -300,17 +323,13 @@ def backward(net, loss_grad, cache):
                 dz = d
             else:
                 dz = _activation_grad(layer.activation, d, c)
-            x = c["x"]
-            np.matmul(x.T, dz, out=net.grads[i]["w"])
-            np.sum(dz, axis=0, out=net.grads[i]["b"])
+            np.matmul(c["x"].swapaxes(-1, -2), dz, out=net.grads[i]["w"])
+            np.sum(dz, axis=-2, out=net.grads[i]["b"])
             if i > 0:
-                d = dz @ net.params[i]["w"].T
+                d = dz @ net.params[i]["w"].swapaxes(-1, -2)
         elif isinstance(layer, Conv2DSpec):
             dz = _activation_grad(layer.activation, d, c)
-            n, f, h, w = dz.shape
-            dzmat = dz.transpose(0, 2, 3, 1).reshape(n * h * w, f)
-            gw = net.grads[i]["w"]
-            np.matmul(dzmat.T, c["cols"], out=gw.reshape(f, -1))
+            _conv2d_kernel_grad(dz, c["cols"], net.grads[i]["w"])
             np.sum(dz, axis=(0, 2, 3), out=net.grads[i]["b"])
             if i > 0:
                 d = _conv2d_input_grad(dz, net.params[i]["w"])

@@ -9,8 +9,9 @@ never passed on.
 
 The raw ndarray kernels (_conv2d, _maxpool2d, ...) run on unwrapped arrays
 for speed and rely on the training loop's divergence check instead of
-per-op validation. Conv forward is im2col plus one GEMM; its input gradient
-is one small GEMM per kernel tap, scatter-added into a padded buffer. The
+per-op validation. Conv forward is im2col plus one GEMM, and so is its
+kernel gradient, on the same columns; its input gradient is one small GEMM
+per kernel tap, scatter-added into a padded buffer. The
 conv kernels return [N,C,H,W] views of NHWC memory, and the pool kernels
 keep that layout, so the reshapes to [NHW, C] between them are free.
 """
@@ -84,6 +85,18 @@ def _conv2d(x, w, b):
     out = cols @ w.reshape(f, -1).T
     out += b
     return out.reshape(n, h, wd, f).transpose(0, 3, 1, 2), cols
+
+
+def _conv2d_kernel_grad(dz, cols, out):
+    """Gradient of same-padding conv w.r.t. its kernel, written into out.
+
+    dz [N,F,H,W] and the forward pass's column matrix cols [NHW, C*kh*kw]
+    give out [F,C,kh,kw] as one GEMM, dz[NHW,F]^T @ cols.
+    """
+    n, f, h, wd = dz.shape
+    dzmat = dz.transpose(0, 2, 3, 1).reshape(n * h * wd, f)
+    np.matmul(dzmat.T, cols, out=out.reshape(f, -1))
+    return out
 
 
 def _conv2d_input_grad(dz, w):

@@ -5,6 +5,13 @@ Determinism contract: a run is a pure function of (network seed, config
 seed, dataset); identical seeds give bit-identical trained parameters.
 Batch shuffling, like every other random choice in the package, draws from
 the package's own generator, never a library RNG.
+
+repeat_trials trains the T trials of a cell as one stack: every parameter,
+feature, label and index array gains a leading trial axis, and one pass of
+the same training loop steps all T, one matmul per layer. The trials stay
+independent: each has its own data, init and shuffle streams from its own
+derived seeds, its own divergence check and its own evaluation, and its
+results equal those of training it alone, bit for bit.
 """
 
 import math
@@ -13,9 +20,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .datasets import LabeledDataset
 from .errors import ConfigError, DataError, DivergenceError
-from .layers import DenseSpec, backward, forward
+from .layers import DenseSpec, Network, backward, forward
 from .rng import Rng, derive_seed
+from .tensor import Tensor
+
+# rows per forward pass over flat input, in evaluation and in the dead-unit
+# probe of a trial stack, so that their memory does not grow with the stack
+_FLAT_CHUNK = 4096
 
 
 @dataclass
@@ -30,7 +43,7 @@ class TrainConfig:
     learning_rate: float
     epochs: int
     batch_size: int = 32
-    seed: int = 0
+    seed: int = 0  # the shuffle stream's; a trial stack takes one per trial
     orient_dead_units: bool = True
 
     def __post_init__(self):
@@ -65,23 +78,24 @@ class MetricsReport:
 
 
 def _binary_ce_from_logits(z, labels):
-    """Fused sigmoid cross-entropy from logits.
+    """Fused sigmoid cross-entropy from logits [..., B, 1]; one mean loss
+    per trial of a stack (a scalar for one network).
 
     Written in a sign-mirrored branch form: negating every logit and
     flipping every label negates the gradient bit-for-bit, which is what
     makes label-swapped training runs exact mirrors.
     """
-    zf = z[:, 0]
+    zf = z[..., 0]
     yf = labels.astype(np.float64)
-    b = zf.shape[0]
-    loss = float(np.mean(np.logaddexp(0.0, zf) - yf * zf))
+    b = zf.shape[-1]
+    loss = np.mean(np.logaddexp(0.0, zf) - yf * zf, axis=-1)
     pos = zf >= 0
     g = np.empty_like(zf)
     sp = 1.0 / (1.0 + np.exp(-zf[pos]))
     g[pos] = (sp - yf[pos]) / b
     sn = 1.0 / (1.0 + np.exp(zf[~pos]))
     g[~pos] = -((sn - (1.0 - yf[~pos])) / b)
-    return loss, g[:, None]
+    return loss, g[..., None]
 
 
 def _softmax_ce_from_logits(z, labels):
@@ -119,18 +133,19 @@ def _orient_dead_relu_units(net, probe):
     Label-free and deterministic: with sign-symmetric init, a unit whose
     active half-space faces away from the data is unreachable by gradient
     descent; flipping its incoming weights points it back. Runs once before
-    the first step.
+    the first step; a stack's trials each judge their units on their own
+    probe rows.
     """
     _, cache = forward(net, probe, train=True)
     last = len(net.spec.layers) - 1
     for i, layer in enumerate(net.spec.layers):
         if i == last or not isinstance(layer, DenseSpec) or layer.activation != "relu":
             continue
-        z = cache[i]["z"]
-        dead = ~(z > 0.0).any(axis=0)
+        dead = ~(cache[i]["z"] > 0.0).any(axis=-2)
         if dead.any():
-            net.params[i]["w"][:, dead] *= -1.0
-            net.params[i]["b"][dead] *= -1.0
+            flip = np.where(dead, -1.0, 1.0)
+            net.params[i]["w"] *= flip[..., None, :]
+            net.params[i]["b"] *= flip
 
 
 def train(net, data, cfg):
@@ -138,9 +153,16 @@ def train(net, data, cfg):
 
     Aborts with DivergenceError, naming the epoch and batch, the moment the
     loss stops being finite.
+
+    A trial stack (a network and a dataset with a leading trial axis, as
+    repeat_trials builds them, and one seed per trial in cfg.seed) returns
+    (net, one report per trial) instead. A trial whose loss stops being
+    finite does not abort the others: its report is the DivergenceError,
+    and its parameters are zeroed so that its lane stays finite.
     """
     train_idx = data.train_indices
-    n = len(train_idx)
+    lanes = train_idx.shape[:-1]
+    n = train_idx.shape[-1]
     if n == 0:
         raise DataError("training split is empty")
     if cfg.batch_size > n:
@@ -150,39 +172,67 @@ def train(net, data, cfg):
     features = data.feature_array
     binary = net.spec.output_units == 1
     fused = _binary_ce_from_logits if binary else _softmax_ce_from_logits
-    rng = Rng(derive_seed(cfg.seed))
-
-    if cfg.orient_dead_units:
-        probe = features[train_idx[: min(512, n)]]
-        _orient_dead_relu_units(net, probe)
+    rngs = [Rng(derive_seed(seed)) for seed in (cfg.seed if lanes else (cfg.seed,))]
+    # trial t gathers its rows from its own slice of a stack's arrays
+    by_trial = (np.arange(lanes[0])[:, None],) if lanes else ()
 
     curve = []
+    diverged = {}
     order = train_idx.copy()
     # divergence is detected by the explicit finiteness check below, so the
     # intermediate overflow warnings on the way there are just noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if cfg.orient_dead_units:
+            probe = features[by_trial + (train_idx[..., :min(512, n)],)]
+            if lanes:
+                step = max(1, _FLAT_CHUNK // probe.shape[-2])
+                for lo in range(0, lanes[0], step):
+                    part = slice(lo, lo + step)
+                    _orient_dead_relu_units(net.lane(part), probe[part])
+            else:
+                _orient_dead_relu_units(net, probe)
         for epoch in range(cfg.epochs):
-            rng.shuffle(order)
-            total = 0.0
+            for rng, trial_order in zip(rngs, order.reshape(-1, n)):
+                rng.shuffle(trial_order)
+            total = np.zeros(lanes)
             for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                x = features[idx]
+                idx = order[..., start:start + cfg.batch_size]
+                x = features[by_trial + (idx,)]
                 y = data.labels_at(idx)
                 _, cache = forward(net, x, train=True)
                 loss, dz = fused(cache[-1]["z"], y)
-                if not math.isfinite(loss):
-                    raise DivergenceError(
+                bad = ~np.isfinite(loss)
+                if bad.any():
+                    error = DivergenceError(
                         "loss diverged at epoch %d, batch %d"
                         % (epoch + 1, start // cfg.batch_size + 1)
                     )
+                    if not lanes:
+                        raise error
+                    for t in np.flatnonzero(bad):
+                        diverged.setdefault(int(t), error)
                 backward(net, dz, cache)
                 sgd_step(net, cfg.learning_rate)
-                total += loss * len(idx)
+                if bad.any():
+                    for p in net.params:
+                        for v in p.values():
+                            v[bad] = 0.0
+                total += loss * idx.shape[-1]
             curve.append(total / n)
 
-    report = evaluate(net, data)
-    report.loss_curve = curve
-    return net, report
+    if not lanes:
+        report = evaluate(net, data)
+        report.loss_curve = [float(c) for c in curve]
+        return net, report
+    reports = []
+    for t in range(lanes[0]):
+        if t in diverged:
+            reports.append(diverged[t])
+            continue
+        report = evaluate(net.lane(t), data.trial(t))
+        report.loss_curve = [float(c[t]) for c in curve]
+        reports.append(report)
+    return net, reports
 
 
 def _binary_report(scores, labels):
@@ -224,7 +274,7 @@ def _multiclass_report(preds, labels, k):
 
 def predict_scores(net, features, idx):
     """Forward a set of rows in fixed-size chunks; returns the raw outputs."""
-    chunk = 64 if len(net.spec.input_shape) == 3 else 4096
+    chunk = 64 if len(net.spec.input_shape) == 3 else _FLAT_CHUNK
     outs = []
     for start in range(0, len(idx), chunk):
         batch = features[idx[start:start + chunk]]
@@ -262,37 +312,87 @@ class TrialSummary:
     trials: list  # per-trial {"trial", "accuracy", "sensitivity", "specificity"}
 
 
+class _TrialStack:
+    """The T trials of a cell as one stacked dataset and network: every
+    array gains a leading trial axis. Filled one trial at a time, so that no
+    trial's own dataset or network outlives its generation."""
+
+    def __init__(self, data, net, n_trials):
+        if not all(isinstance(layer, DenseSpec) for layer in net.spec.layers):
+            raise ConfigError("only dense networks train as a trial stack")
+        stacked = lambda a: np.empty((n_trials,) + a.shape, a.dtype)
+        self.net = Network(
+            net.spec, [{k: stacked(v) for k, v in p.items()} for p in net.params]
+        )
+        self.class_count = data.class_count
+        self.feature_array = stacked(data.feature_array)
+        self.labels = stacked(data.labels)
+        self.train_indices = stacked(data.train_indices)
+        self.test_indices = stacked(data.test_indices)
+        self._shapes = _trial_shapes(data, net)
+        self._lane = np.arange(n_trials)[:, None]
+
+    def put(self, t, data, net):
+        """Copy trial t's dataset and network into the stack."""
+        if _trial_shapes(data, net) != self._shapes:
+            raise ConfigError("trial %d differs in shape from trial 0" % t)
+        self.feature_array[t] = data.feature_array
+        self.labels[t] = data.labels
+        self.train_indices[t] = data.train_indices
+        self.test_indices[t] = data.test_indices
+        for stacked, p in zip(self.net.params, net.params):
+            for k in stacked:
+                stacked[k][t] = p[k]
+
+    def labels_at(self, idx):
+        """Trial t's labels at idx[t] for each t."""
+        return self.labels[self._lane, idx]
+
+    def trial(self, t):
+        """Trial t's dataset, sharing the stack's arrays."""
+        return LabeledDataset(
+            Tensor._wrap(self.feature_array[t]), self.labels[t], self.class_count,
+            self.train_indices[t], self.test_indices[t],
+        )
+
+
+def _trial_shapes(data, net):
+    return (
+        data.feature_array.shape, data.train_indices.shape, data.test_indices.shape,
+        net.spec.input_shape, net.spec.layers,
+    )
+
+
 def repeat_trials(build_network, generate_data, cfg, n_trials):
     """Average metrics over independently seeded (data, init, run) trials.
 
-    build_network(seed) and generate_data(seed) are called with derived
-    per-trial seeds: fresh data draw and fresh parameters every trial.
+    build_network(seed) (a dense Network) and generate_data(seed) (a
+    LabeledDataset) are called with derived per-trial seeds: fresh data
+    draw and fresh parameters every trial, in trial order, each of the
+    first trial's shapes. The trials are then trained together as one stack
+    (see train), each on its own shuffle stream from its own derived seed,
+    so a trial's results do not depend on how many trials run beside it.
     Divergent trials are recorded, excluded from the averages, and never
-    fatal. Accumulation is in fixed trial order, so summaries do not depend
-    on how trials are scheduled.
+    fatal. Accumulation is in fixed trial order.
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be >= 2, got %r" % (n_trials,))
-    rows = []
-    divergences = 0
+    shuffle_seeds = []
     for t in range(n_trials):
         ts = derive_seed(cfg.seed, t)
         data = generate_data(derive_seed(ts, 0))
         net = build_network(derive_seed(ts, 1))
-        run_cfg = replace(cfg, seed=derive_seed(ts, 2))
-        try:
-            _, report = train(net, data, run_cfg)
-        except DivergenceError:
-            divergences += 1
-            continue
-        rows.append(
-            {
-                "trial": t,
-                "accuracy": report.accuracy,
-                "sensitivity": report.sensitivity,
-                "specificity": report.specificity,
-            }
-        )
+        if t == 0:
+            stack = _TrialStack(data, net, n_trials)
+        stack.put(t, data, net)
+        shuffle_seeds.append(derive_seed(ts, 2))
+    _, reports = train(stack.net, stack, replace(cfg, seed=tuple(shuffle_seeds)))
+    rows = [
+        {"trial": t, **{m: getattr(report, m) for m in _SUMMARY_METRICS}}
+        for t, report in enumerate(reports)
+        if not isinstance(report, DivergenceError)
+    ]
+    divergences = n_trials - len(rows)
     sums = {m: 0.0 for m in _SUMMARY_METRICS}
     sumsqs = {m: 0.0 for m in _SUMMARY_METRICS}
     for row in rows:

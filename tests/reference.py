@@ -1,16 +1,22 @@
 """References the library is judged by: the probability-space
 cross-entropy, which the fused logit losses in tinynn.training must match,
-and the central finite-difference check of backward's gradients.
+the central finite-difference check of backward's gradients, and the
+trial-at-a-time repeat_trials that the stacked one must equal.
 
 Gradient checks perturb parameters by +-eps and compare the central
 difference of the loss against the analytic gradient with the symmetric
 relative error |a - n| / max(1e-8, |a| + |n|).
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
-from tinynn.errors import DataError
+from tinynn.errors import ConfigError, DataError, DivergenceError
 from tinynn.layers import backward, forward
+from tinynn.rng import derive_seed
+from tinynn.training import TrialSummary, train
 
 
 def cross_entropy_loss(probs, labels):
@@ -101,3 +107,40 @@ def fd_check(net, x, labels, n_params, rng, tol, eps=1e-5):
             % (li, key, j, a, numeric, rel)
         )
     return worst
+
+
+def repeat_trials_one_by_one(build_network, generate_data, cfg, n_trials):
+    """repeat_trials as it ran before trials were stacked: each trial's
+    network is trained alone, with the same derived seeds."""
+    if n_trials < 2:
+        raise ConfigError("n_trials must be >= 2, got %r" % (n_trials,))
+    metrics = ("accuracy", "sensitivity", "specificity")
+    rows = []
+    divergences = 0
+    for t in range(n_trials):
+        ts = derive_seed(cfg.seed, t)
+        data = generate_data(derive_seed(ts, 0))
+        net = build_network(derive_seed(ts, 1))
+        run_cfg = replace(cfg, seed=derive_seed(ts, 2))
+        try:
+            _, report = train(net, data, run_cfg)
+        except DivergenceError:
+            divergences += 1
+            continue
+        rows.append({"trial": t, **{m: getattr(report, m) for m in metrics}})
+    sums = {m: 0.0 for m in metrics}
+    sumsqs = {m: 0.0 for m in metrics}
+    for row in rows:
+        for m in metrics:
+            sums[m] += row[m]
+            sumsqs[m] += row[m] * row[m]
+    n = len(rows)
+    means = {m: (sums[m] / n if n else 0.0) for m in metrics}
+    stds = {
+        m: (math.sqrt(max(0.0, sumsqs[m] / n - means[m] ** 2)) if n else 0.0)
+        for m in metrics
+    }
+    return TrialSummary(
+        means=means, stds=stds, n_trials=n_trials, divergences=divergences,
+        trials=rows,
+    )

@@ -7,6 +7,7 @@ calls the benchmark makes directly (perfbench/child.py, perfbench/inputs.py
 and perfbench/selftest.py), with the outputs it checks.
 """
 
+import collections
 import hashlib
 import importlib.util
 import os
@@ -14,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from tinynn import ensemble
+from tinynn import ensemble, training
 from tinynn.datasets import LabeledDataset, SyntheticSpec, generate_synthetic, make_ova_views
 from tinynn.experiments import build_config
 from tinynn.layers import build_conv_net, build_mlp, forward
@@ -163,3 +164,35 @@ def test_make_ova_views_stream():
         [7, 2, 8, 0, 4, 1, 10, 11],
         [8, 0, 2, 1, 3, 9, 11, 5],
     ]
+
+
+def test_stacked_trials_call_the_patched_names(monkeypatch):
+    # the tracer counts forward, backward and sgd_step where training looks
+    # them up; a cell's trials train as one stack, so one dead-unit probe
+    # and one step per batch serve all three trials, and each trial is
+    # evaluated on its own
+    calls = collections.Counter()
+    rows = []
+    for name in ("forward", "backward", "sgd_step"):
+        def counting(*args, _name=name, _real=getattr(training, name), **kwargs):
+            if _name == "forward":
+                mode = "train" if kwargs.get("train", False) else "eval"
+                _name = "forward." + mode
+                if mode == "train":
+                    rows.append(len(args[1]))
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(training, name, counting)
+    training.repeat_trials(
+        lambda seed: build_mlp(3, 10, seed),
+        lambda seed: generate_synthetic(SyntheticSpec(std=0.5, n_samples=250, seed=seed)),
+        training.TrainConfig(learning_rate=0.02, epochs=2, seed=4),
+        3,
+    )
+    steps = 2 * 7  # 200 training rows: six batches of 32 and one of 8 per epoch
+    assert calls == {
+        "forward.train": 1 + steps, "backward": steps, "sgd_step": steps,
+        "forward.eval": 3,
+    }
+    assert set(rows) == {3}  # the tracer's rows attribute, len(x), is T

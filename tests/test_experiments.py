@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,24 @@ SWEEP_OUTPUTS = {
     "std0.5_n240_h2_trials.csv":
         "7f376101340d8272448ae4be4a5fcd7bb6c3cac6a2c1f2feb84445e5dd634d01",
 }
+# a cell SWEEP_OUTPUTS does not cover: its 200 training rows end in a
+# partial batch of 8, three widths, three trials, dead-unit orientation on
+PARTIAL_BATCH_OUTPUTS = {
+    "grid.csv":
+        "630203607aca24f46cce78edc8330a6ea2b4d6e807e1d601cd6423ced908d741",
+    "std0.5_n250_h100_summary.csv":
+        "8c333e542fae0991de1e7f4a68065245abc3728856ec06e869c19a50ce430fbd",
+    "std0.5_n250_h100_trials.csv":
+        "fba4560c98c8927dd3faa4d3acf423c8a149cc68177005bc6891d8c647d2fe1d",
+    "std0.5_n250_h10_summary.csv":
+        "cb5ffefb1a20369f5354d6ab488a17c75c9f488be963ee05caba98baa6016b52",
+    "std0.5_n250_h10_trials.csv":
+        "bd90b00d1a5e87e8f8750e45aa0ed8d6be1e805421b37de7b4bcda1e10a6a374",
+    "std0.5_n250_h1_summary.csv":
+        "3b2a76f2cb60d85d3a4105cf9c36b40a5c076a006ec7878ee7024f82bc5b4937",
+    "std0.5_n250_h1_trials.csv":
+        "a5793fbb7e5cb1d5744caae6e81772fc63b0fb4c3a7d5608c2a86b237694e8af",
+}
 LAYER_SWEEP_OUTPUTS = {
     "accuracy_vs_width.csv":
         "a6378acefce0fe003ca346efe6981a782f27db1476db0ca438cc07506eeeefa7",
@@ -119,7 +138,7 @@ OVA_MEMBER_OUTPUTS.update(
 OVA_ENSEMBLE_OUTPUTS = {
     **OVA_MEMBER_OUTPUTS,
     "comparison.csv":
-        "e7d23576469ddcc98c8c458d26e540285ee924fe28fcba819eb8e456b69a8757",
+        "1fe2f4576fa0a7da89c3f232e25d84d9246bc1c4c45459c69d0fab842cf27a02",
     "summary.csv":
         "f5d15e7fae6be4c83f339ee2a251d1d775f0220c5f9ed972fceb43bafa8d7e6a",
     "verdicts.csv":
@@ -249,15 +268,19 @@ class TestBuildConfig:
             build_config(flag_values={"kind": "synthetic-sweep"})
 
     def test_from_resolved_round_trip(self):
-        cfg = tiny_sweep_config("runs", seed=5)
-        rebuilt = ExperimentConfig.from_resolved(cfg.resolved())
-        assert rebuilt.resolved() == cfg.resolved()
+        ensemble = build_config(flag_values={"kind": "ova-ensemble", "dataset": "mnist"})
+        for cfg in (
+            tiny_sweep_config("runs", seed=5),
+            replace(ensemble, comparison_subset=60, comparison_epochs=3, comparison_lr=0.5),
+        ):
+            rebuilt = ExperimentConfig.from_resolved(cfg.resolved())
+            assert rebuilt.resolved() == cfg.resolved()
 
     def test_from_resolved_ignores_derived_keys(self):
+        # a manifest key that is no config field, such as a derived value
         d = tiny_sweep_config("runs").resolved()
-        d["comparison_subset"] = 125
-        d["comparison_epochs"] = 70
-        assert ExperimentConfig.from_resolved(d).kind == "synthetic-sweep"
+        d["comparison_width"] = 16
+        assert ExperimentConfig.from_resolved(d).resolved() == tiny_sweep_config("runs").resolved()
 
 
 class TestValidation:
@@ -280,6 +303,9 @@ class TestValidation:
             ({"epochs": 0}, "epochs"),
             ({"batch_size": 0}, "batch"),
             ({"kind": "ova-ensemble", "dataset": "synthetic"}, "image dataset"),
+            ({"comparison_subset": -1}, "comparison"),
+            ({"comparison_epochs": 0}, "comparison"),
+            ({"comparison_lr": 1.5}, "comparison"),
         ],
     )
     def test_rejects(self, overrides, fragment):
@@ -470,6 +496,20 @@ class TestSyntheticSweepRun:
             path = os.path.join(sweep_run.run_dir, name)
             assert hashlib.sha256(file_bytes(path)).hexdigest() == digest
 
+    def test_partial_batch_cell_outputs(self, tmp_path):
+        cfg = ExperimentConfig(
+            kind="synthetic-sweep",
+            dataset="synthetic",
+            hidden=(1, 10, 100),
+            trials=3,
+            seed=3,
+            out=str(tmp_path),
+            stds=(0.5,),
+            sizes=(250,),
+        ).validate()
+        assert cfg.train_config().orient_dead_units
+        assert run_experiment(cfg).manifest["outputs"] == PARTIAL_BATCH_OUTPUTS
+
     def test_details_expose_rows(self, sweep_run):
         assert len(sweep_run.details["rows"]) == 2
         assert not sweep_run.diverged
@@ -544,11 +584,11 @@ def tiny_mnist_dir(tmp_path_factory):
     return str(root)
 
 
-# comparison.csv of the ova-ensemble run on tiny_mnist_dir, frozen from the
-# version that loaded the dataset a second time for the comparison stage
+# comparison.csv of the ova-ensemble run on tiny_mnist_dir with a comparison
+# budget of 40 rows, 2 epochs and lr 0.04
 COMPARISON_CSV = (
     "# tinynn csv v1\nkey,value\nensemble_correct,0.0\n"
-    "single_width,16\nsingle_accuracy,0.1\n"
+    "single_width,16\nsingle_accuracy,0.025\n"
 )
 
 
@@ -635,10 +675,27 @@ class TestOvaRuns:
             loads.append(config)
             return load_dataset(config)
 
+        trained = []
+        real_train = experiments.train
+
+        def recording_train(net, data, cfg):
+            trained.append((len(data.train_indices), cfg.epochs, cfg.learning_rate))
+            return real_train(net, data, cfg)
+
         monkeypatch.setattr(experiments, "load_dataset", counting_load)
-        cfg = tiny_image_config("ova-ensemble", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
+        monkeypatch.setattr(experiments, "train", recording_train)
+        cfg = replace(
+            tiny_image_config("ova-ensemble", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8),
+            comparison_subset=40, comparison_epochs=2, comparison_lr=0.04,
+        ).validate()
         result = run_experiment(cfg)
         assert len(loads) == 1  # the comparison stage reuses the loaded dataset
+        assert trained == [(40, 2, 0.04)]  # the comparison net, at its budget
+        recorded = result.manifest["config"]
+        assert (
+            recorded["comparison_subset"], recorded["comparison_epochs"],
+            recorded["comparison_lr"],
+        ) == (40, 2, 0.04)
         with open(os.path.join(result.run_dir, "comparison.csv")) as f:
             assert f.read() == COMPARISON_CSV
         verdicts = read_csv_rows(os.path.join(result.run_dir, "verdicts.csv"))

@@ -156,6 +156,40 @@ class TestConv2DInputGrad:
         )
 
 
+def conv_kernel_grad_oracle(x, dz, kh, kw):
+    """Adjoint of conv_oracle in its kernel: each tap's gradient sums the
+    upstream values times the input pixels that tap read."""
+    n, c, h, wd = x.shape
+    f = dz.shape[1]
+    ph, pw = kh // 2, kw // 2
+    out = np.zeros((f, c, kh, kw))
+    for ni in range(n):
+        for fi in range(f):
+            for i in range(h):
+                for j in range(wd):
+                    for ci in range(c):
+                        for u in range(kh):
+                            for v in range(kw):
+                                ii, jj = i + u - ph, j + v - pw
+                                if 0 <= ii < h and 0 <= jj < wd:
+                                    out[fi, ci, u, v] += dz[ni, fi, i, j] * x[ni, ci, ii, jj]
+    return out
+
+
+class TestConv2DKernelGrad:
+    @pytest.mark.parametrize("layout", [np.asarray, nhwc])
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (5, 5), (3, 5)])
+    def test_against_loop_oracle(self, kh, kw, layout):
+        x = rand((2, 3, 6, 7), 15)
+        dz = rand((2, 4, 6, 7), 16)
+        _, cols = tensor._conv2d(x, rand((4, 3, kh, kw), 17), np.zeros(4))
+        out = np.full((4, 3, kh, kw), np.nan)
+        assert tensor._conv2d_kernel_grad(layout(dz), cols, out) is out
+        np.testing.assert_allclose(
+            out, conv_kernel_grad_oracle(x, dz, kh, kw), rtol=0, atol=1e-12
+        )
+
+
 def pool_oracle(x):
     n, c, h, w = x.shape
     ho, wo = h // 2, w // 2

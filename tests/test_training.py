@@ -1,6 +1,7 @@
 """Loss functions, the SGD loop's contracts, metrics, and trial averaging."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from tinynn.datasets import SyntheticSpec, generate_synthetic
 from tinynn.errors import ConfigError, DataError, DivergenceError
 from tinynn.experiments import build_config
-from tinynn.layers import build_mlp, forward
+from tinynn.layers import build_conv_net, build_mlp, forward
 from tinynn.tensor import Tensor
 from tinynn.training import (
     MetricsReport,
@@ -27,7 +28,7 @@ from tinynn.training import (
     _softmax_ce_from_logits,
 )
 
-from reference import cross_entropy_loss
+from reference import cross_entropy_loss, repeat_trials_one_by_one
 
 
 class TestTrainConfig:
@@ -280,21 +281,65 @@ class TestRepeatTrials:
         assert summ.stds["accuracy"] == pytest.approx(np.std(accs), abs=1e-12)
 
     def test_divergent_trials_excluded_not_fatal(self):
-        calls = {"n": 0}
+        def builder(wreck):
+            calls = {"n": 0}
 
-        def build(seed):
-            calls["n"] += 1
-            net = build_mlp(3, 2, seed)
-            if calls["n"] == 2:  # wreck the second trial's init
-                net.params[0]["w"][:] = 1e160
-                net.params[-1]["w"][:] = 1e160
-            return net
+            def build(seed):
+                calls["n"] += 1
+                net = build_mlp(3, 2, seed)
+                if wreck and calls["n"] == 2:  # wreck the second trial's init
+                    net.params[0]["w"][:] = 1e160
+                    net.params[-1]["w"][:] = 1e160
+                return net
 
-        cfg = TrainConfig(learning_rate=0.05, epochs=1, seed=9, orient_dead_units=False)
-        summ = repeat_trials(build, lambda s: synth(s, n=200), cfg, 3)
-        assert summ.divergences == 1
-        assert len(summ.trials) == 2
-        assert summ.n_trials == 3
+            return build
+
+        gen = lambda s: synth(s, n=200)
+        # with orientation on, the probe forward is the first to overflow
+        for orient in (False, True):
+            cfg = TrainConfig(
+                learning_rate=0.05, epochs=1, seed=9, orient_dead_units=orient
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                summ = repeat_trials(builder(True), gen, cfg, 3)
+            assert [str(w.message) for w in caught] == []
+            assert summ.divergences == 1
+            assert len(summ.trials) == 2
+            assert summ.n_trials == 3
+            # the wrecked trial leaves the others' results untouched
+            clean = repeat_trials(builder(False), gen, cfg, 3)
+            assert summ.trials == [clean.trials[0], clean.trials[2]]
+
+    @pytest.mark.parametrize("orient", [True, False])
+    @pytest.mark.parametrize("hidden", [1, 10, 100])
+    @pytest.mark.parametrize("n_trials", [2, 3])
+    def test_stacked_trials_equal_one_by_one(self, n_trials, hidden, orient):
+        # clusters at 2 +- 0.5 on every axis lie in the positive orthant, so
+        # some units start dead and orientation flips them; the 200 training
+        # rows end in a partial batch
+        gen = lambda s: generate_synthetic(
+            SyntheticSpec(std=0.5, n_samples=250, seed=s, mean=2.0)
+        )
+        build = lambda s: build_mlp(3, hidden, s)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=21, orient_dead_units=orient)
+        got = repeat_trials(build, gen, cfg, n_trials)
+        want = repeat_trials_one_by_one(build, gen, cfg, n_trials)
+        assert got.trials == want.trials
+        assert (got.means, got.stds) == (want.means, want.stds)
+        assert (got.n_trials, got.divergences) == (n_trials, 0)
+
+    def test_trials_must_stack(self):
+        cfg = TrainConfig(learning_rate=0.05, epochs=1)
+        sizes = iter([200, 202])
+        with pytest.raises(ConfigError, match="trial 1 differs in shape"):
+            repeat_trials(
+                lambda s: build_mlp(3, 2, s), lambda s: synth(s, n=next(sizes)), cfg, 2
+            )
+        with pytest.raises(ConfigError, match="only dense networks"):
+            repeat_trials(
+                lambda s: build_conv_net((3, 4, 4), 2, 1, s), lambda s: synth(s, n=200), cfg, 2
+            )
 
     def test_requires_two_trials(self):
         with pytest.raises(ConfigError):
