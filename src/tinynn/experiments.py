@@ -78,8 +78,8 @@ BUDGETS = {
     # the measured accuracy reflects generalization from the sample count
     # rather than how far optimization got within the budget, and widening
     # the hidden layer moves it only marginally. The budget is part of the
-    # resolved config and so lands in every manifest. It is also the default
-    # of ova-ensemble's comparison_* fields, for its comparison net.
+    # resolved config and so lands in every manifest. ova-ensemble trains
+    # its comparison net at it too.
     "layer-sweep": Budget(0.05, 70, 125),
     "conv-members": Budget(0.015, 5),
     "mlp-members": Budget(0.05, 20),
@@ -143,9 +143,7 @@ class ExperimentConfig:
     """Fully resolved run parameters; the manifest stores exactly this.
 
     learning_rate, epochs and subset left at None take the run's default
-    budget from BUDGETS. The comparison_* fields are the budget of
-    ova-ensemble's comparison net, by default that of a layer-sweep cell;
-    no other kind records them.
+    budget from BUDGETS.
     """
 
     kind: str = _setting("experiment", "kind", _text)
@@ -166,15 +164,6 @@ class ExperimentConfig:
     synth_n: int = _setting("experiment", "synth_n", _int, 10000)
     mnist_dir: str = _setting("data", "mnist_dir", _text, None)
     cifar_dir: str = _setting("data", "cifar_dir", _text, None)
-    comparison_subset: int = _setting(
-        "comparison", "subset", _int, BUDGETS["layer-sweep"].subset
-    )
-    comparison_epochs: int = _setting(
-        "comparison", "epochs", _int, BUDGETS["layer-sweep"].epochs
-    )
-    comparison_lr: float = _setting(
-        "comparison", "lr", _float, BUDGETS["layer-sweep"].learning_rate
-    )
 
     def validate(self):
         if self.kind not in KINDS:
@@ -214,14 +203,6 @@ class ExperimentConfig:
             raise ConfigError("lr must be in (0, 1], got %r" % (self.learning_rate,))
         if self.epochs is not None and self.epochs < 1:
             raise ConfigError("epochs must be >= 1, got %r" % (self.epochs,))
-        if self.comparison_subset < 0 or self.comparison_epochs < 1 or not (
-            0.0 < self.comparison_lr <= 1.0
-        ):
-            raise ConfigError(
-                "comparison needs subset >= 0, epochs >= 1 and lr in (0, 1], "
-                "got %r, %r and %r"
-                % (self.comparison_subset, self.comparison_epochs, self.comparison_lr)
-            )
         if self.batch_size < 1:
             raise ConfigError("batch must be >= 1, got %r" % (self.batch_size,))
         if not self.stds or not self.sizes:
@@ -260,9 +241,11 @@ class ExperimentConfig:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d.update(asdict(self.budget()))
         d = {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
-        if self.kind != "ova-ensemble":
-            for name in ("comparison_subset", "comparison_epochs", "comparison_lr"):
-                del d[name]
+        if self.kind == "ova-ensemble":
+            comparison = BUDGETS["layer-sweep"]
+            d["comparison_subset"] = comparison.subset
+            d["comparison_epochs"] = comparison.epochs
+            d["comparison_lr"] = comparison.learning_rate
         return d
 
     def train_config(self, seed=None):
@@ -667,14 +650,15 @@ def run_ova_ensemble(config, run_dir):
         width *= 2
     comp_seed = derive_seed(config.seed, _SEED_COMPARISON)
     ctx.seeds["comparison"] = comp_seed
+    budget = BUDGETS["layer-sweep"]
     with ctx.stage("train-comparison"):
-        comp_data = _apply_subset(full, config.comparison_subset)
+        comp_data = _apply_subset(full, budget.subset)
         comp_net = build_conv_net(
             tuple(comp_data.feature_array.shape[1:]), width, k, comp_seed
         )
         comp_cfg = TrainConfig(
-            learning_rate=config.comparison_lr,
-            epochs=config.comparison_epochs,
+            learning_rate=budget.learning_rate,
+            epochs=budget.epochs,
             batch_size=config.batch_size,
             seed=comp_seed,
         )

@@ -6,12 +6,14 @@ seed, dataset); identical seeds give bit-identical trained parameters.
 Batch shuffling, like every other random choice in the package, draws from
 the package's own generator, never a library RNG.
 
-repeat_trials trains the T trials of a cell as one stack: every parameter,
+repeat_trials trains the T trials of a cell as stacks: every parameter,
 feature, label and index array gains a leading trial axis, and one pass of
-the same training loop steps all T, one matmul per layer. The trials stay
-independent: each has its own data, init and shuffle streams from its own
-derived seeds, its own divergence check and its own evaluation, and its
-results equal those of training it alone, bit for bit.
+the same training loop steps a whole stack, one matmul per layer. A stack
+holds every trial of a cell unless their data outgrows a fixed byte
+budget; then the cell trains as several stacks in trial order. The trials
+stay independent: each has its own data, init and shuffle streams from its
+own derived seeds, its own divergence check and its own evaluation, and
+its results equal those of training it alone, bit for bit.
 """
 
 import math
@@ -29,6 +31,10 @@ from .tensor import Tensor
 # rows per forward pass over flat input, in evaluation and in the dead-unit
 # probe of a trial stack, so that their memory does not grow with the stack
 _FLAT_CHUNK = 4096
+# bytes of trial data one stack of repeat_trials may hold: a cell of many
+# large trials trains as several stacks in turn, so that its memory does not
+# grow with its trial count
+_STACK_BYTES = 16 << 20
 
 
 @dataclass
@@ -313,7 +319,7 @@ class TrialSummary:
 
 
 class _TrialStack:
-    """The T trials of a cell as one stacked dataset and network: every
+    """A group of a cell's trials as one stacked dataset and network: every
     array gains a leading trial axis. Filled one trial at a time, so that no
     trial's own dataset or network outlives its generation."""
 
@@ -329,13 +335,13 @@ class _TrialStack:
         self.labels = stacked(data.labels)
         self.train_indices = stacked(data.train_indices)
         self.test_indices = stacked(data.test_indices)
-        self._shapes = _trial_shapes(data, net)
+        self.shuffle_seeds = []
         self._lane = np.arange(n_trials)[:, None]
 
-    def put(self, t, data, net):
-        """Copy trial t's dataset and network into the stack."""
-        if _trial_shapes(data, net) != self._shapes:
-            raise ConfigError("trial %d differs in shape from trial 0" % t)
+    def put(self, data, net, shuffle_seed):
+        """Copy the next trial's dataset, network and shuffle seed into the
+        stack; True once the stack is full."""
+        t = len(self.shuffle_seeds)
         self.feature_array[t] = data.feature_array
         self.labels[t] = data.labels
         self.train_indices[t] = data.train_indices
@@ -343,6 +349,8 @@ class _TrialStack:
         for stacked, p in zip(self.net.params, net.params):
             for k in stacked:
                 stacked[k][t] = p[k]
+        self.shuffle_seeds.append(shuffle_seed)
+        return len(self.shuffle_seeds) == len(self.labels)
 
     def labels_at(self, idx):
         """Trial t's labels at idx[t] for each t."""
@@ -363,30 +371,44 @@ def _trial_shapes(data, net):
     )
 
 
+def _trial_bytes(data, net):
+    """A trial's share of a stack, with the copy of its training indices
+    that train shuffles."""
+    arrays = [data.feature_array, data.labels, data.train_indices, data.train_indices,
+              data.test_indices] + [v for p in net.params for v in p.values()]
+    return sum(a.nbytes for a in arrays)
+
+
 def repeat_trials(build_network, generate_data, cfg, n_trials):
     """Average metrics over independently seeded (data, init, run) trials.
 
     build_network(seed) (a dense Network) and generate_data(seed) (a
     LabeledDataset) are called with derived per-trial seeds: fresh data
     draw and fresh parameters every trial, in trial order, each of the
-    first trial's shapes. The trials are then trained together as one stack
-    (see train), each on its own shuffle stream from its own derived seed,
-    so a trial's results do not depend on how many trials run beside it.
-    Divergent trials are recorded, excluded from the averages, and never
-    fatal. Accumulation is in fixed trial order.
+    first trial's shapes. The trials train in stacks of as many as fit in
+    _STACK_BYTES (see train), each on its own shuffle stream from its own
+    derived seed, so a trial's results do not depend on which trials train
+    beside it. Divergent trials are recorded, excluded from the averages,
+    and never fatal. Accumulation is in fixed trial order.
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be >= 2, got %r" % (n_trials,))
-    shuffle_seeds = []
+    reports = []
     for t in range(n_trials):
         ts = derive_seed(cfg.seed, t)
         data = generate_data(derive_seed(ts, 0))
         net = build_network(derive_seed(ts, 1))
         if t == 0:
-            stack = _TrialStack(data, net, n_trials)
-        stack.put(t, data, net)
-        shuffle_seeds.append(derive_seed(ts, 2))
-    _, reports = train(stack.net, stack, replace(cfg, seed=tuple(shuffle_seeds)))
+            shapes = _trial_shapes(data, net)
+            group = max(1, _STACK_BYTES // _trial_bytes(data, net))
+        elif _trial_shapes(data, net) != shapes:
+            raise ConfigError("trial %d differs in shape from trial 0" % t)
+        if t % group == 0:
+            stack = _TrialStack(data, net, min(group, n_trials - t))
+        if stack.put(data, net, derive_seed(ts, 2)):
+            _, done = train(stack.net, stack, replace(cfg, seed=tuple(stack.shuffle_seeds)))
+            reports += done
+            stack = None  # freed before the next group is allocated
     rows = [
         {"trial": t, **{m: getattr(report, m) for m in _SUMMARY_METRICS}}
         for t, report in enumerate(reports)

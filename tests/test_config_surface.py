@@ -64,10 +64,6 @@ out = elsewhere
 """, "d39602e19a03a1d84c93e3f3923830ec259620c63362d6db0a295c170ebf217b"),
     ("[experiment]\nkind = ova-binary\ndataset = mnist\n"
      "[data]\nmnist_dir = /special/mnist\n", "523847a9068bfc8005230067f25064ff87b3d346efd28252fd2e18285ef2e211"),
-    # the comparison net's budget, which only ova-ensemble records
-    ("[experiment]\nkind = ova-ensemble\ndataset = mnist\n"
-     "[comparison]\nsubset = 60\nepochs = 3\nlr = 0.5\n",
-     "f0157a73e0e331322fcfa353b933b3f8d1a9f75e4268b6a754f360673442fbe9"),
 ]
 
 # every pass-through flag at least once, each set away from its default

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tinynn import training
 from tinynn.datasets import SyntheticSpec, generate_synthetic
 from tinynn.errors import ConfigError, DataError, DivergenceError
 from tinynn.experiments import build_config
@@ -328,6 +329,34 @@ class TestRepeatTrials:
         assert got.trials == want.trials
         assert (got.means, got.stds) == (want.means, want.stds)
         assert (got.n_trials, got.divergences) == (n_trials, 0)
+
+    @pytest.mark.parametrize("per_stack,sizes", [(2, [2, 2, 1]), (1, [1] * 5)])
+    def test_trials_train_in_stacks_within_the_byte_budget(
+        self, monkeypatch, per_stack, sizes
+    ):
+        gen = lambda s: synth(s, n=250)
+        build = lambda s: build_mlp(3, 10, s)
+        probe = gen(0)
+        per_trial = training._trial_bytes(probe, build(0))
+        # each trial holds its features, labels, both index arrays and the
+        # shuffled copy of its training indices
+        assert per_trial > probe.feature_array.nbytes + 2 * probe.train_indices.nbytes
+        monkeypatch.setattr(training, "_STACK_BYTES", per_stack * per_trial + per_trial // 2)
+        trained = []
+        real_train = training.train
+
+        def recording_train(net, data, cfg):
+            trained.append(len(cfg.seed))
+            return real_train(net, data, cfg)
+
+        monkeypatch.setattr(training, "train", recording_train)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=21)
+        got = repeat_trials(build, gen, cfg, 5)
+        assert trained == sizes
+        monkeypatch.undo()
+        want = repeat_trials_one_by_one(build, gen, cfg, 5)
+        assert got.trials == want.trials
+        assert (got.means, got.stds) == (want.means, want.stds)
 
     def test_trials_must_stack(self):
         cfg = TrainConfig(learning_rate=0.05, epochs=1)
