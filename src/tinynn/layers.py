@@ -277,10 +277,10 @@ def forward(net, batch, train=False):
     for i, layer in enumerate(net.spec.layers):
         if isinstance(layer, Conv2DSpec):
             p = net.params[i]
-            z, cols = _conv2d(x, p["w"], p["b"])
+            z = _conv2d(x, p["w"], p["b"])
             a = _apply_activation(layer.activation, z)
             if train:
-                cache.append({"cols": cols, "z": z, "in_shape": x.shape})
+                cache.append({"x": x, "z": z})
             x = a
         elif isinstance(layer, MaxPool2DSpec):
             pooled, idx = _maxpool2d(x, train)
@@ -329,7 +329,7 @@ def backward(net, loss_grad, cache):
                 d = dz @ net.params[i]["w"].swapaxes(-1, -2)
         elif isinstance(layer, Conv2DSpec):
             dz = _activation_grad(layer.activation, d, c)
-            _conv2d_kernel_grad(dz, c["cols"], net.grads[i]["w"])
+            _conv2d_kernel_grad(dz, c["x"], net.grads[i]["w"])
             np.sum(dz, axis=(0, 2, 3), out=net.grads[i]["b"])
             if i > 0:
                 d = _conv2d_input_grad(dz, net.params[i]["w"])

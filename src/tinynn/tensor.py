@@ -9,11 +9,13 @@ never passed on.
 
 The raw ndarray kernels (_conv2d, _maxpool2d, ...) run on unwrapped arrays
 for speed and rely on the training loop's divergence check instead of
-per-op validation. Conv forward is im2col plus one GEMM, and so is its
-kernel gradient, on the same columns; its input gradient is one small GEMM
-per kernel tap, scatter-added into a padded buffer. The
-conv kernels return [N,C,H,W] views of NHWC memory, and the pool kernels
-keep that layout, so the reshapes to [NHW, C] between them are free.
+per-op validation. Conv forward and its kernel gradient read tap-major
+columns, [H,W,kh,kw,C] per image, copied from a window view of the padded
+NHWC input one image at a time, so no whole-batch column matrix is built or
+kept; the kernel gradient recomputes them from the layer input. The input
+gradient is one small GEMM per kernel tap, scatter-added into a padded
+buffer. The conv kernels return [N,C,H,W] views of NHWC memory, and the pool
+kernels keep that layout, so the reshapes to [NHW, C] between them are free.
 """
 
 import numpy as np
@@ -68,53 +70,74 @@ class Tensor:
 # raw ndarray kernels
 
 
+def _tap_columns(x, kh, kw):
+    """Window view [N,H,W,kh,kw,C] of x [N,C,H,W]'s zero-padded NHWC copy.
+
+    Image n's [H,W,kh,kw,C] block, made contiguous, is its column matrix
+    [HW, kh*kw*C]: each row holds one output pixel's window, tap-major.
+    """
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return win.transpose(0, 1, 2, 4, 5, 3)
+
+
 def _conv2d(x, w, b):
     """Stride-1 same-padding cross-correlation.
 
-    x [N,C,H,W], w [F,C,kh,kw] with odd kh,kw, b [F] -> [N,F,H,W].
-    Implemented as im2col + one GEMM; also returns the column matrix so the
-    backward pass can reuse it for the kernel gradient.
+    x [N,C,H,W], w [F,C,kh,kw] with odd kh,kw, b [F] -> [N,F,H,W], a view
+    of NHWC memory. Each image's tap-major columns are copied into one
+    reused buffer and multiplied by the kernel as [kh*kw*C, F].
     """
-    n, c, h, wd = x.shape
+    n, _, h, wd = x.shape
     f, _, kh, kw = w.shape
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    # win is [N,C,H,W,kh,kw]; columns ordered channel-major, window row-major
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * wd, c * kh * kw)
-    out = cols @ w.reshape(f, -1).T
+    cols = _tap_columns(x, kh, kw)
+    buf = np.empty(cols.shape[1:])
+    wmat = w.transpose(2, 3, 1, 0).reshape(-1, f)
+    out = np.empty((n, h, wd, f))
+    for img, o in zip(cols, out):
+        np.copyto(buf, img)
+        np.matmul(buf.reshape(h * wd, -1), wmat, out=o.reshape(h * wd, f))
     out += b
-    return out.reshape(n, h, wd, f).transpose(0, 3, 1, 2), cols
+    return out.transpose(0, 3, 1, 2)
 
 
-def _conv2d_kernel_grad(dz, cols, out):
+def _conv2d_kernel_grad(dz, x, out):
     """Gradient of same-padding conv w.r.t. its kernel, written into out.
 
-    dz [N,F,H,W] and the forward pass's column matrix cols [NHW, C*kh*kw]
-    give out [F,C,kh,kw] as one GEMM, dz[NHW,F]^T @ cols.
+    dz [N,F,H,W] and the layer input x [N,C,H,W] give out [F,C,kh,kw]: the
+    sum over images of dz_n[HW,F]^T @ the image's tap-major columns.
     """
-    n, f, h, wd = dz.shape
-    dzmat = dz.transpose(0, 2, 3, 1).reshape(n * h * wd, f)
-    np.matmul(dzmat.T, cols, out=out.reshape(f, -1))
+    _, f, h, wd = dz.shape
+    _, c, kh, kw = out.shape
+    cols = _tap_columns(x, kh, kw)
+    buf = np.empty(cols.shape[1:])
+    acc = np.zeros((f, kh * kw * c))
+    for img, d in zip(cols, dz.transpose(0, 2, 3, 1)):
+        np.copyto(buf, img)
+        acc += d.reshape(h * wd, f).T @ buf.reshape(h * wd, -1)
+    out[...] = acc.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
     return out
 
 
 def _conv2d_input_grad(dz, w):
     """Gradient of same-padding conv w.r.t. its input.
 
-    dz [N,F,H,W], w [F,C,kh,kw] -> [N,C,H,W]. Each kernel tap (i, j) sends
-    dz through one GEMM, dz[NHW,F] @ w[:,:,i,j] -> [NHW,C], added into a
-    zero-padded NHWC buffer at offset (i, j); the gradient is its interior.
+    dz [N,F,H,W], w [F,C,kh,kw] -> [N,C,H,W]. For each image, each kernel
+    tap (i, j) sends dz through one GEMM, dz_n[HW,F] @ w[:,:,i,j] -> [HW,C],
+    added into the image's zero-padded NHWC buffer at offset (i, j); the
+    gradient is the buffers' interior.
     """
     n, f, h, wd = dz.shape
     _, c, kh, kw = w.shape
     ph, pw = kh // 2, kw // 2
-    dzmat = dz.transpose(0, 2, 3, 1).reshape(n * h * wd, f)
     taps = w.transpose(2, 3, 0, 1)
     grad = np.zeros((n, h + 2 * ph, wd + 2 * pw, c))
-    for i in range(kh):
-        for j in range(kw):
-            grad[:, i:i + h, j:j + wd] += (dzmat @ taps[i, j]).reshape(n, h, wd, c)
+    for g, d in zip(grad, dz.transpose(0, 2, 3, 1)):
+        dzmat = d.reshape(h * wd, f)
+        for i in range(kh):
+            for j in range(kw):
+                g[i:i + h, j:j + wd] += (dzmat @ taps[i, j]).reshape(h, wd, c)
     return grad[:, ph:ph + h, pw:pw + wd].transpose(0, 3, 1, 2)
 
 

@@ -98,33 +98,33 @@ LAYER_SWEEP_OUTPUTS = {
     "loss_w2.csv":
         "88c4997c458968690dac48d6a651c08581d54074ccd0415361fa77e117787d83",
     "width_1.ckpt":
-        "8d743011cbf13889eae56f440467f4157e0ccdb4d1582f2d6378b496b0bc4bf7",
+        "ed17cecdf679a9e8ac9a9188b09aa0c029fc5d2f102774a187f58bcdd2a515c2",
     "width_2.ckpt":
-        "74ec6128c1d8d33af3aca6153d524ca05eb58c4b94845ff8da817e3216cc4c73",
+        "b581c475876d2346622f0ef55770b5699d5b4a57d7feff3395f846277db2862b",
 }
 OVA_MEMBER_OUTPUTS = {
     "ensemble/ensemble.json":
         "1aa32cd0435814289c273acbdcfbfefb949adfda43c4b3906e190df61022272b",
     "ensemble/member_0.ckpt":
-        "621259678dc07a8ead725d3c9cbbdcbc6a1bb410dcbff0b19570e5c3024c0630",
+        "ad28f6d78ac872398afb4d5eb745586712ee4c3372737eb8b103c2c184f49eba",
     "ensemble/member_1.ckpt":
-        "1e5798dc1d40bff0f45acbde314eaeca228eb894965c76f9eeea4513c83afa83",
+        "f5de41de275a5b3807e2219bde222dd50632a23e4bfa2d1544cd43183bd46af0",
     "ensemble/member_2.ckpt":
-        "68ac73e8502f1cf89567f22cc3ecf8015ddb39d890966be366338bb9b0766b71",
+        "e470e80702b5ee5d5f1e98195ee19bc6b4ff1709e60dec5d4f1c8e9160d3186f",
     "ensemble/member_3.ckpt":
-        "2ffbd2ba76449043f6cced505fa03d3176672598f969fe47a0cc5e181c4f7553",
+        "2a6a8d7322d0d51f7ee9a85fce84924df27361e9c94de4544254d90e5bb38ea9",
     "ensemble/member_4.ckpt":
-        "f3863f7f4249eb8493c4c6a3d031388be16d9fb940b809c678fc5e018cb13da9",
+        "685873451190ad2055ca5f22e005d35abff98a173ae367db4eaf2fbfb86e05e2",
     "ensemble/member_5.ckpt":
-        "351a701673d4b78997b18bf95d8955d9421e5e6167795e1af0713774fdb9eb53",
+        "037705f279bf62387b06de9329f98113f4f928eba613dee2f302eb587c258c54",
     "ensemble/member_6.ckpt":
-        "12070c6e67b12ea4669ee8e0bcfe80f6745c061d06f6d0d843dc790bd7127f1f",
+        "694aaf35870e0c5719377e528141505d06cd03b7395baea3973ec697b127bf84",
     "ensemble/member_7.ckpt":
-        "94978f2a790156c437d46e26aa1dd29fbbd809c1a145d3aed9d0b5086c2f5fb2",
+        "8586b9261684fb292b02ac5458c4494ca90bd55bcf85617e64faee654b63508a",
     "ensemble/member_8.ckpt":
-        "545ccb7785ce86d99c32d283689a97d183da72ba9092bdeae28169d36055d67d",
+        "59a6a68ead29fe937fcf0888b77f2d95a9f4d3351136aa7577fad5241638e8bd",
     "ensemble/member_9.ckpt":
-        "305f77fc21a634029256b51040ac4a4ba6ed668c5ce3a618fc784359687a2edc",
+        "aaf70da0515c364ee64aa8e46a32a4a6620b0b4f028546c139a397ded3688599",
     "per_class.csv":
         "95a3aa5dc5c8ca81977605c27ff7beef6759ac39277691592693159fc60ec729",
 }

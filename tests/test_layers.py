@@ -1,10 +1,12 @@
 """Network construction, shape inference, backprop vs finite differences
-(reference.fd_check), and the checkpoint format."""
+(reference.fd_check), and the checkpoint format and its parser's failures."""
 
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinynn.errors import CheckpointError, DimensionError, StateError
 from tinynn.layers import (
@@ -156,6 +158,18 @@ class TestForward:
         net = build_mlp(4, 2, seed=0)
         with pytest.raises(DimensionError, match="input shape"):
             forward(net, rand((3, 5), 0))
+
+    def test_conv_cache_holds_no_column_matrix(self):
+        # the kernel gradient recomputes its columns from the layer input,
+        # so a conv layer caches nothing larger than its input or output
+        net = build_conv_net((3, 8, 8), 3, 10, seed=11)
+        n = 5
+        _, cache = forward(net, rand((n, 3, 8, 8), 12), train=True)
+        shapes = [net.spec.input_shape, *net.spec.layer_shapes]
+        for i, layer in enumerate(net.spec.layers):
+            if isinstance(layer, Conv2DSpec):
+                bound = n * max(np.prod(shapes[i]), np.prod(shapes[i + 1]))
+                assert all(a.size <= bound for a in cache[i].values())
 
     def test_eval_mode_has_no_cache(self):
         net = build_mlp(4, 2, seed=0)
@@ -375,3 +389,67 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises((CheckpointError, FileNotFoundError)):
             load_network(str(tmp_path / "absent.ckpt"))
+
+
+@pytest.fixture(scope="module", params=["mlp", "conv"])
+def saved_checkpoint(request, tmp_path_factory):
+    """(file bytes, header length, a scratch path) of an MLP or conv
+    checkpoint."""
+    if request.param == "mlp":
+        net = build_mlp(3, 2, seed=44)
+    else:
+        net = build_conv_net((1, 8, 8), 2, 1, seed=45)
+    path = str(tmp_path_factory.mktemp("sens1") / "net.ckpt")
+    save_network(net, path)
+    raw = open(path, "rb").read()
+    return raw, len(raw) - 8 * net.parameter_count(), path
+
+
+def load_bytes(path, raw):
+    with open(path, "wb") as f:
+        f.write(raw)
+    return load_network(path)
+
+
+def loads_or_rejects(path, raw):
+    try:
+        load_bytes(path, raw)
+    except CheckpointError:
+        pass
+
+
+# small values reach the branches (rank, counts, tags, codes); any value can
+# land anywhere
+U32 = st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1))
+
+
+class TestCheckpointParserProperties:
+    """A damaged SENS1 file either loads or raises CheckpointError, never
+    another exception."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_prefix_rejected(self, saved_checkpoint, data):
+        raw, _, path = saved_checkpoint
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(CheckpointError):
+            load_bytes(path, raw[:cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_header_byte_overwritten(self, saved_checkpoint, data):
+        raw, head, path = saved_checkpoint
+        off = data.draw(st.integers(0, head - 1))
+        bad = bytearray(raw)
+        bad[off] = data.draw(st.integers(0, 255))
+        loads_or_rejects(path, bytes(bad))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_header_word_overwritten(self, saved_checkpoint, data):
+        raw, head, path = saved_checkpoint
+        # the header's u32 words follow the 5-byte magic
+        off = 5 + 4 * data.draw(st.integers(0, (head - 5) // 4 - 1))
+        bad = bytearray(raw)
+        struct.pack_into("<I", bad, off, data.draw(U32))
+        loads_or_rejects(path, bytes(bad))

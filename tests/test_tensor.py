@@ -82,6 +82,12 @@ class TestMatmul:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def nhwc(a):
+    """The same [N,C,H,W] values as a view of NHWC memory, the layout the
+    conv kernels return."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 def conv_oracle(x, w, b):
     """Direct quadruple-loop stride-1 same-padding cross-correlation."""
     n, c, h, wd = x.shape
@@ -106,15 +112,19 @@ def conv_oracle(x, w, b):
 class TestConv2D:
     @pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (5, 5), (3, 5)])
     def test_against_loop_oracle(self, kh, kw):
-        x = rand((2, 3, 6, 7), 10)
-        w = rand((4, 3, kh, kw), 11)
-        b = rand((4,), 12)
-        got = tensor._conv2d(x, w, b)[0]
-        np.testing.assert_allclose(got, conv_oracle(x, w, b), rtol=0, atol=1e-12)
+        # C=1 is conv1's input; the NHWC view is the layout pooling hands conv2
+        for n, c in [(2, 1), (2, 3), (1, 3)]:
+            x = rand((n, c, 6, 7), 10)
+            w = rand((4, c, kh, kw), 11)
+            b = rand((4,), 12)
+            want = conv_oracle(x, w, b)
+            for layout in (np.asarray, nhwc):
+                got = tensor._conv2d(layout(x), w, b)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_output_shape_matches_input(self):
         x, w = rand((1, 1, 9, 9), 0), rand((6, 1, 5, 5), 1)
-        assert tensor._conv2d(x, w, np.zeros(6))[0].shape == (1, 6, 9, 9)
+        assert tensor._conv2d(x, w, np.zeros(6)).shape == (1, 6, 9, 9)
 
 
 def conv_input_grad_oracle(dz, w):
@@ -135,12 +145,6 @@ def conv_input_grad_oracle(dz, w):
                                 if 0 <= ii < h and 0 <= jj < wd:
                                     out[ni, ci, ii, jj] += dz[ni, fi, i, j] * w[fi, ci, u, v]
     return out
-
-
-def nhwc(a):
-    """The same [N,C,H,W] values as a view of NHWC memory, the layout the
-    conv kernels return."""
-    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 class TestConv2DInputGrad:
@@ -182,9 +186,8 @@ class TestConv2DKernelGrad:
     def test_against_loop_oracle(self, kh, kw, layout):
         x = rand((2, 3, 6, 7), 15)
         dz = rand((2, 4, 6, 7), 16)
-        _, cols = tensor._conv2d(x, rand((4, 3, kh, kw), 17), np.zeros(4))
         out = np.full((4, 3, kh, kw), np.nan)
-        assert tensor._conv2d_kernel_grad(layout(dz), cols, out) is out
+        assert tensor._conv2d_kernel_grad(layout(dz), layout(x), out) is out
         np.testing.assert_allclose(
             out, conv_kernel_grad_oracle(x, dz, kh, kw), rtol=0, atol=1e-12
         )
