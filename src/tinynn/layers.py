@@ -69,6 +69,11 @@ def _validate_layer(spec):
             raise DimensionError("conv filters and kernel size must be >= 1")
         if spec.kernel_size % 2 == 0:
             raise DimensionError("conv kernel size must be odd for same padding")
+        # backward differentiates a conv layer from its cached x and z only
+        if spec.activation not in ("relu", "none"):
+            raise DimensionError(
+                "conv activation must be relu or none, got %r" % (spec.activation,)
+            )
     elif isinstance(spec, MaxPool2DSpec):
         if spec.window != 2 or spec.stride != 2:
             raise DimensionError("only 2x2/stride-2 pooling is supported")

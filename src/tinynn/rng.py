@@ -5,12 +5,26 @@ No library RNG is used anywhere in the package: normal deviates come from the
 Box-Muller transform and shuffles from Fisher-Yates on top of this generator,
 so identical seeds give identical streams on any platform.
 
-The state update has one copy, `Rng._draws`: its loop holds the state in
-locals and steps it, and numpy forms the block's outputs from the recorded
-state words with the same wrapping 64-bit arithmetic. The bulk consumers
-(`shuffle`, `fill_uniform`, `fill_normal`) take their draws in blocks and
-give results bit-identical to repeated calls of the scalar methods
-(`randbelow`, `uniform`, `normal`), which stay as the reference. The bulk
+`Rng._draws` is the one bulk source of outputs, exactly as repeated
+`next_u64` calls give them, and it leaves the state where those calls would.
+A block of at least `_LANE_MIN` draws is split into lanes of `_LANE_STEPS`
+consecutive draws, at most `_MAX_LANES` at a time. Lane j starts at the state
+j * `_LANE_STEPS` steps ahead. The xoshiro step is linear over GF(2), so a
+jump by m steps is a 256x256 bit matrix, kept as a nibble table: for each of
+the state's 64 nibbles, the images of its 16 values. The lane starts come
+from the current state by doubling: the jump by `_LANE_STEPS` * 2**k is
+applied to every start found so far. The tables are built once per process,
+when the first lane block is drawn. The lanes then step together as uint64
+arrays with `_step`, which also builds the tables, and the last lane's final
+state is the generator's new state. A remainder below `_LANE_MIN` comes from
+the scalar loop, which holds the state in Python ints; numpy forms its
+outputs from the recorded state words with the same wrapping 64-bit
+arithmetic.
+
+The bulk consumers (`shuffle`, `fill_uniform`, `fill_normal`) take their
+draws in blocks and give results bit-identical to repeated calls of the
+scalar methods (`randbelow`, `uniform`, `normal`), which stay as the
+reference; `next_u64` takes its one draw from the scalar loop. The bulk
 float paths use numpy only for operations that are correctly rounded, so
 they equal the scalar ones: the exact int-to-float conversion, products,
 sums and `sqrt`. `log`, `sin` and `cos` come from `math`, because numpy's
@@ -19,6 +33,7 @@ CPU, `np.log` differed from `math.log` in the last bit on about 0.35% of
 uniform draws.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -31,6 +46,16 @@ _DERIVE_BASE = 0x243F6A8885A308D3
 # of Python ints, and a dataset-sized fill keeps its peak memory small
 _FILL_BLOCK = 1 << 12
 _UNIT = 2.0 ** -53  # (u64 >> 11) * _UNIT is uniform in [0, 1)
+# _draws takes blocks of at least _LANE_MIN draws as up to _MAX_LANES lanes
+# of _LANE_STEPS consecutive draws each; below it the scalar loop is faster
+_LANE_STEPS = 16
+_MAX_LANES = 256
+_LANE_MIN = 1024
+# a jump table holds 16 rows per nibble position of the 256-bit state:
+# position 16 * w + j is bits 4j..4j+3 of word w, and its rows start at
+# _NIBBLE_BASES[16 * w + j]
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
+_NIBBLE_BASES = np.arange(0, 64 * 16, 16, dtype=np.uint64)[:, None]
 
 
 def splitmix64(x):
@@ -53,6 +78,59 @@ def derive_seed(base, *parts):
     return h
 
 
+def _step(s):
+    """One xoshiro256++ state step, in place, of the states in the columns
+    of a [4, lanes] uint64 array."""
+    s0, s1, s2, s3 = s
+    t = s1 << 17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.right_shift(s3, 19, out=t)
+    s3 <<= 45
+    s3 |= t  # rotl(s3, 45)
+
+
+def _jump(table, s):
+    """Apply the jump whose nibble table is given to the states in the
+    columns of a [4, m] uint64 array; returns them as [m, 4]. Each of the
+    state's 64 nibbles picks one row of its position's 16, and the picked
+    rows are XOR-ed together."""
+    nibbles = ((s[:, None, :] >> _NIBBLE_SHIFTS) & 15).reshape(64, -1)
+    rows = np.take(table, nibbles + _NIBBLE_BASES, axis=0)  # [64, m, 4]
+    return np.bitwise_xor.reduce(rows, axis=0)
+
+
+def _nibble_table(images):
+    """The [64 * 16, 4] nibble table of the linear map sending unit state i
+    (bit i % 64 of word i // 64) to images[i]."""
+    per_bit = images.reshape(64, 1, 4, 4)  # [position, -, bit, word]
+    has_bit = (np.arange(16)[:, None, None] >> np.arange(4)[:, None]) & 1 == 1
+    picked = np.where(has_bit, per_bit, np.uint64(0))  # [position, value, bit, word]
+    return np.bitwise_xor.reduce(picked, axis=2).reshape(64 * 16, 4)
+
+
+@functools.cache
+def _jump_tables():
+    """Nibble tables of the jumps by _LANE_STEPS * 2**k steps, for k from 0
+    while 2**k < _MAX_LANES, built on first use: the unit states stepped
+    _LANE_STEPS times give the first, and each further one squares the one
+    before by jumping its own images."""
+    units = np.zeros((4, 256), np.uint64)
+    bit = np.arange(256)
+    units[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    for _ in range(_LANE_STEPS):
+        _step(units)
+    images = units.T
+    tables = [_nibble_table(images)]
+    while len(tables) < _MAX_LANES.bit_length() - 1:
+        images = _jump(tables[-1], images.T)
+        tables.append(_nibble_table(images))
+    return tuple(tables)
+
+
 class Rng:
     """xoshiro256++ stream seeded through splitmix64."""
 
@@ -69,9 +147,16 @@ class Rng:
 
     def _draws(self, n):
         """The next n outputs as a uint64 array, exactly as n next_u64 calls
-        give them. The loop only steps the state, keeping s0 and s3 of each
-        step; numpy forms the outputs rotl(s0 + s3, 23) + s0 from them, with
-        the same wrapping 64-bit arithmetic."""
+        give them, leaving the state where those calls would. Blocks of at
+        least _LANE_MIN draws are stepped as lanes, the rest by the scalar
+        loop; both keep only s0 and s3 of each step, and numpy forms the
+        outputs rotl(s0 + s3, 23) + s0 from them with the same wrapping
+        64-bit arithmetic."""
+        words = []  # [2, k] arrays of s0 and s3 in stream order
+        while n >= _LANE_MIN:
+            lanes = min(_MAX_LANES, n // _LANE_STEPS)
+            words.append(self._lane_words(lanes))
+            n -= lanes * _LANE_STEPS
         s0, s1, s2, s3 = self._s
         mask = _MASK64
         firsts, lasts = [], []
@@ -87,9 +172,32 @@ class Rng:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & mask  # rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
-        s0s = np.array(firsts, np.uint64)
-        x = s0s + np.array(lasts, np.uint64)
+        words.append(np.array([firsts, lasts], np.uint64).reshape(2, n))
+        s0s, s3s = np.concatenate(words, axis=1) if len(words) > 1 else words[0]
+        x = s0s + s3s
         return ((x << 23) | (x >> 41)) + s0s
+
+    def _lane_words(self, lanes):
+        """s0 and s3 of the next lanes * _LANE_STEPS steps, as a [2, k]
+        array: lane j starts at the state j * _LANE_STEPS steps ahead, and
+        all lanes step together."""
+        s = np.empty((4, lanes), np.uint64)
+        s[:, 0] = self._s
+        found = 1
+        for table in _jump_tables():
+            if found >= lanes:
+                break
+            m = min(found, lanes - found)
+            # lanes found..found+m start found * _LANE_STEPS past lanes 0..m
+            s[:, found:found + m] = _jump(table, s[:, :m]).T
+            found += m
+        words = np.empty((_LANE_STEPS, 2, lanes), np.uint64)
+        for j in range(_LANE_STEPS):
+            words[j] = s[::3]  # s0 and s3
+            _step(s)
+        self._s = s[:, -1].tolist()
+        # lane-major is stream order
+        return words.transpose(1, 2, 0).reshape(2, -1)
 
     def next_u64(self):
         return int(self._draws(1)[0])

@@ -1,7 +1,8 @@
 """References the library is judged by: the probability-space
 cross-entropy, which the fused logit losses in tinynn.training must match,
-the central finite-difference check of backward's gradients, and the
-trial-at-a-time repeat_trials that the stacked one must equal.
+the central finite-difference check of backward's gradients, the
+trial-at-a-time repeat_trials that the stacked one must equal, and the
+one-step-at-a-time xoshiro256++ that the generator's blocks must equal.
 
 Gradient checks perturb parameters by +-eps and compare the central
 difference of the loss against the analytic gradient with the symmetric
@@ -144,3 +145,25 @@ def repeat_trials_one_by_one(build_network, generate_data, cfg, n_trials):
         means=means, stds=stds, n_trials=n_trials, divergences=divergences,
         trials=rows,
     )
+
+
+def xoshiro_steps(state, n):
+    """n xoshiro256++ steps from a four-word state, one at a time as in the
+    reference C code; returns (the n outputs, the state after them)."""
+    mask = (1 << 64) - 1
+
+    def rotl(x, k):
+        return ((x << k) | (x >> (64 - k))) & mask
+
+    s = list(state)
+    out = []
+    for _ in range(n):
+        out.append((rotl((s[0] + s[3]) & mask, 23) + s[0]) & mask)
+        t = (s[1] << 17) & mask
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = rotl(s[3], 45)
+    return out, s

@@ -72,6 +72,11 @@ class TestShapeInference:
                 seed=0,
             )
 
+    @pytest.mark.parametrize("act", ["sigmoid", "softmax", "tanh"])
+    def test_conv_activation_other_than_relu_or_none_rejected(self, act):
+        with pytest.raises(DimensionError, match="conv activation"):
+            NetworkSpec((1, 8, 8), [Conv2DSpec(2, 3, act)], seed=0)
+
     def test_even_kernel_rejected_at_assembly(self):
         with pytest.raises(DimensionError):
             NetworkSpec((1, 8, 8), [Conv2DSpec(4, 6)], seed=0)
@@ -365,6 +370,19 @@ class TestCheckpoint:
         struct.pack_into("<I", raw, off, 9)
         open(path, "wb").write(bytes(raw))
         with pytest.raises(CheckpointError, match="activation"):
+            load_network(path)
+
+    def test_conv_sigmoid_rejected(self, tmp_path):
+        path = str(tmp_path / "conv.ckpt")
+        save_network(build_conv_net((1, 8, 8), 2, 1, seed=2), path)
+        raw = bytearray(open(path, "rb").read())
+        # rank 3 and its dims, then the first record: tag, filters, kernel
+        # size and the conv activation code
+        off = 5 + 4 + 4 * 3 + 8 + 4 + 12
+        assert struct.unpack_from("<I", raw, off)[0] == 1  # relu
+        struct.pack_into("<I", raw, off, 2)  # sigmoid
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(CheckpointError, match="conv activation"):
             load_network(path)
 
     @pytest.mark.parametrize("off", [5 + 4, 5 + 4 + 4 * 1 + 8 + 4 + 4])

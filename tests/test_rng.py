@@ -4,19 +4,36 @@ The u64 streams are pinned against an independent C build of the public
 reference implementations (splitmix64 and xoshiro256++), compiled and run
 once; the expected values below are frozen from its output. The shuffle
 outputs are frozen from the per-element Fisher-Yates on `randbelow`, so a
-bulk path that changes the stream fails here.
+bulk path that changes the stream fails here. Blocks long enough for the
+jump-ahead lanes are checked against the one-step-at-a-time reference.
 """
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinynn.layers import build_conv_net
-from tinynn.rng import _FILL_BLOCK, Rng, derive_seed, splitmix64
+import tinynn
+from tinynn.layers import build_conv_net, save_network
+from tinynn.rng import (
+    _FILL_BLOCK,
+    _LANE_MIN,
+    _LANE_STEPS,
+    _MAX_LANES,
+    Rng,
+    _jump,
+    _jump_tables,
+    derive_seed,
+    splitmix64,
+)
+
+from reference import xoshiro_steps
 
 # first outputs of the reference splitmix64 stream seeded with 0
 SPLITMIX_FROM_0 = 16294208416658607535
@@ -121,13 +138,17 @@ class TestFloats:
 
     def test_fill_uniform_matches_scalar_stream(self):
         a, b = Rng(11), Rng(11)
-        # consecutive fills on either side of the block size
-        for n in (64, _FILL_BLOCK - 1, _FILL_BLOCK, _FILL_BLOCK + 1):
+        a.normal()
+        b.normal()
+        # consecutive fills on either side of the block size, with a normal
+        # spare pending that they leave alone
+        for n in (64, _FILL_BLOCK - 1, _FILL_BLOCK, _FILL_BLOCK + 1,
+                  2 * _FILL_BLOCK + 1):
             buf = np.empty(n)
             a.fill_uniform(buf, -1.0, 1.0)
             want = [b.uniform(-1.0, 1.0) for _ in range(n)]
             np.testing.assert_array_equal(buf, want)
-        assert a.next_u64() == b.next_u64()
+        assert [a.normal(), a.next_u64()] == [b.normal(), b.next_u64()]
 
     def test_frozen_conv_init(self):
         net = build_conv_net((1, 28, 28), 30, 1, seed=7)
@@ -179,7 +200,11 @@ class TestNormal:
         a, b = Rng(23), Rng(23)
         assert [a.normal() for _ in range(9)] == [b.normal() for _ in range(9)]
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 4001])
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 2, 3, 4, 5, 4001, _FILL_BLOCK - 1, _FILL_BLOCK, _FILL_BLOCK + 1,
+         2 * _FILL_BLOCK + 1],
+    )
     @pytest.mark.parametrize("spare_in", [False, True])
     def test_fill_normal_matches_scalar_stream(self, n, spare_in):
         assert_fill_normal_matches_scalar(51, n, 0.25, 1.5, spare_in)
@@ -230,7 +255,7 @@ class TestShuffle:
         assert arr.dtype == np.int64
         assert arr.tolist() == SHUFFLE_ARRAY_FROM_202
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5000])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5000, 100_000])
     @pytest.mark.parametrize("kind", ["list", "int64", "float64"])
     def test_matches_randbelow_oracle(self, n, kind):
         make = {
@@ -257,7 +282,8 @@ class TestShuffle:
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    n=st.integers(0, 300),
+    # small blocks, and blocks that take lanes and cross fill blocks
+    n=st.one_of(st.integers(0, 300), st.integers(_LANE_MIN, 2 * _FILL_BLOCK + 3)),
     mean=st.floats(-1e3, 1e3),
     std=st.floats(1e-3, 1e3),
 )
@@ -269,6 +295,72 @@ def test_bulk_paths_match_scalar_references(seed, n, mean, std):
     b.shuffle(got)
     assert got == want
     assert a.next_u64() == b.next_u64()
+
+
+FULL_LANES = _MAX_LANES * _LANE_STEPS
+
+
+class TestLanes:
+    """_draws' jump-ahead lanes against the per-step reference."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            _LANE_MIN - 1,
+            _LANE_MIN,
+            _LANE_MIN + 1,
+            100 * _LANE_STEPS,
+            FULL_LANES,
+            FULL_LANES + 1,
+            3 * FULL_LANES + _LANE_MIN + 5,  # three chunks, a short one, a tail
+            100_000,
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_draws_match_reference(self, n, seed):
+        r = Rng(seed)
+        want, state = xoshiro_steps(r._s, n)
+        assert r._draws(n).tolist() == want
+        assert r._s == state
+
+    @pytest.mark.parametrize("level", range(8))
+    def test_jump_table_levels(self, level):
+        # the level-k table jumps by _LANE_STEPS * 2**k steps
+        starts = [Rng(seed)._s for seed in (1, 2, 3)]
+        got = _jump(_jump_tables()[level], np.array(starts, np.uint64).T)
+        want = [xoshiro_steps(s, _LANE_STEPS << level)[1] for s in starts]
+        assert got.tolist() == want
+
+
+def test_jump_tables_built_only_by_a_lane_block(tmp_path):
+    # a fresh interpreter: importing the package, loading a checkpoint and
+    # drawing short blocks build no table; a lane-sized block builds them
+    path = str(tmp_path / "conv.ckpt")
+    save_network(build_conv_net((1, 8, 8), 2, 1, seed=3), path)
+    script = """
+import sys
+import numpy as np
+import tinynn.cli
+from tinynn.layers import load_network
+from tinynn.rng import _LANE_MIN, Rng, _jump_tables
+built = _jump_tables.cache_info
+print(built().currsize)
+load_network(sys.argv[1])
+r = Rng(1)
+r._draws(_LANE_MIN - 1)
+r.shuffle(list(range(_LANE_MIN)))
+r.fill_normal(np.empty(_LANE_MIN - 2))
+print(built().currsize)
+r._draws(_LANE_MIN)
+print(built().currsize)
+"""
+    src = os.path.dirname(os.path.dirname(tinynn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script, path], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out.split() == ["0", "0", "1"]
 
 
 class TestDeriveSeed:
