@@ -6,25 +6,30 @@ Box-Muller transform and shuffles from Fisher-Yates on top of this generator,
 so identical seeds give identical streams on any platform.
 
 `Rng._draws` is the one bulk source of outputs, exactly as repeated
-`next_u64` calls give them, and it leaves the state where those calls would.
-A block of at least `_LANE_MIN` draws is split into lanes of `_LANE_STEPS`
-consecutive draws, at most `_MAX_LANES` at a time. Lane j starts at the state
-j * `_LANE_STEPS` steps ahead. The xoshiro step is linear over GF(2), so a
-jump by m steps is a 256x256 bit matrix, kept as a nibble table: for each of
-the state's 64 nibbles, the images of its 16 values. The lane starts come
-from the current state by doubling: the jump by `_LANE_STEPS` * 2**k is
-applied to every start found so far. The tables are built once per process,
-when the first lane block is drawn. The lanes then step together as uint64
-arrays with `_step`, which also builds the tables, and the last lane's final
-state is the generator's new state. A remainder below `_LANE_MIN` comes from
-the scalar loop, which holds the state in Python ints; numpy forms its
-outputs from the recorded state words with the same wrapping 64-bit
-arithmetic.
+`next_u64` calls give them. The generator keeps a buffer of outputs it has
+drawn but not yet served, always fewer than one lane block of `LANE_BLOCK`
+draws, and its state `_s` is the state after the last output drawn, which
+runs ahead of the last one served by the buffer's length. A request is
+served from the buffer first; a shortfall is met with whole lane blocks, and
+the unserved tail of the last one becomes the buffer, for the next request
+of any consumer. A block is `_MAX_LANES` lanes of `_LANE_STEPS` consecutive
+draws. Lane j starts at the state j * `_LANE_STEPS` steps ahead. The xoshiro
+step is linear over GF(2), so a jump by m steps is a 256x256 bit matrix, kept
+as a nibble table: for each of the state's 64 nibbles, the images of its 16
+values. The lane starts come from the current state by doubling: the jump by
+`_LANE_STEPS` * 2**k is applied to every start found so far. The tables are
+built once per process, when the first lane block is drawn. The lanes then
+step together as uint64 arrays with `_step`, which also builds the tables,
+and the last lane's final state is the generator's new state. A shortfall
+below `_LANE_MIN` on an empty buffer comes from the scalar loop instead,
+which holds the state in Python ints, so the short requests of a fresh
+generator build no table. numpy forms the outputs from the recorded state
+words with the same wrapping 64-bit arithmetic.
 
 The bulk consumers (`shuffle`, `fill_uniform`, `fill_normal`) take their
 draws in blocks and give results bit-identical to repeated calls of the
 scalar methods (`randbelow`, `uniform`, `normal`), which stay as the
-reference; `next_u64` takes its one draw from the scalar loop. The bulk
+reference; `next_u64` takes its one draw through `_draws` too. The bulk
 float paths use numpy only for operations that are correctly rounded, so
 they equal the scalar ones: the exact int-to-float conversion, products,
 sums and `sqrt`. `log`, `sin` and `cos` come from `math`, because numpy's
@@ -46,11 +51,14 @@ _DERIVE_BASE = 0x243F6A8885A308D3
 # of Python ints, and a dataset-sized fill keeps its peak memory small
 _FILL_BLOCK = 1 << 12
 _UNIT = 2.0 ** -53  # (u64 >> 11) * _UNIT is uniform in [0, 1)
-# _draws takes blocks of at least _LANE_MIN draws as up to _MAX_LANES lanes
-# of _LANE_STEPS consecutive draws each; below it the scalar loop is faster
+# _draws generates lane blocks of _MAX_LANES lanes of _LANE_STEPS consecutive
+# draws each; a shortfall below _LANE_MIN on an empty buffer takes the scalar
+# loop instead, which is faster there
 _LANE_STEPS = 16
 _MAX_LANES = 256
 _LANE_MIN = 1024
+# draws per lane block; a generator keeps fewer than this between calls
+LANE_BLOCK = _MAX_LANES * _LANE_STEPS
 # a jump table holds 16 rows per nibble position of the 256-bit state:
 # position 16 * w + j is bits 4j..4j+3 of word w, and its rows start at
 # _NIBBLE_BASES[16 * w + j]
@@ -131,6 +139,14 @@ def _jump_tables():
     return tuple(tables)
 
 
+def _outputs(words):
+    """xoshiro256++ outputs rotl(s0 + s3, 23) + s0 from a [2, k] array of
+    the s0 and s3 words, with the same wrapping 64-bit arithmetic."""
+    s0s, s3s = words
+    x = s0s + s3s
+    return ((x << 23) | (x >> 41)) + s0s
+
+
 class Rng:
     """xoshiro256++ stream seeded through splitmix64."""
 
@@ -144,19 +160,33 @@ class Rng:
             state[0] = 1  # all-zero state is the one invalid xoshiro state
         self._s = state
         self._spare_normal = None
+        self._buf = np.empty(0, np.uint64)  # drawn, not yet served
 
     def _draws(self, n):
         """The next n outputs as a uint64 array, exactly as n next_u64 calls
-        give them, leaving the state where those calls would. Blocks of at
-        least _LANE_MIN draws are stepped as lanes, the rest by the scalar
-        loop; both keep only s0 and s3 of each step, and numpy forms the
-        outputs rotl(s0 + s3, 23) + s0 from them with the same wrapping
-        64-bit arithmetic."""
-        words = []  # [2, k] arrays of s0 and s3 in stream order
-        while n >= _LANE_MIN:
-            lanes = min(_MAX_LANES, n // _LANE_STEPS)
-            words.append(self._lane_words(lanes))
-            n -= lanes * _LANE_STEPS
+        give them; callers only read it, as it may be a view of the buffer.
+        The buffer's drawn but unserved outputs come first. A shortfall is
+        met with whole lane blocks, whose unserved tail becomes the buffer,
+        except that a shortfall below _LANE_MIN on an empty buffer comes from
+        the scalar loop, so a fresh generator's short requests build no jump
+        table. Either way self._s ends after the last output drawn."""
+        buf = self._buf
+        if n <= len(buf):
+            self._buf = buf[n:]
+            return buf[:n]
+        short = n - len(buf)
+        if short < _LANE_MIN and not len(buf):
+            return self._scalar_draws(n)
+        blocks = [self._lane_block() for _ in range(-(-short // LANE_BLOCK))]
+        used = short - (len(blocks) - 1) * LANE_BLOCK
+        # a view of the last block alone, so that the buffer never pins more
+        # than one block of a long request
+        self._buf = blocks[-1][used:]
+        return np.concatenate([buf, *blocks[:-1], blocks[-1][:used]])
+
+    def _scalar_draws(self, n):
+        """The next n outputs from the scalar loop, which holds the state in
+        Python ints and records s0 and s3 of each step."""
         s0, s1, s2, s3 = self._s
         mask = _MASK64
         firsts, lasts = [], []
@@ -172,32 +202,28 @@ class Rng:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & mask  # rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
-        words.append(np.array([firsts, lasts], np.uint64).reshape(2, n))
-        s0s, s3s = np.concatenate(words, axis=1) if len(words) > 1 else words[0]
-        x = s0s + s3s
-        return ((x << 23) | (x >> 41)) + s0s
+        return _outputs(np.array([firsts, lasts], np.uint64).reshape(2, n))
 
-    def _lane_words(self, lanes):
-        """s0 and s3 of the next lanes * _LANE_STEPS steps, as a [2, k]
-        array: lane j starts at the state j * _LANE_STEPS steps ahead, and
-        all lanes step together."""
-        s = np.empty((4, lanes), np.uint64)
+    def _lane_block(self):
+        """The next LANE_BLOCK outputs, as a read-only array: lane j of the
+        _MAX_LANES starts at the state j * _LANE_STEPS steps ahead, and all
+        lanes step together."""
+        s = np.empty((4, _MAX_LANES), np.uint64)
         s[:, 0] = self._s
         found = 1
         for table in _jump_tables():
-            if found >= lanes:
-                break
-            m = min(found, lanes - found)
-            # lanes found..found+m start found * _LANE_STEPS past lanes 0..m
-            s[:, found:found + m] = _jump(table, s[:, :m]).T
-            found += m
-        words = np.empty((_LANE_STEPS, 2, lanes), np.uint64)
+            # lanes found..2 * found start found * _LANE_STEPS past lanes 0..found
+            s[:, found:2 * found] = _jump(table, s[:, :found]).T
+            found *= 2
+        words = np.empty((_LANE_STEPS, 2, _MAX_LANES), np.uint64)
         for j in range(_LANE_STEPS):
             words[j] = s[::3]  # s0 and s3
             _step(s)
         self._s = s[:, -1].tolist()
         # lane-major is stream order
-        return words.transpose(1, 2, 0).reshape(2, -1)
+        block = _outputs(words.transpose(1, 2, 0).reshape(2, -1))
+        block.flags.writeable = False
+        return block
 
     def next_u64(self):
         return int(self._draws(1)[0])
@@ -241,7 +267,9 @@ class Rng:
 
         The same permutation as swapping seq[i] with seq[randbelow(i + 1)]
         for i from the end down. Each position takes at least one draw, so a
-        block of as many draws as positions left is never overdrawn.
+        request for as many draws as positions left is never overdrawn; the
+        rounds of one shuffle, and the shuffles that follow, are served from
+        the same lane blocks through the generator's buffer.
         """
         items = seq.tolist() if isinstance(seq, np.ndarray) else list(seq)
         i = len(items) - 1

@@ -25,7 +25,7 @@ import numpy as np
 from .datasets import LabeledDataset
 from .errors import ConfigError, DataError, DivergenceError
 from .layers import DenseSpec, Network, backward, forward
-from .rng import Rng, derive_seed
+from .rng import LANE_BLOCK, Rng, derive_seed
 from .tensor import Tensor
 
 # rows per forward pass over flat input, in evaluation and in the dead-unit
@@ -373,10 +373,10 @@ def _trial_shapes(data, net):
 
 def _trial_bytes(data, net):
     """A trial's share of a stack, with the copy of its training indices
-    that train shuffles."""
+    that train shuffles and the lane block its shuffle generator keeps."""
     arrays = [data.feature_array, data.labels, data.train_indices, data.train_indices,
               data.test_indices] + [v for p in net.params for v in p.values()]
-    return sum(a.nbytes for a in arrays)
+    return sum(a.nbytes for a in arrays) + LANE_BLOCK * np.dtype(np.uint64).itemsize
 
 
 def repeat_trials(build_network, generate_data, cfg, n_trials):

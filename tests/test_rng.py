@@ -5,7 +5,8 @@ reference implementations (splitmix64 and xoshiro256++), compiled and run
 once; the expected values below are frozen from its output. The shuffle
 outputs are frozen from the per-element Fisher-Yates on `randbelow`, so a
 bulk path that changes the stream fails here. Blocks long enough for the
-jump-ahead lanes are checked against the one-step-at-a-time reference.
+jump-ahead lanes are checked against the one-step-at-a-time reference, and so
+is the hand-off of buffered draws from one consumer to the next.
 """
 
 import hashlib
@@ -23,9 +24,9 @@ import tinynn
 from tinynn.layers import build_conv_net, save_network
 from tinynn.rng import (
     _FILL_BLOCK,
+    LANE_BLOCK,
     _LANE_MIN,
     _LANE_STEPS,
-    _MAX_LANES,
     Rng,
     _jump,
     _jump_tables,
@@ -297,7 +298,62 @@ def test_bulk_paths_match_scalar_references(seed, n, mean, std):
     assert a.next_u64() == b.next_u64()
 
 
-FULL_LANES = _MAX_LANES * _LANE_STEPS
+@st.composite
+def consumer(draw):
+    kind = draw(st.sampled_from(
+        ["next_u64", "draws", "shuffle_list", "shuffle_array", "fill_uniform",
+         "fill_normal", "normal", "randbelow"]
+    ))
+    if kind == "draws":
+        return kind, draw(st.integers(0, 3 * LANE_BLOCK))
+    if kind.startswith("shuffle"):
+        return kind, draw(st.integers(0, 2 * LANE_BLOCK))
+    if kind == "fill_uniform":
+        return kind, draw(st.integers(0, 2 * _FILL_BLOCK + 3))
+    if kind == "fill_normal":
+        return kind, (draw(st.integers(0, 2 * _FILL_BLOCK + 3)), draw(st.booleans()))
+    if kind == "randbelow":
+        return kind, draw(st.integers(1, 2**64))
+    return kind, None
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), consumers=st.lists(consumer(), max_size=8))
+def test_consumers_hand_the_stream_on(seed, consumers):
+    # one generator serves every consumer in turn from its lane blocks; a
+    # fresh one with the same seed serves them by the scalar methods and the
+    # one-step reference, so no draw is dropped, repeated or reordered where
+    # one consumer leaves part of a block to the next
+    got, ref = Rng(seed), Rng(seed)
+    for kind, arg in consumers:
+        if kind == "next_u64":
+            assert got.next_u64() == ref.next_u64()
+        elif kind == "draws":
+            want, ref._s = xoshiro_steps(ref._s, arg)
+            assert got._draws(arg).tolist() == want
+        elif kind.startswith("shuffle"):
+            make = list if kind == "shuffle_list" else np.array
+            a, b = make(range(arg)), make(range(arg))
+            got.shuffle(a)
+            shuffle_oracle(ref, b)
+            assert list(a) == list(b)
+        elif kind == "fill_uniform":
+            out = np.empty(arg)
+            got.fill_uniform(out, -2.0, 3.0)
+            assert out.tolist() == [ref.uniform(-2.0, 3.0) for _ in range(arg)]
+        elif kind == "fill_normal":
+            n, spare = arg
+            if (got._spare_normal is not None) != spare:
+                assert got.normal() == ref.normal()
+            out = np.empty(n)
+            got.fill_normal(out, 0.5, 2.0)
+            assert out.tolist() == [ref.normal(0.5, 2.0) for _ in range(n)]
+        elif kind == "normal":
+            assert got.normal() == ref.normal()
+        else:
+            assert got.randbelow(arg) == ref.randbelow(arg)
+        assert len(got._buf) < LANE_BLOCK
+    assert [got.normal(), got.next_u64()] == [ref.normal(), ref.next_u64()]
 
 
 class TestLanes:
@@ -310,18 +366,31 @@ class TestLanes:
             _LANE_MIN,
             _LANE_MIN + 1,
             100 * _LANE_STEPS,
-            FULL_LANES,
-            FULL_LANES + 1,
-            3 * FULL_LANES + _LANE_MIN + 5,  # three chunks, a short one, a tail
+            LANE_BLOCK,
+            LANE_BLOCK + 1,
+            3 * LANE_BLOCK + _LANE_MIN + 5,  # four blocks and a tail kept
             100_000,
         ],
     )
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
     def test_draws_match_reference(self, n, seed):
+        # the state runs ahead of the draws served, so the draws that follow
+        # are checked instead: through the buffer's tail and two refills
         r = Rng(seed)
-        want, state = xoshiro_steps(r._s, n)
-        assert r._draws(n).tolist() == want
-        assert r._s == state
+        k = 2 * LANE_BLOCK + 17
+        want, _ = xoshiro_steps(r._s, n + k)
+        assert r._draws(n).tolist() == want[:n]
+        rest = [r.next_u64() for _ in range(17)] + r._draws(k - 17).tolist()
+        assert rest == want[n:]
+
+    def test_long_request_keeps_one_block_tail(self):
+        r = Rng(5)
+        r._draws(100_000)
+        assert 0 < len(r._buf) < LANE_BLOCK
+        root = r._buf
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes == LANE_BLOCK * 8
 
     @pytest.mark.parametrize("level", range(8))
     def test_jump_table_levels(self, level):

@@ -11,6 +11,7 @@ from tinynn.datasets import SyntheticSpec, generate_synthetic
 from tinynn.errors import ConfigError, DataError, DivergenceError
 from tinynn.experiments import build_config
 from tinynn.layers import build_conv_net, build_mlp, forward
+from tinynn.rng import LANE_BLOCK
 from tinynn.tensor import Tensor
 from tinynn.training import (
     MetricsReport,
@@ -338,9 +339,11 @@ class TestRepeatTrials:
         build = lambda s: build_mlp(3, 10, s)
         probe = gen(0)
         per_trial = training._trial_bytes(probe, build(0))
-        # each trial holds its features, labels, both index arrays and the
-        # shuffled copy of its training indices
-        assert per_trial > probe.feature_array.nbytes + 2 * probe.train_indices.nbytes
+        # each trial holds its features, labels, both index arrays, the
+        # shuffled copy of its training indices and its shuffle generator's
+        # lane block
+        assert per_trial > (probe.feature_array.nbytes + 2 * probe.train_indices.nbytes
+                            + LANE_BLOCK * 8)
         monkeypatch.setattr(training, "_STACK_BYTES", per_stack * per_trial + per_trial // 2)
         trained = []
         real_train = training.train
