@@ -44,7 +44,7 @@ def _parser():
         type=int,
         help="per-run stratified cap on training rows; 0 means the full split",
     )
-    p.add_argument("--jobs", type=int, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, help="forked workers for sweep cells and OVA members")
     p.add_argument(
         "--aggregation",
         choices=POLICIES,

@@ -201,17 +201,11 @@ def _read_idx_labels(path):
     return labels
 
 
-def load_mnist(images_path, labels_path, test_images_path=None, test_labels_path=None):
-    """Parse IDX image/label pairs into a dataset of [N,1,28,28] features.
-
-    With only the first pair, every sample lands in the train split; with a
-    test pair, the two files become the train and test partitions.
-    """
-    pairs = [(images_path, labels_path)]
-    if test_images_path is not None:
-        pairs.append((test_images_path, test_labels_path))
+def load_mnist(images_path, labels_path, test_images_path, test_labels_path):
+    """Parse IDX image/label pairs into a dataset of [N,1,28,28] features;
+    the first pair is the train split, the second the test split."""
     blocks, label_blocks = [], []
-    for ip, lp in pairs:
+    for ip, lp in ((images_path, labels_path), (test_images_path, test_labels_path)):
         images = _read_idx_images(ip)
         labels = _read_idx_labels(lp)
         if len(images) != len(labels):
@@ -256,19 +250,16 @@ def _read_cifar_batch(path):
     return records
 
 
-def load_cifar10(batch_paths, test_path=None):
+def load_cifar10(batch_paths, test_path):
     """Parse 3073-byte-record batches into [N,3,32,32] features.
 
-    batch_paths fill the train split, test_path the test split.
+    batch_paths (a list) fill the train split, test_path the test split.
     """
-    if isinstance(batch_paths, (str, bytes)):
-        batch_paths = [batch_paths]
     if not batch_paths:
         raise DataError("no batch files given")
     blocks = [_read_cifar_batch(p) for p in batch_paths]
     n_train = sum(len(b) for b in blocks)
-    if test_path is not None:
-        blocks.append(_read_cifar_batch(test_path))
+    blocks.append(_read_cifar_batch(test_path))
     records = np.concatenate(blocks)
     labels = records[:, 0].astype(np.int64)
     feats = records[:, 1:].astype(np.float64).reshape(-1, 3, 32, 32)

@@ -161,7 +161,7 @@ def _train_member(view, hidden_units, cfg, seed):
         )
 
 
-def train_ensemble(data, hidden_units, cfg, class_names=None, jobs=1):
+def train_ensemble(data, hidden_units, cfg, jobs=1):
     """Train one binary network per class on its balanced view.
 
     Member i's seed is cfg.seed XOR i, used for init and for its training
@@ -177,12 +177,10 @@ def train_ensemble(data, hidden_units, cfg, class_names=None, jobs=1):
     def member(i):
         return _train_member(views[i], hidden_units, cfg, _member_seed(cfg.seed, i))
 
-    results = fork_map(member, k, jobs)
+    results = list(fork_map(member, k, jobs))
     members = [net for net, _ in results]
     reports = [rep for _, rep in results]
-    return OvaEnsemble(
-        members=members, class_names=class_names, member_reports=reports
-    )
+    return OvaEnsemble(members=members, member_reports=reports)
 
 
 def member_scores(ensemble, features, indices):

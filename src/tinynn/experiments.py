@@ -6,6 +6,9 @@ manifest listing every output file with its SHA-256. Replaying a manifest
 reruns the recorded config and reproduces every CSV and checkpoint
 bit-exactly; resuming a directory skips cells whose outputs already exist
 and hash-match. A run that fails on its data leaves no directory behind.
+Both sweeps run their cells through RunContext.run_cells, which forks them
+over the config's jobs and writes their outputs in cell order; the
+one-vs-all runners fork their members through train_ensemble.
 """
 
 import hashlib
@@ -13,7 +16,7 @@ import json
 import os
 import shutil
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime
 
@@ -361,19 +364,14 @@ class RunContext:
     def path(self, name):
         return os.path.join(self.run_dir, name)
 
+    def _add_stage(self, name, seconds):
+        self.stages.append({"name": name, "seconds": round(seconds, 6)})
+
+    @contextmanager
     def stage(self, name):
-        ctx = self
-
-        class _Stage:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                ctx.stages.append(
-                    {"name": name, "seconds": round(time.perf_counter() - self.t0, 6)}
-                )
-
-        return _Stage()
+        t0 = time.perf_counter()
+        yield
+        self._add_stage(name, time.perf_counter() - t0)
 
     def register(self, *names):
         for name in names:
@@ -384,15 +382,19 @@ class RunContext:
         writer(self.path(name), *args)
         self.register(name)
 
-    def mark_cell(self, cell, names, row=None):
+    def mark_cell(self, cell, names, row=None, divergence=None):
+        """Append the cell's progress record; returns it."""
         entry = {"cell": cell, "outputs": {n: self.outputs[n] for n in names}}
         if row is not None:
             entry["row"] = row
+        if divergence is not None:
+            entry["divergence"] = divergence
         with open(self._progress_path, "a") as f:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
+        return entry
 
     def completed_cells(self):
-        """Verified progress entries: cell -> row; outputs must hash-match."""
+        """Verified progress records by cell; their outputs must hash-match."""
         done = {}
         if not os.path.exists(self._progress_path):
             return done
@@ -410,6 +412,33 @@ class RunContext:
                     done[entry["cell"]] = entry
                     self.outputs.update(entry["outputs"])
         return done
+
+    def run_cells(self, cells, work, write):
+        """Run independent cells; returns their rows in cell order.
+
+        cells maps names to work's argument. A cell whose progress record
+        still hash-verifies is skipped; its row and divergence come from the
+        record. The rest run as work(cell) through fork_map over config.jobs,
+        each timed where it runs. Then, in the parent and in cell order, each
+        gets its stage, write(name, result) writes its outputs and returns
+        (output names, row, divergence or None), and its progress record is
+        appended, so a serial run writes each cell before the next starts.
+        """
+        done = self.completed_cells()
+        todo = [name for name in cells if name not in done]
+
+        def timed(i):
+            t0 = time.perf_counter()
+            result = work(cells[todo[i]])
+            return todo[i], time.perf_counter() - t0, result
+
+        for name, seconds, result in fork_map(timed, len(todo), self.config.jobs):
+            self._add_stage(name, seconds)
+            done[name] = self.mark_cell(name, *write(name, result))
+        self.divergences += [
+            done[c]["divergence"] for c in cells if "divergence" in done[c]
+        ]
+        return [done[c]["row"] for c in cells]
 
     def finish(self):
         manifest = {
@@ -466,8 +495,7 @@ def load_dataset(config):
             )
         )
     if config.dataset == "mnist":
-        paths = _require_files(config.mnist_dir, MNIST_FILES, "mnist")
-        return load_mnist(paths[0], paths[1], paths[2], paths[3])
+        return load_mnist(*_require_files(config.mnist_dir, MNIST_FILES, "mnist"))
     paths = _require_files(config.cifar_dir, CIFAR_FILES, "cifar10")
     return load_cifar10(paths[:5], paths[5])
 
@@ -487,49 +515,38 @@ def _cell_name(std, n, h):
 def run_synthetic_sweep(config, run_dir):
     """The 3x3x3 grid: stds x sizes x hidden widths, trial-averaged."""
     ctx = RunContext(config, run_dir)
-    done = ctx.completed_cells()
-    grid_rows = []
-    for si, std in enumerate(config.stds):
-        for ni, n in enumerate(config.sizes):
-            for h in config.hidden:
-                cell = _cell_name(std, n, h)
-                trials_name = "%s_trials.csv" % cell
-                summary_name = "%s_summary.csv" % cell
-                if cell in done:
-                    grid_rows.append(done[cell]["row"])
-                    continue
-                cell_seed = derive_seed(config.seed, si, ni, h)
-                self_std, self_n = std, n
+    cells = {
+        _cell_name(std, n, h): (std, n, h, derive_seed(config.seed, si, ni, h))
+        for si, std in enumerate(config.stds)
+        for ni, n in enumerate(config.sizes)
+        for h in config.hidden
+    }
 
-                def gen(seed, _std=self_std, _n=self_n):
-                    return generate_synthetic(
-                        SyntheticSpec(std=_std, n_samples=_n, seed=seed)
-                    )
+    def work(cell):
+        std, n, h, seed = cell
+        return repeat_trials(
+            lambda s: build_mlp(3, h, s),
+            lambda s: generate_synthetic(SyntheticSpec(std=std, n_samples=n, seed=s)),
+            config.train_config(seed),
+            config.trials,
+        )
 
-                def build(seed, _h=h):
-                    return build_mlp(3, _h, seed)
+    def write(name, summary):
+        std, n, h, _ = cells[name]
+        names = ["%s_trials.csv" % name, "%s_summary.csv" % name]
+        ctx.write(names[0], write_trials_csv, summary)
+        ctx.write(names[1], write_summary_csv, summary)
+        row = {
+            "std": std,
+            "n_samples": n,
+            "hidden": h,
+            "metrics": {m: [v, summary.stds[m]] for m, v in summary.means.items()},
+            "n_ok": summary.n_trials - summary.divergences,
+        }
+        diverged = {"cell": name, "count": summary.divergences}
+        return names, row, diverged if summary.divergences else None
 
-                cfg = config.train_config(cell_seed)
-                with ctx.stage(cell):
-                    summary = repeat_trials(build, gen, cfg, config.trials)
-                ctx.write(trials_name, write_trials_csv, summary)
-                ctx.write(summary_name, write_summary_csv, summary)
-                if summary.divergences:
-                    ctx.divergences.append(
-                        {"cell": cell, "count": summary.divergences}
-                    )
-                row = {
-                    "std": std,
-                    "n_samples": n,
-                    "hidden": h,
-                    "metrics": {
-                        m: [summary.means[m], summary.stds[m]]
-                        for m in ("accuracy", "sensitivity", "specificity")
-                    },
-                    "n_ok": summary.n_trials - summary.divergences,
-                }
-                ctx.mark_cell(cell, [trials_name, summary_name], row)
-                grid_rows.append(row)
+    grid_rows = ctx.run_cells(cells, work, write)
     ctx.write("grid.csv", write_csv, "std,n_samples,hidden,metric,mean,stddev,n", (
         ("%g" % row["std"], row["n_samples"], row["hidden"], m, *row["metrics"][m],
          row["n_ok"])
@@ -540,55 +557,37 @@ def run_synthetic_sweep(config, run_dir):
     return RunResult(ctx.run_dir, manifest, {"rows": grid_rows})
 
 
-def _train_width(data, config, width):
-    """One sweep width; a divergence comes back as its message."""
-    seed = derive_seed(config.seed, width)
-    net = build_conv_net(
-        tuple(data.feature_array.shape[1:]), width, data.class_count, seed
-    )
-    try:
-        net, report = train(net, data, config.train_config(seed))
-    except DivergenceError as e:
-        return width, None, None, str(e)
-    return width, net, report, None
-
-
 def run_layer_size_sweep(config, run_dir):
     """One multi-class conv net per hidden width at the sweep budget."""
     ctx = RunContext(config, run_dir)
-    done = ctx.completed_cells()
     with ctx.stage("load-data"):
         data = _apply_subset(load_dataset(config), config.budget().subset)
-    rows = []
-    todo = [w for w in config.hidden if ("w%d" % w) not in done]
-    rows.extend(done[c]["row"] for c in done)
+    cells = {"w%d" % w: (w, derive_seed(config.seed, w)) for w in config.hidden}
+    ctx.seeds.update(("width-%d" % w, seed) for w, seed in cells.values())
 
-    def train_width(i):
-        # a forked worker's stage record is dropped with the worker
-        with ctx.stage("width-%d" % todo[i]):
-            return _train_width(data, config, todo[i])
+    def work(cell):
+        """The trained net and its report, or a divergence's message."""
+        width, seed = cell
+        net = build_conv_net(
+            tuple(data.feature_array.shape[1:]), width, data.class_count, seed
+        )
+        try:
+            return train(net, data, config.train_config(seed))
+        except DivergenceError as e:
+            return str(e)
 
-    results = []
-    if todo:
-        with ctx.stage("train-widths") if config.jobs > 1 else nullcontext():
-            results = fork_map(train_width, len(todo), config.jobs)
-    for width, net, report, err in results:
-        ctx.seeds["width-%d" % width] = derive_seed(config.seed, width)
-        cell = "w%d" % width
-        names = []
-        if err is not None:
-            ctx.divergences.append({"width": width, "error": err})
+    def write(name, result):
+        width, _ = cells[name]
+        if isinstance(result, str):
             row = {"width": width, "accuracy": None, "diverged": 1}
-        else:
-            curve_name = "loss_w%d.csv" % width
-            ckpt_name = "width_%d.ckpt" % width
-            ctx.write(curve_name, write_loss_curve_csv, report.loss_curve)
-            ctx.write(ckpt_name, lambda path: save_network(net, path))
-            names = [curve_name, ckpt_name]
-            row = {"width": width, "accuracy": report.accuracy, "diverged": 0}
-        ctx.mark_cell(cell, names, row)
-        rows.append(row)
-    rows.sort(key=lambda r: r["width"])
+            return [], row, {"width": width, "error": result}
+        net, report = result
+        names = ["loss_w%d.csv" % width, "width_%d.ckpt" % width]
+        ctx.write(names[0], write_loss_curve_csv, report.loss_curve)
+        ctx.write(names[1], lambda path: save_network(net, path))
+        return names, {"width": width, "accuracy": report.accuracy, "diverged": 0}, None
+
+    rows = sorted(ctx.run_cells(cells, work, write), key=lambda r: r["width"])
     ctx.write("accuracy_vs_width.csv", write_csv, "width,accuracy,diverged", (
         (r["width"], "" if r["accuracy"] is None else r["accuracy"], r["diverged"])
         for r in rows

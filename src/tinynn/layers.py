@@ -157,9 +157,6 @@ class Network:
             {k: np.zeros_like(v) for k, v in p.items()} for p in self.params
         ]
 
-    def parameter_count(self):
-        return sum(v.size for p in self.params for v in p.values())
-
     @property
     def lanes(self):
         """The leading trial axes of the parameters: () for one network,

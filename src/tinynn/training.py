@@ -1,5 +1,6 @@
 """Mini-batch SGD training, metrics, repeated-trial averaging, and the
-forked map that trains independent networks in parallel.
+forked map that runs independent units of work (sweep cells, ensemble
+members) in parallel worker processes, yielding their results in order.
 
 Determinism contract: a run is a pure function of (network seed, config
 seed, dataset); identical seeds give bit-identical trained parameters.
@@ -50,7 +51,6 @@ class TrainConfig:
     epochs: int
     batch_size: int = 32
     seed: int = 0  # the shuffle stream's; a trial stack takes one per trial
-    orient_dead_units: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.learning_rate <= 1.0):
@@ -188,15 +188,14 @@ def train(net, data, cfg):
     # divergence is detected by the explicit finiteness check below, so the
     # intermediate overflow warnings on the way there are just noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if cfg.orient_dead_units:
-            probe = features[by_trial + (train_idx[..., :min(512, n)],)]
-            if lanes:
-                step = max(1, _FLAT_CHUNK // probe.shape[-2])
-                for lo in range(0, lanes[0], step):
-                    part = slice(lo, lo + step)
-                    _orient_dead_relu_units(net.lane(part), probe[part])
-            else:
-                _orient_dead_relu_units(net, probe)
+        probe = features[by_trial + (train_idx[..., :min(512, n)],)]
+        if lanes:
+            step = max(1, _FLAT_CHUNK // probe.shape[-2])
+            for lo in range(0, lanes[0], step):
+                part = slice(lo, lo + step)
+                _orient_dead_relu_units(net.lane(part), probe[part])
+        else:
+            _orient_dead_relu_units(net, probe)
         for epoch in range(cfg.epochs):
             for rng, trial_order in zip(rngs, order.reshape(-1, n)):
                 rng.shuffle(trial_order)
@@ -289,11 +288,11 @@ def predict_scores(net, features, idx):
     return np.concatenate(outs, axis=0)
 
 
-def evaluate(net, data, split="test"):
-    """Metrics on the dataset's held-out (or named) split."""
-    idx = data.test_indices if split == "test" else data.train_indices
+def evaluate(net, data):
+    """Metrics on the dataset's held-out split."""
+    idx = data.test_indices
     if len(idx) == 0:
-        raise DataError("%s split is empty" % split)
+        raise DataError("test split is empty")
     out = predict_scores(net, data.feature_array, idx)
     labels = data.labels_at(idx)
     if net.spec.output_units == 1:
@@ -447,17 +446,23 @@ def _run_fork_task(i):
 
 
 def fork_map(task, n, jobs):
-    """[task(i) for i in range(n)], spread over min(jobs, n) forked worker
-    processes when jobs > 1. Results come back in index order."""
+    """task(i) for i in range(n), yielded lazily in index order.
+
+    The calls run in min(jobs, n) forked worker processes when that is more
+    than one, else one at a time in this process as the results are taken.
+    The workers stop once the iterator is exhausted or closed.
+    """
     global _FORK_TASK
-    if jobs <= 1 or not hasattr(os, "fork"):
-        return [task(i) for i in range(n)]
+    if min(jobs, n) <= 1 or not hasattr(os, "fork"):
+        for i in range(n):
+            yield task(i)
+        return
     from multiprocessing import get_context
 
     _FORK_TASK = task
     try:
         with get_context("fork").Pool(min(jobs, n)) as pool:
-            return pool.map(_run_fork_task, range(n))
+            yield from pool.imap(_run_fork_task, range(n))
     finally:
         _FORK_TASK = None
 

@@ -78,6 +78,7 @@ def synth_run(tmp_path_factory):
         out=str(tmp_path_factory.mktemp("acc-synth")),
         stds=(1.0,),
         sizes=(10000,),
+        jobs=2,
     ).validate()
     return run_experiment(cfg)
 

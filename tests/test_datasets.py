@@ -245,12 +245,6 @@ class TestIdxParsing:
             data.feature_array[0, 0], f["train_imgs"][0] / 255.0, atol=0
         )
 
-    def test_train_only_load(self, tiny_mnist_files):
-        f = tiny_mnist_files
-        data = load_mnist(f["train-images"], f["train-labels"])
-        assert len(data.train_indices) == 20
-        assert len(data.test_indices) == 0
-
     def test_payload_round_trip(self, tiny_mnist_files):
         f = tiny_mnist_files
         data = load_mnist(
@@ -266,13 +260,13 @@ class TestIdxParsing:
         p = tmp_path / "bad"
         p.write_bytes(b"\x00\x00\x08\x99" + b"\x00" * 100)
         with pytest.raises(DataFormatError, match="magic.*offset 0"):
-            load_mnist(str(p), str(p))
+            load_mnist(str(p), str(p), str(p), str(p))
 
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "short"
         p.write_bytes(b"\x00\x00\x08")
         with pytest.raises(DataFormatError, match="truncated header"):
-            load_mnist(str(p), str(p))
+            load_mnist(str(p), str(p), str(p), str(p))
 
     def test_payload_size_mismatch(self, tmp_path):
         imgs = np.zeros((2, 28, 28), np.uint8)
@@ -280,14 +274,14 @@ class TestIdxParsing:
         p = tmp_path / "trunc"
         p.write_bytes(blob)
         with pytest.raises(DataFormatError, match="promises"):
-            load_mnist(str(p), str(p))
+            load_mnist(str(p), str(p), str(p), str(p))
 
     def test_wrong_image_size_rejected(self, tmp_path):
         head = struct.pack(">IIII", 0x00000803, 1, 14, 14)
         p = tmp_path / "small"
         p.write_bytes(head + b"\x00" * (14 * 14))
         with pytest.raises(DataFormatError, match="28x28"):
-            load_mnist(str(p), str(p))
+            load_mnist(str(p), str(p), str(p), str(p))
 
     def test_label_out_of_range_offset(self, tmp_path, tiny_mnist_files):
         labels = np.array([1, 2, 11], np.uint8)
@@ -296,14 +290,14 @@ class TestIdxParsing:
         imgs = tmp_path / "imgs"
         imgs.write_bytes(idx_images_bytes(np.zeros((3, 28, 28), np.uint8)))
         with pytest.raises(DataFormatError, match="label byte 11 .*offset 10"):
-            load_mnist(str(imgs), str(p))
+            load_mnist(str(imgs), str(p), str(imgs), str(p))
 
     def test_count_mismatch_names_both_files(self, tiny_mnist_files, tmp_path):
         f = tiny_mnist_files
         p = tmp_path / "three-labels"
         p.write_bytes(idx_labels_bytes(np.zeros(3, np.uint8)))
         with pytest.raises(DataFormatError, match="does not match"):
-            load_mnist(f["train-images"], str(p))
+            load_mnist(f["train-images"], str(p), f["test-images"], f["test-labels"])
 
 
 def cifar_batch_bytes(labels, pixels):
@@ -360,13 +354,13 @@ class TestCifarParsing:
         p = tmp_path / "ragged.bin"
         p.write_bytes(b"\x00" * (3073 + 100))
         with pytest.raises(DataFormatError, match="remainder 100"):
-            load_cifar10([str(p)])
+            load_cifar10([str(p)], str(p))
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.bin"
         p.write_bytes(b"")
         with pytest.raises(DataFormatError):
-            load_cifar10([str(p)])
+            load_cifar10([str(p)], str(p))
 
     def test_label_out_of_range_names_record(self, tmp_path):
         rec = np.zeros((2, 3073), np.uint8)
@@ -374,11 +368,11 @@ class TestCifarParsing:
         p = tmp_path / "bad.bin"
         p.write_bytes(rec.tobytes())
         with pytest.raises(DataFormatError, match="record 1"):
-            load_cifar10([str(p)])
+            load_cifar10([str(p)], str(p))
 
     def test_no_batches_rejected(self):
         with pytest.raises(DataError):
-            load_cifar10([])
+            load_cifar10([], "test_batch.bin")
 
 
 def grid_dataset(per_class=20, k=4, test_per_class=5):

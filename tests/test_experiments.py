@@ -2,15 +2,17 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tinynn import experiments
 from tinynn.cli import main
-from tinynn.errors import ConfigError, DataError
+from tinynn.errors import ConfigError, DataError, DivergenceError
 from tinynn.experiments import (
     BUDGETS,
     DEFAULT_SYNTH_HIDDEN,
@@ -32,18 +34,32 @@ from tinynn.experiments import (
 from tinynn.rng import derive_seed
 
 
-def tiny_sweep_config(out, seed=1):
+def tiny_sweep_config(out, seed=1, hidden=(1, 2), jobs=1):
     return ExperimentConfig(
         kind="synthetic-sweep",
         dataset="synthetic",
-        hidden=(1, 2),
+        hidden=hidden,
         trials=2,
         seed=seed,
         out=str(out),
         epochs=1,
+        jobs=jobs,
         stds=(0.5,),
         sizes=(240,),
     ).validate()
+
+
+def interrupt_after_first_cell(src, run):
+    """Copy a finished sweep's config and first cell into run, as a run cut
+    after that cell; returns the cell's name."""
+    run.mkdir()
+    with open(os.path.join(src, "progress.jsonl")) as f:
+        first_line = f.readline()
+    cell = json.loads(first_line)["cell"]
+    for name in ("config.json", "%s_trials.csv" % cell, "%s_summary.csv" % cell):
+        (run / name).write_bytes(file_bytes(os.path.join(src, name)))
+    (run / "progress.jsonl").write_text(first_line)
+    return cell
 
 
 def read_csv_rows(path):
@@ -56,6 +72,10 @@ def read_csv_rows(path):
 def file_bytes(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+def stage_names(result):
+    return [s["name"] for s in result.manifest["stages"]]
 
 
 # manifest["outputs"] of the runs below, pinned so a change that must keep
@@ -469,6 +489,7 @@ class TestSyntheticSweepRun:
     def test_layout(self, sweep_run):
         names = set(os.listdir(sweep_run.run_dir))
         assert {"config.json", "progress.jsonl", "manifest.json", "grid.csv"} <= names
+        assert stage_names(sweep_run) == ["std0.5_n240_h1", "std0.5_n240_h2"]
         for cell in ("std0.5_n240_h1", "std0.5_n240_h2"):
             assert "%s_trials.csv" % cell in names
             assert "%s_summary.csv" % cell in names
@@ -499,7 +520,6 @@ class TestSyntheticSweepRun:
             stds=(0.5,),
             sizes=(250,),
         ).validate()
-        assert cfg.train_config().orient_dead_units
         assert run_experiment(cfg).manifest["outputs"] == PARTIAL_BATCH_OUTPUTS
 
     def test_details_expose_rows(self, sweep_run):
@@ -511,14 +531,7 @@ class TestResume:
     def test_resume_skips_verified_cells(self, sweep_run, tmp_path):
         src = sweep_run.run_dir
         run = tmp_path / "interrupted"
-        run.mkdir()
-        with open(os.path.join(src, "progress.jsonl")) as f:
-            first_line = f.readline()
-        cell = json.loads(first_line)["cell"]
-        keep = ["config.json", "%s_trials.csv" % cell, "%s_summary.csv" % cell]
-        for name in keep:
-            (run / name).write_bytes(file_bytes(os.path.join(src, name)))
-        (run / "progress.jsonl").write_text(first_line)
+        cell = interrupt_after_first_cell(src, run)
 
         before = os.stat(run / ("%s_trials.csv" % cell)).st_mtime_ns
         result = resume_run(str(run))
@@ -533,6 +546,73 @@ class TestResume:
     def test_resume_without_config_is_an_error(self, tmp_path):
         with pytest.raises(ConfigError, match="config.json"):
             resume_run(str(tmp_path))
+
+    def test_resume_keeps_a_skipped_cells_divergence(self, tmp_path, monkeypatch, capsys):
+        real = experiments.repeat_trials
+
+        def one_diverged(*args):
+            return replace(real(*args), divergences=1)
+
+        monkeypatch.setattr(experiments, "repeat_trials", one_diverged)
+        first = run_experiment(tiny_sweep_config(tmp_path, hidden=(1,)))
+        monkeypatch.undo()
+        assert first.manifest["divergences"] == [{"cell": "std0.5_n240_h1", "count": 1}]
+        os.remove(os.path.join(first.run_dir, "manifest.json"))
+
+        resumed = resume_run(first.run_dir)
+        assert resumed.manifest["divergences"] == first.manifest["divergences"]
+        assert resumed.diverged
+        assert resumed.manifest["stages"] == []  # the cell was not rerun
+        assert main(["--resume", first.run_dir]) == 3
+        assert "divergence" in capsys.readouterr().err
+
+
+class TestForkedCells:
+    """Both sweeps run their cells through RunContext.run_cells, over
+    config.jobs forked workers, with the serial run's outputs."""
+
+    @pytest.fixture
+    def fork_calls(self, monkeypatch):
+        """(cells, jobs) of each fork_map call the runs make."""
+        calls = []
+        real = experiments.fork_map
+
+        def recording(task, n, jobs):
+            calls.append((n, jobs))
+            return real(task, n, jobs)
+
+        monkeypatch.setattr(experiments, "fork_map", recording)
+        return calls
+
+    def test_forked_sweep_outputs_and_stages(self, tmp_path, fork_calls):
+        result = run_experiment(tiny_sweep_config(tmp_path, jobs=2))
+        assert fork_calls == [(2, 2)]
+        assert multiprocessing.active_children() == []
+        assert result.manifest["outputs"] == SWEEP_OUTPUTS
+        assert stage_names(result) == ["std0.5_n240_h1", "std0.5_n240_h2"]
+        assert all(s["seconds"] > 0 for s in result.manifest["stages"])
+
+    def test_forked_resume_skips_verified_cells(self, tmp_path, fork_calls):
+        fresh = run_experiment(
+            tiny_sweep_config(tmp_path / "fresh", hidden=(1, 2, 3), jobs=2)
+        )
+        run = tmp_path / "interrupted"
+        cell = interrupt_after_first_cell(fresh.run_dir, run)
+        mtimes = {n: os.stat(run / n).st_mtime_ns for n in os.listdir(run)}
+
+        resumed = resume_run(str(run))
+        assert fork_calls == [(3, 2), (2, 2)]
+        assert multiprocessing.active_children() == []
+        for name, mtime in mtimes.items():
+            if name != "progress.jsonl":
+                assert os.stat(run / name).st_mtime_ns == mtime, name
+        assert stage_names(resumed) == ["std0.5_n240_h2", "std0.5_n240_h3"]
+        assert cell == "std0.5_n240_h1"
+        assert resumed.manifest["outputs"] == fresh.manifest["outputs"]
+        for name in fresh.manifest["outputs"]:
+            assert file_bytes(run / name) == file_bytes(
+                os.path.join(fresh.run_dir, name)
+            ), name
 
 
 class TestReplay:
@@ -612,6 +692,7 @@ class TestLayerSizeSweepRun:
             assert os.path.exists(os.path.join(result.run_dir, "loss_w%d.csv" % w))
             assert result.manifest["seeds"]["width-%d" % w] == derive_seed(0, w)
         assert result.manifest["outputs"] == LAYER_SWEEP_OUTPUTS
+        assert stage_names(result) == ["load-data", "w1", "w2"]
 
     def test_parallel_run_is_bit_identical(self, tiny_mnist_dir, tmp_path):
         serial = run_experiment(
@@ -626,6 +707,8 @@ class TestLayerSizeSweepRun:
             assert file_bytes(os.path.join(serial.run_dir, name)) == file_bytes(
                 os.path.join(parallel.run_dir, name)
             ), name
+        assert multiprocessing.active_children() == []
+        assert stage_names(parallel) == ["load-data", "w1", "w2"]
 
     def test_in_place_resume_recomputes_only_missing_widths(
         self, tiny_mnist_dir, tmp_path
@@ -642,6 +725,35 @@ class TestLayerSizeSweepRun:
         assert os.path.exists(os.path.join(run, "width_2.ckpt"))
         assert file_bytes(os.path.join(run, "accuracy_vs_width.csv")) == grid_before
         assert resumed.manifest["outputs"] == result.manifest["outputs"]
+        assert resumed.manifest["seeds"] == result.manifest["seeds"]
+        assert stage_names(resumed) == ["load-data", "w2"]
+
+    def test_resume_keeps_a_skipped_widths_divergence_and_seed(
+        self, tiny_mnist_dir, tmp_path, monkeypatch
+    ):
+        real_train = experiments.train
+
+        def diverge_at_width_2(net, data, cfg):
+            if cfg.seed == derive_seed(0, 2):
+                raise DivergenceError("loss diverged at epoch 1, batch 1")
+            return real_train(net, data, cfg)
+
+        monkeypatch.setattr(experiments, "train", diverge_at_width_2)
+        cfg = tiny_image_config("layer-size-sweep", tmp_path, tiny_mnist_dir)
+        first = run_experiment(cfg)
+        monkeypatch.undo()
+        assert first.manifest["divergences"] == [
+            {"width": 2, "error": "loss diverged at epoch 1, batch 1"}
+        ]
+        run = first.run_dir
+        os.remove(os.path.join(run, "width_1.ckpt"))
+        os.remove(os.path.join(run, "manifest.json"))
+
+        resumed = resume_run(run)
+        assert stage_names(resumed) == ["load-data", "w1"]
+        assert resumed.manifest["divergences"] == first.manifest["divergences"]
+        assert resumed.manifest["seeds"] == first.manifest["seeds"]
+        assert resumed.diverged
 
 
 class TestOvaRuns:

@@ -84,12 +84,16 @@ class TestShapeInference:
             NetworkSpec((1, 8, 8), [Conv2DSpec(4, 4, "relu")], seed=0)
 
 
+def parameter_count(net):
+    return sum(v.size for p in net.params for v in p.values())
+
+
 class TestParameterCounts:
     @pytest.mark.parametrize(
         "hidden,want", [(1, 6), (10, 51), (100, 501)]
     )
     def test_mlp_counts(self, hidden, want):
-        assert build_mlp(3, hidden, seed=0).parameter_count() == want
+        assert parameter_count(build_mlp(3, hidden, seed=0)) == want
 
     def test_conv_stack_counts(self):
         net = build_conv_net((1, 28, 28), 10, 10, seed=0)
@@ -99,12 +103,16 @@ class TestParameterCounts:
         head = 10 * 10 + 10
         assert conv1 == 832
         assert conv2 == 51264
-        assert net.parameter_count() == conv1 + conv2 + dense1 + head
+        assert parameter_count(net) == conv1 + conv2 + dense1 + head
 
     def test_count_matches_shape_walk(self):
+        # three input channels; two 2x2 pools take 32x32 to 8x8
         net = build_conv_net((3, 32, 32), 5, 10, seed=1)
-        walk = sum(v.size for p in net.params for v in p.values())
-        assert net.parameter_count() == walk
+        conv1 = 32 * (3 * 5 * 5) + 32
+        conv2 = 64 * (32 * 5 * 5) + 64
+        dense1 = 64 * 8 * 8 * 5 + 5
+        head = 5 * 10 + 10
+        assert parameter_count(net) == conv1 + conv2 + dense1 + head
 
 
 class TestInitialization:
@@ -420,7 +428,7 @@ def saved_checkpoint(request, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("sens1") / "net.ckpt")
     save_network(net, path)
     raw = open(path, "rb").read()
-    return raw, len(raw) - 8 * net.parameter_count(), path
+    return raw, len(raw) - 8 * parameter_count(net), path
 
 
 def load_bytes(path, raw):

@@ -1,6 +1,8 @@
 """Loss functions, the SGD loop's contracts, metrics, and trial averaging."""
 
 import math
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -37,7 +39,6 @@ class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig(learning_rate=0.05, epochs=20)
         assert (cfg.batch_size, cfg.seed) == (32, 0)
-        assert cfg.orient_dead_units
         with pytest.raises(TypeError):
             TrainConfig()  # the budget has no default
 
@@ -180,7 +181,7 @@ class TestTrainLoop:
         net.params[0]["w"][:] = 1e160  # overflow on the first forward
         net.params[-1]["w"][:] = 1e160
         with pytest.raises(DivergenceError, match="epoch 1, batch 1"):
-            train(net, data, TrainConfig(learning_rate=0.05, epochs=1, orient_dead_units=False))
+            train(net, data, TrainConfig(learning_rate=0.05, epochs=1))
 
     def test_label_swap_runs_are_exact_mirrors(self):
         """Swapping class labels must mirror the learned decision exactly:
@@ -246,14 +247,12 @@ class TestMetrics:
 
 class TestEvaluate:
     def test_split_selection(self):
+        # evaluate counts the held-out split's rows, never the training rows
         data = synth(14, n=1000, std=0.25)
         net, _ = train(build_mlp(3, 6, seed=1), data, TrainConfig(learning_rate=0.05, epochs=5))
-        test_rep = evaluate(net, data, split="test")
-        train_rep = evaluate(net, data, split="train")
-        n_test = sum(test_rep.confusion.values())
-        n_train = sum(train_rep.confusion.values())
-        assert n_test == len(data.test_indices)
-        assert n_train == len(data.train_indices)
+        rep = evaluate(net, data)
+        assert sum(rep.confusion.values()) == len(data.test_indices)
+        assert len(data.test_indices) != len(data.train_indices)
 
 
 class TestRepeatTrials:
@@ -297,26 +296,22 @@ class TestRepeatTrials:
             return build
 
         gen = lambda s: synth(s, n=200)
-        # with orientation on, the probe forward is the first to overflow
-        for orient in (False, True):
-            cfg = TrainConfig(
-                learning_rate=0.05, epochs=1, seed=9, orient_dead_units=orient
-            )
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                summ = repeat_trials(builder(True), gen, cfg, 3)
-            assert [str(w.message) for w in caught] == []
-            assert summ.divergences == 1
-            assert len(summ.trials) == 2
-            assert summ.n_trials == 3
-            # the wrecked trial leaves the others' results untouched
-            clean = repeat_trials(builder(False), gen, cfg, 3)
-            assert summ.trials == [clean.trials[0], clean.trials[2]]
+        # the probe forward that orients dead units is the first to overflow
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, seed=9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summ = repeat_trials(builder(True), gen, cfg, 3)
+        assert [str(w.message) for w in caught] == []
+        assert summ.divergences == 1
+        assert len(summ.trials) == 2
+        assert summ.n_trials == 3
+        # the wrecked trial leaves the others' results untouched
+        clean = repeat_trials(builder(False), gen, cfg, 3)
+        assert summ.trials == [clean.trials[0], clean.trials[2]]
 
-    @pytest.mark.parametrize("orient", [True, False])
     @pytest.mark.parametrize("hidden", [1, 10, 100])
     @pytest.mark.parametrize("n_trials", [2, 3])
-    def test_stacked_trials_equal_one_by_one(self, n_trials, hidden, orient):
+    def test_stacked_trials_equal_one_by_one(self, n_trials, hidden):
         # clusters at 2 +- 0.5 on every axis lie in the positive orthant, so
         # some units start dead and orientation flips them; the 200 training
         # rows end in a partial batch
@@ -324,7 +319,7 @@ class TestRepeatTrials:
             SyntheticSpec(std=0.5, n_samples=250, seed=s, mean=2.0)
         )
         build = lambda s: build_mlp(3, hidden, s)
-        cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=21, orient_dead_units=orient)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=21)
         got = repeat_trials(build, gen, cfg, n_trials)
         want = repeat_trials_one_by_one(build, gen, cfg, n_trials)
         assert got.trials == want.trials
@@ -378,6 +373,41 @@ class TestRepeatTrials:
             repeat_trials(
                 lambda s: build_mlp(3, 2, s), lambda s: synth(s), TrainConfig(learning_rate=0.05, epochs=1), 1
             )
+
+
+class TestForkMap:
+    def test_serial_calls_run_as_results_are_taken(self):
+        calls = []
+        results = training.fork_map(lambda i: calls.append(i) or i * i, 3, 1)
+        assert calls == []
+        assert next(results) == 0
+        assert calls == [0]
+        assert list(results) == [1, 4]
+        assert calls == [0, 1, 2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_closing_after_the_first_result_stops_the_workers(self):
+        results = training.fork_map(lambda i: i * i, 4, 2)
+        assert next(results) == 0
+        assert training._FORK_TASK is not None
+        assert len(multiprocessing.active_children()) == 2
+        results.close()
+        assert multiprocessing.active_children() == []
+        assert training._FORK_TASK is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_workers_error_reaches_the_caller_and_stops_the_workers(self):
+        def task(i):
+            if i == 1:
+                raise DataError("unit 1 failed")
+            return i
+
+        results = training.fork_map(task, 4, 2)
+        assert next(results) == 0
+        with pytest.raises(DataError, match="unit 1 failed"):
+            next(results)
+        assert multiprocessing.active_children() == []
+        assert training._FORK_TASK is None
 
 
 class TestCsvWriters:
