@@ -210,6 +210,11 @@ class ExperimentConfig:
             raise ConfigError("batch must be >= 1, got %r" % (self.batch_size,))
         if not self.stds or not self.sizes:
             raise ConfigError("stds and sizes must be non-empty lists")
+        # each value names its cells and their files
+        for name, values in (("hidden", self.hidden), ("sizes", self.sizes),
+                             ("stds", ["%g" % s for s in self.stds])):
+            if len(set(values)) != len(values):
+                raise ConfigError("%s repeats a value, got %r" % (name, values))
         if not all(s > 0 for s in (*self.stds, self.synth_std)):
             raise ConfigError(
                 "stds and synth_std must be positive, got %r and %r"

@@ -25,9 +25,11 @@ from .errors import CheckpointError, DimensionError, StateError
 from .rng import Rng
 from .tensor import (
     Tensor,
+    _ImageConv,
     _conv2d,
     _conv2d_input_grad,
     _conv2d_kernel_grad,
+    _image_pool,
     _maxpool2d,
     _maxpool2d_grad,
     _relu,
@@ -106,6 +108,12 @@ class NetworkSpec:
                     "softmax is only valid on the final dense layer"
                 )
         self.layer_shapes = self._infer_shapes()
+        # the conv, pool and flatten layers before the first dense layer,
+        # which evaluation runs one image at a time
+        self.image_layers = next(
+            (i for i, spec in enumerate(self.layers) if isinstance(spec, DenseSpec)),
+            len(self.layers),
+        )
 
     def _infer_shapes(self):
         """Per-layer output shapes (sample shape, no batch axis)."""
@@ -260,12 +268,64 @@ def _apply_activation(act, z):
     return z
 
 
+def _dense(x, p):
+    """A dense layer's pre-activations for rows x [..., B, in]."""
+    return x @ p["w"] + p["b"][..., None, :]
+
+
+def _forward_images(net, x):
+    """The layers before the first dense layer, in evaluation, one image at
+    a time; returns their output for x [N,C,H,W] as a C-contiguous array.
+
+    Each conv layer's padded input, column and output buffers are allocated
+    once per call and reused for every image. A pool writes its window max
+    straight into the next conv's padded interior, and the last conv or pool
+    writes into the image's [C,H,W]-ordered row of the result. Each image
+    takes the batch kernels' GEMM, bias, ReLU and pool order, so every value
+    equals theirs.
+    """
+    spec = net.spec
+    shapes = [spec.input_shape] + spec.layer_shapes
+    # one stage per conv or pool layer: its _ImageConv, or None for a pool
+    stages = [
+        _ImageConv(net.params[i]["w"], net.params[i]["b"], shapes[i][1:],
+                   layer.activation == "relu")
+        if isinstance(layer, Conv2DSpec) else None
+        for i, layer in enumerate(spec.layers[:spec.image_layers])
+        if not isinstance(layer, FlattenSpec)
+    ]
+    # a pool's target: the next conv's padded interior, a buffer of its own
+    # before another pool, or (None) the image's row of the result
+    targets = [None] * len(stages)
+    for j in range(len(stages) - 1):
+        if stages[j] is None:
+            c, h, w = shapes[j + 1]
+            nxt = stages[j + 1]
+            targets[j] = np.empty((h, w, c)) if nxt is None else nxt.inp
+    c, h, w = shapes[len(stages)]
+    out = np.empty((len(x),) + shapes[spec.image_layers])
+    for img, row in zip(x, out):
+        row = row.reshape(c, h, w).transpose(1, 2, 0)
+        src = img.transpose(1, 2, 0)
+        for stage, target in zip(stages, targets):
+            if stage is None:
+                src = _image_pool(src, row if target is None else target)
+                continue
+            if src is not stage.inp:  # a pool has not written it already
+                stage.inp[...] = src
+            src = stage()
+        if src is not row:
+            row[...] = src
+    return out
+
+
 def forward(net, batch, train=False):
     """Run the stack; returns (output probabilities, cache for backward).
 
     Pure in (parameters, input): repeated calls give bit-identical outputs.
-    With train=False the cache is skipped to keep evaluation memory flat,
-    and pooling records no winner indices. A trial stack takes a
+    With train=False no cache is kept: the conv, pool and flatten layers run
+    per image through buffers allocated once per call (_forward_images), and
+    only the dense layers see the whole batch. A trial stack takes a
     [T, batch, ...] array, trial t's rows forwarded through trial t.
     """
     x = batch.array if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
@@ -276,26 +336,27 @@ def forward(net, batch, train=False):
             "batch shape %r does not match input shape %r" % (x.shape, expect)
         )
     cache = [] if train else None
-    for i, layer in enumerate(net.spec.layers):
+    start = 0 if train else net.spec.image_layers
+    if start:
+        x = _forward_images(net, x)
+    # conv and pool layers come before the first dense layer, so only a
+    # training pass meets them here
+    for i, layer in enumerate(net.spec.layers[start:], start):
         if isinstance(layer, Conv2DSpec):
             p = net.params[i]
             z = _conv2d(x, p["w"], p["b"])
-            a = _apply_activation(layer.activation, z)
-            if train:
-                cache.append({"x": x, "z": z})
-            x = a
+            cache.append({"x": x, "z": z})
+            x = _apply_activation(layer.activation, z)
         elif isinstance(layer, MaxPool2DSpec):
-            pooled, idx = _maxpool2d(x, train)
-            if train:
-                cache.append({"idx": idx, "in_hw": x.shape[2:]})
+            pooled, idx = _maxpool2d(x, True)
+            cache.append({"idx": idx, "in_hw": x.shape[2:]})
             x = pooled
         elif isinstance(layer, FlattenSpec):
             if train:
                 cache.append({"in_shape": x.shape})
             x = x.reshape(x.shape[0], -1)
         else:  # Dense
-            p = net.params[i]
-            z = x @ p["w"] + p["b"][..., None, :]
+            z = _dense(x, net.params[i])
             a = _apply_activation(layer.activation, z)
             if train:
                 cache.append({"x": x, "z": z, "a": a})

@@ -10,12 +10,19 @@ never passed on.
 The raw ndarray kernels (_conv2d, _maxpool2d, ...) run on unwrapped arrays
 for speed and rely on the training loop's divergence check instead of
 per-op validation. Conv forward and its kernel gradient read tap-major
-columns, [H,W,kh,kw,C] per image, copied from a window view of the padded
-NHWC input one image at a time, so no whole-batch column matrix is built or
-kept; the kernel gradient recomputes them from the layer input. The input
-gradient is one small GEMM per kernel tap, scatter-added into a padded
-buffer. The conv kernels return [N,C,H,W] views of NHWC memory, and the pool
-kernels keep that layout, so the reshapes to [NHW, C] between them are free.
+columns, [H,W,kh,kw,C] per image, that _Columns copies from a window view of
+a zero-padded NHWC buffer one image at a time, so no whole-batch column
+matrix is built or kept; the kernel gradient recomputes them from the layer
+input. The input gradient is one small GEMM per kernel tap, scatter-added
+into a padded buffer. The conv kernels return [N,C,H,W] views of NHWC
+memory, and the pool kernels keep that layout, so the reshapes to [NHW, C]
+between them are free.
+
+Evaluation keeps no whole-batch arrays: _ImageConv and _image_pool run one
+[H,W,C] image at a time through buffers made once per forward call. They
+share the columns, the weight matrix (_weight_matrix) and the window max
+(_window_max) with the batch kernels, so both paths give the same values
+bit for bit.
 """
 
 import numpy as np
@@ -70,36 +77,79 @@ class Tensor:
 # raw ndarray kernels
 
 
-def _tap_columns(x, kh, kw):
-    """Window view [N,H,W,kh,kw,C] of x [N,C,H,W]'s zero-padded NHWC copy.
+class _Columns:
+    """Tap-major columns of one image at a time, through buffers made once.
 
-    Image n's [H,W,kh,kw,C] block, made contiguous, is its column matrix
-    [HW, kh*kw*C]: each row holds one output pixel's window, tap-major.
+    Fill `inp`, the [H,W,C] interior of a zero-padded NHWC buffer, then
+    call: returns the image's column matrix [H*W, kh*kw*C], each row one
+    output pixel's window, tap-major. The next call overwrites it.
     """
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return win.transpose(0, 1, 2, 4, 5, 3)
+
+    def __init__(self, c, h, w, kh, kw):
+        ph, pw = kh // 2, kw // 2
+        padded = np.zeros((h + 2 * ph, w + 2 * pw, c))
+        self.inp = padded[ph:ph + h, pw:pw + w]
+        self.win = np.lib.stride_tricks.sliding_window_view(
+            padded, (kh, kw), axis=(0, 1)
+        ).transpose(0, 1, 3, 4, 2)
+        self.buf = np.empty(self.win.shape)
+        self.mat = self.buf.reshape(h * w, -1)
+
+    def __call__(self):
+        np.copyto(self.buf, self.win)
+        return self.mat
+
+
+def _weight_matrix(w):
+    """w [F,C,kh,kw] as the [kh*kw*C, F] matrix tap-major columns multiply."""
+    return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
 
 
 def _conv2d(x, w, b):
     """Stride-1 same-padding cross-correlation.
 
     x [N,C,H,W], w [F,C,kh,kw] with odd kh,kw, b [F] -> [N,F,H,W], a view
-    of NHWC memory. Each image's tap-major columns are copied into one
-    reused buffer and multiplied by the kernel as [kh*kw*C, F].
+    of NHWC memory. Each image's tap-major columns are multiplied by the
+    kernel as [kh*kw*C, F].
     """
-    n, _, h, wd = x.shape
+    n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
-    cols = _tap_columns(x, kh, kw)
-    buf = np.empty(cols.shape[1:])
-    wmat = w.transpose(2, 3, 1, 0).reshape(-1, f)
+    cols = _Columns(c, h, wd, kh, kw)
+    wmat = _weight_matrix(w)
     out = np.empty((n, h, wd, f))
-    for img, o in zip(cols, out):
-        np.copyto(buf, img)
-        np.matmul(buf.reshape(h * wd, -1), wmat, out=o.reshape(h * wd, f))
+    for img, o in zip(x, out):
+        cols.inp[...] = img.transpose(1, 2, 0)
+        np.matmul(cols(), wmat, out=o.reshape(h * wd, f))
     out += b
     return out.transpose(0, 3, 1, 2)
+
+
+class _ImageConv:
+    """Same-padding conv of one image at a time through buffers made once.
+
+    Fill `inp`, the image's [H,W,C] slot, then call: one GEMM of its
+    tap-major columns writes the [H*W, F] output, and the bias and (with
+    relu) the ReLU are applied in place. Returns the output as [H,W,F]; the
+    next call overwrites it.
+    """
+
+    def __init__(self, w, b, hw, relu):
+        f, c, kh, kw = w.shape
+        self.cols = _Columns(c, *hw, kh, kw)
+        self.inp = self.cols.inp
+        self.wmat = _weight_matrix(w)
+        self.b = b
+        self.relu = relu
+        self.z = np.empty((hw[0] * hw[1], f))
+        self.out = self.z.reshape(hw + (f,))
+
+    def __call__(self):
+        z = self.z
+        np.matmul(self.cols(), self.wmat, out=z)
+        z += self.b
+        if self.relu:
+            np.maximum(z, 0.0, out=z)
+        return self.out
 
 
 def _conv2d_kernel_grad(dz, x, out):
@@ -110,12 +160,11 @@ def _conv2d_kernel_grad(dz, x, out):
     """
     _, f, h, wd = dz.shape
     _, c, kh, kw = out.shape
-    cols = _tap_columns(x, kh, kw)
-    buf = np.empty(cols.shape[1:])
+    cols = _Columns(c, h, wd, kh, kw)
     acc = np.zeros((f, kh * kw * c))
-    for img, d in zip(cols, dz.transpose(0, 2, 3, 1)):
-        np.copyto(buf, img)
-        acc += d.reshape(h * wd, f).T @ buf.reshape(h * wd, -1)
+    for img, d in zip(x, dz.transpose(0, 2, 3, 1)):
+        cols.inp[...] = img.transpose(1, 2, 0)
+        acc += d.reshape(h * wd, f).T @ cols()
     out[...] = acc.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
     return out
 
@@ -145,6 +194,20 @@ def _conv2d_input_grad(dz, w):
 _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def _window_max(v0, v1, v2, v3, out=None):
+    """max(max(v0, v1), max(v2, v3)) of the four window positions' views:
+    the one order both pool paths take, so ties and signed zeros resolve
+    alike. Written into out when given."""
+    out = np.maximum(v0, v1, out=out)
+    return np.maximum(out, np.maximum(v2, v3), out=out)
+
+
+def _image_pool(x, out):
+    """2x2/stride-2 max pool of one [H,W,C] image into out [H/2,W/2,C];
+    returns out."""
+    return _window_max(*(x[a::2, b::2] for a, b in _WINDOW), out=out)
+
+
 def _maxpool2d(x, with_index):
     """Non-overlapping 2x2/stride-2 max pool.
 
@@ -158,7 +221,7 @@ def _maxpool2d(x, with_index):
             "max pool needs even spatial dims, got %dx%d" % (h, w)
         )
     v0, v1, v2, v3 = (x[:, :, a::2, b::2] for a, b in _WINDOW)
-    pooled = np.maximum(np.maximum(v0, v1), np.maximum(v2, v3))
+    pooled = _window_max(v0, v1, v2, v3)
     if not with_index:
         return pooled, None
     # the winner is the count of leading positions that miss the max, so the

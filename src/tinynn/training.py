@@ -25,7 +25,15 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .errors import ConfigError, DataError, DivergenceError
-from .layers import DenseSpec, Network, backward, forward
+from .layers import (
+    DenseSpec,
+    Network,
+    _apply_activation,
+    _dense,
+    _forward_images,
+    backward,
+    forward,
+)
 from .rng import LANE_BLOCK, Rng, derive_seed
 from .tensor import Tensor
 
@@ -141,17 +149,25 @@ def _orient_dead_relu_units(net, probe):
     descent; flipping its incoming weights points it back. Runs once before
     the first step; a stack's trials each judge their units on their own
     probe rows.
+
+    Forward-only and cache-free: the layers before the first dense layer run
+    per image as in evaluation, then each hidden dense layer's
+    pre-activations come from its input rows as forward computes them.
     """
-    _, cache = forward(net, probe, train=True)
-    last = len(net.spec.layers) - 1
-    for i, layer in enumerate(net.spec.layers):
-        if i == last or not isinstance(layer, DenseSpec) or layer.activation != "relu":
-            continue
-        dead = ~(cache[i]["z"] > 0.0).any(axis=-2)
-        if dead.any():
-            flip = np.where(dead, -1.0, 1.0)
-            net.params[i]["w"] *= flip[..., None, :]
-            net.params[i]["b"] *= flip
+    spec = net.spec
+    x = _forward_images(net, probe) if spec.image_layers else probe
+    for i in range(spec.image_layers, len(spec.layers) - 1):
+        layer = spec.layers[i]
+        if not isinstance(layer, DenseSpec):
+            continue  # a flatten of rows that are flat already
+        z = _dense(x, net.params[i])
+        if layer.activation == "relu":
+            dead = ~(z > 0.0).any(axis=-2)
+            if dead.any():
+                flip = np.where(dead, -1.0, 1.0)
+                net.params[i]["w"] *= flip[..., None, :]
+                net.params[i]["b"] *= flip
+        x = _apply_activation(layer.activation, z)
 
 
 def train(net, data, cfg):
@@ -279,6 +295,8 @@ def _multiclass_report(preds, labels, k):
 
 def predict_scores(net, features, idx):
     """Forward a set of rows in fixed-size chunks; returns the raw outputs."""
+    # image rows pass the conv stack one at a time, so a chunk sizes only
+    # the gathered input and the flat rows the dense layers take
     chunk = 64 if len(net.spec.input_shape) == 3 else _FLAT_CHUNK
     outs = []
     for start in range(0, len(idx), chunk):

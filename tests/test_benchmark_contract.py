@@ -168,9 +168,9 @@ def test_make_ova_views_stream():
 
 def test_stacked_trials_call_the_patched_names(monkeypatch):
     # the tracer counts forward, backward and sgd_step where training looks
-    # them up; a cell's trials train as one stack, so one dead-unit probe
-    # and one step per batch serve all three trials, and each trial is
-    # evaluated on its own
+    # them up; a cell's trials train as one stack, so one step per batch
+    # serves all three trials, and each trial is evaluated on its own. The
+    # dead-unit probe computes its pre-activations without calling forward
     calls = collections.Counter()
     rows = []
     for name in ("forward", "backward", "sgd_step"):
@@ -192,7 +192,7 @@ def test_stacked_trials_call_the_patched_names(monkeypatch):
     )
     steps = 2 * 7  # 200 training rows: six batches of 32 and one of 8 per epoch
     assert calls == {
-        "forward.train": 1 + steps, "backward": steps, "sgd_step": steps,
+        "forward.train": steps, "backward": steps, "sgd_step": steps,
         "forward.eval": 3,
     }
     assert set(rows) == {3}  # the tracer's rows attribute, len(x), is T

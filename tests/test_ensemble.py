@@ -5,9 +5,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinynn.datasets import SyntheticSpec, generate_synthetic
 from tinynn.ensemble import (
+    POLICIES,
+    VERDICT_KINDS,
     EnsembleOutcome,
     OvaEnsemble,
     Verdict,
@@ -98,6 +102,48 @@ class TestOutcome:
     def test_unknown_policy(self):
         with pytest.raises(DataError):
             outcome_from_positive_sets([], [], policy="vote")
+
+
+@st.composite
+def judged_samples(draw):
+    """K members and, per sample, the members that fired, the true label and
+    the top-scoring member."""
+    k = draw(st.integers(2, 10))
+    member = st.integers(0, k - 1)
+    return draw(st.lists(
+        st.tuples(st.frozensets(member), member, member), min_size=1, max_size=40
+    ))
+
+
+class TestOutcomeProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(judged_samples(), st.sampled_from(POLICIES))
+    def test_counts_partition_and_fractions_sum_to_one(self, samples, policy):
+        sets, labels, argmax = zip(*samples)
+        out = outcome_from_positive_sets(sets, labels, policy, list(argmax))
+        assert out.n == len(samples)
+        assert sorted(out.counts) == sorted(VERDICT_KINDS)
+        assert sum(out.counts.values()) == out.n
+        assert [v.kind for v in out.verdicts].count("redundant") == out.counts["redundant"]
+        total = out.fraction_correct + out.fraction_redundant + out.fraction_misclassified
+        assert total == pytest.approx(1.0, abs=1e-12)
+        assert out.max_positive_set == max(len(p) for p in sets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(judged_samples())
+    def test_redundant_exactly_when_two_or_more_fire(self, samples):
+        sets, labels, _ = zip(*samples)
+        out = outcome_from_positive_sets(sets, labels)
+        for pos, v in zip(sets, out.verdicts):
+            assert (v.kind == "redundant") == (len(pos) >= 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(judged_samples(), st.sampled_from(("priority", "argmax")))
+    def test_diagnostic_policies_never_redundant(self, samples, policy):
+        sets, labels, argmax = zip(*samples)
+        out = outcome_from_positive_sets(sets, labels, policy, list(argmax))
+        assert out.counts["redundant"] == 0
+        assert all(v.kind != "redundant" for v in out.verdicts)
 
 
 class TestMemberSeeds:

@@ -318,6 +318,11 @@ class TestValidation:
             ({"epochs": 0}, "epochs"),
             ({"batch_size": 0}, "batch"),
             ({"kind": "ova-ensemble", "dataset": "synthetic"}, "image dataset"),
+            # repeated grid values would give two cells one name
+            ({"hidden": (1, 10, 1)}, "hidden repeats"),
+            ({"sizes": (240, 240)}, "sizes repeats"),
+            ({"stds": (0.5, 0.5)}, "stds repeats"),
+            ({"stds": (0.1234567, 0.1234568)}, "stds repeats"),
         ],
     )
     def test_rejects(self, overrides, fragment):
@@ -896,6 +901,7 @@ class TestCli:
             ("synthetic-sweep", "sizes ="),
             ("ova-binary", "synth_std = 0"),
             ("ova-binary", "synth_n = 7"),
+            ("synthetic-sweep", "stds = 0.5,0.50"),
         ],
     )
     def test_bad_synthetic_setting_is_config_error(self, kind, setting, tmp_path, capsys):

@@ -2,6 +2,7 @@
 (reference.fd_check), and the checkpoint format and its parser's failures."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,16 @@ from reference import analytic_grads, cross_entropy_loss, fd_check, randomize_he
 
 def rand(shape, seed):
     return np.random.default_rng(seed).normal(size=shape)
+
+
+def peak_bytes(fn, *args):
+    """The tracemalloc peak of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestShapeInference:
@@ -151,15 +162,48 @@ class TestForward:
         b, _ = forward(net, x)
         np.testing.assert_array_equal(a.array, b.array)
 
-    def test_eval_output_matches_train_output(self):
-        # eval pools without winner indices; its output must not differ
-        net = build_conv_net((1, 8, 8), 3, 10, seed=11)
+    @pytest.mark.parametrize(
+        "make_net,n",
+        [
+            (lambda: build_conv_net((1, 8, 8), 3, 10, seed=11), 5),
+            (lambda: build_conv_net((1, 28, 28), 3, 10, seed=11), 1),
+            (lambda: build_conv_net((1, 28, 28), 3, 10, seed=11), 65),
+            (lambda: build_conv_net((3, 32, 32), 3, 10, seed=11), 1),
+            (lambda: build_conv_net((3, 32, 32), 3, 10, seed=11), 65),
+            # a conv not followed by a pool, and a pool followed by a pool
+            (lambda: Network(NetworkSpec((1, 8, 8), [
+                Conv2DSpec(3, 3, "relu"), Conv2DSpec(4, 5, "none"), MaxPool2DSpec(),
+                MaxPool2DSpec(), FlattenSpec(), DenseSpec(3, "relu"),
+                DenseSpec(10, "softmax"),
+            ], seed=11)), 5),
+            # a pool first, writing into a conv whose signed output is the row
+            (lambda: Network(NetworkSpec((2, 8, 8), [
+                MaxPool2DSpec(), Conv2DSpec(3, 3, "none"), FlattenSpec(),
+                DenseSpec(10, "softmax"),
+            ], seed=11)), 7),
+        ],
+        ids=["stack8-5", "mnist-1", "mnist-65", "cifar-1", "cifar-65", "conv-conv-pool-pool-5",
+             "pool-conv-7"],
+    )
+    def test_eval_output_matches_train_output(self, make_net, n):
+        # eval runs the conv stack per image and pools without winner
+        # indices; its output must not differ by a bit
+        net = make_net()
+        for i, p in enumerate(net.params):
+            if p:
+                p["b"][...] = 0.1 * rand(p["b"].shape, i)  # init leaves biases zero
         randomize_head(net, Rng(1))
-        x = np.maximum(rand((5, 1, 8, 8), 12), 0.0)  # zero windows tie in pool
+        x = np.maximum(rand((n,) + net.spec.input_shape, 12), 0.0)  # zero windows tie in pool
         a, _ = forward(net, x, train=False)
         b, cache = forward(net, x, train=True)
         assert cache is not None
-        np.testing.assert_array_equal(a.array, b.array)
+        assert a.array.tobytes() == b.array.tobytes()
+
+    def test_eval_memory_does_not_grow_with_the_conv_stack(self):
+        # 64 MNIST-shaped rows: the batch kernels' whole-chunk arrays took
+        # about 40 MB; per-image buffers take a few
+        net = build_conv_net((1, 28, 28), 4, 1, seed=3)
+        assert peak_bytes(forward, net, rand((64, 1, 28, 28), 4)) < 8 << 20
 
     def test_softmax_head_rows_normalized(self):
         net = build_conv_net((1, 8, 8), 3, 10, seed=13)
@@ -281,6 +325,29 @@ class TestOrientation:
 
         _orient_dead_relu_units(net, probe)
         np.testing.assert_array_equal(net.params[-1]["w"], head_before)
+
+    def test_conv_probe_matches_train_forward(self):
+        # the probe's per-image pass must judge the units exactly as the
+        # training forward's hidden pre-activations would
+        net = build_conv_net((1, 8, 8), 6, 1, seed=35)
+        probe = rand((16, 1, 8, 8), 36)
+        _, cache = forward(net, probe, train=True)
+        dead = ~(cache[5]["z"] > 0.0).any(axis=0)
+        assert dead.any() and not dead.all()
+        before = net.params[5]["w"].copy()
+        from tinynn.training import _orient_dead_relu_units
+
+        _orient_dead_relu_units(net, probe)
+        np.testing.assert_array_equal(net.params[5]["w"], np.where(dead, -before, before))
+
+    def test_conv_probe_keeps_no_batch_caches(self):
+        # a 64-row MNIST-shaped probe: the training forward's caches took
+        # about 45 MB; the per-image pass takes a few
+        net = build_conv_net((1, 28, 28), 4, 1, seed=3)
+        probe = rand((64, 1, 28, 28), 4)
+        from tinynn.training import _orient_dead_relu_units
+
+        assert peak_bytes(_orient_dead_relu_units, net, probe) < 8 << 20
 
 
 class TestCheckpoint:
