@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 bad configuration, 2 unreadable or malformed
-data, 3 training diverged (including sweeps where any cell diverged).
+Exit codes: 0 success, 1 bad configuration (an unknown flag or a bad flag
+value included), 2 unreadable or malformed data (a manifest that is not an
+object holding a config object included), 3 training diverged: a sweep
+cell, a one-vs-all member or the comparison net, recorded in the manifest.
 """
 
 import argparse
@@ -21,8 +23,15 @@ from .experiments import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or value as a configuration error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tinynn",
         description="Train small networks and one-vs-all ensembles, "
         "writing reproducible run directories.",
@@ -83,9 +92,9 @@ def _report(result):
 
 
 def main(argv=None):
-    flags = vars(_parser().parse_args(argv))
-    config_path, resume, replay = (flags.pop(k) for k in ("config", "resume", "replay"))
     try:
+        flags = vars(_parser().parse_args(argv))
+        config_path, resume, replay = (flags.pop(k) for k in ("config", "resume", "replay"))
         if replay:
             result = replay_manifest(replay, out=flags["out"])
         elif resume:

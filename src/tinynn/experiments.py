@@ -113,7 +113,7 @@ def _number(kind, what):
     def parse(name, value):
         try:
             return kind(value)
-        except ValueError:
+        except (TypeError, ValueError):
             raise ConfigError("%s must be %s, got %r" % (name, what, value))
 
     return parse
@@ -121,11 +121,11 @@ def _number(kind, what):
 
 def _number_list(kind, what):
     def parse(name, value):
-        if isinstance(value, tuple):
-            return value
+        if not isinstance(value, (list, tuple)):
+            value = [p for p in str(value).split(",") if p.strip() != ""]
         try:
-            return tuple(kind(p) for p in str(value).split(",") if p.strip() != "")
-        except ValueError:
+            return tuple(kind(p) for p in value)
+        except (TypeError, ValueError):
             raise ConfigError(
                 "expected a comma-separated %s list, got %r" % (what, value)
             )
@@ -267,10 +267,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_resolved(cls, d):
-        """Rebuild a config from a manifest snapshot (the replay path)."""
-        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in kwargs.items()}
-        return cls(**kwargs).validate()
+        """Rebuild a config from a stored snapshot (the replay and resume
+        paths); every value passes its field's parser, as a flag's would."""
+        if not isinstance(d, dict):
+            raise DataError("a stored config must be a JSON object, got %r" % (d,))
+        return build_config(
+            flag_values={f.name: d[f.name] for f in fields(cls) if f.name in d}
+        )
 
 
 def default_hidden(kind):
@@ -603,7 +606,8 @@ def run_layer_size_sweep(config, run_dir):
 
 def _train_ova(ctx, config):
     """Train and store the K members; returns the loaded dataset, the
-    (possibly subsetted) training dataset and the ensemble."""
+    (possibly subsetted) training dataset and the ensemble. If a member
+    diverges, the divergence is recorded and the ensemble is None."""
     with ctx.stage("load-data"):
         full = load_dataset(config)
         data = _apply_subset(full, config.budget().subset)
@@ -612,7 +616,11 @@ def _train_ova(ctx, config):
     for i in range(data.class_count):
         ctx.seeds["member-%d" % i] = _member_seed(config.seed, i)
     with ctx.stage("train-members"):
-        ens = train_ensemble(data, h, cfg, jobs=config.jobs)
+        try:
+            ens = train_ensemble(data, h, cfg, jobs=config.jobs)
+        except DivergenceError as e:
+            ctx.divergences.append({"error": str(e)})
+            return full, data, None
     reports = ens.member_reports
     ctx.write("per_class.csv", write_csv, "class,accuracy,sensitivity,specificity", (
         (i, r.accuracy, r.sensitivity, r.specificity) for i, r in enumerate(reports)
@@ -627,11 +635,9 @@ def _train_ova(ctx, config):
 def run_ova_binary(config, run_dir):
     """Per-class binary metrics for the K one-vs-all members."""
     ctx = RunContext(config, run_dir)
-    _, data, ens = _train_ova(ctx, config)
-    manifest = ctx.finish()
-    return RunResult(
-        ctx.run_dir, manifest, {"reports": ens.member_reports, "ensemble": ens}
-    )
+    _, _, ens = _train_ova(ctx, config)
+    details = {} if ens is None else {"reports": ens.member_reports, "ensemble": ens}
+    return RunResult(ctx.run_dir, ctx.finish(), details)
 
 
 def run_ova_ensemble(config, run_dir):
@@ -639,6 +645,9 @@ def run_ova_ensemble(config, run_dir):
     single multi-class network of matching width."""
     ctx = RunContext(config, run_dir)
     full, data, ens = _train_ova(ctx, config)
+    if ens is None:
+        return RunResult(ctx.run_dir, ctx.finish())
+    details = {"reports": ens.member_reports, "ensemble": ens}
     with ctx.stage("evaluate"):
         outcome = evaluate_ensemble(ens, data, policy=config.aggregation)
     idx = data.test_indices
@@ -666,24 +675,20 @@ def run_ova_ensemble(config, run_dir):
             batch_size=config.batch_size,
             seed=comp_seed,
         )
-        comp_net, comp_report = train(comp_net, comp_data, comp_cfg)
+        try:
+            comp_net, comp_report = train(comp_net, comp_data, comp_cfg)
+        except DivergenceError as e:
+            ctx.divergences.append({"comparison": width, "error": str(e)})
+    if ctx.divergences:
+        return RunResult(ctx.run_dir, ctx.finish(), details)
     ctx.write("comparison.csv", write_csv, "key,value", [
         ("ensemble_correct", outcome.fraction_correct),
         ("single_width", width),
         ("single_accuracy", comp_report.accuracy),
     ])
-    manifest = ctx.finish()
-    return RunResult(
-        ctx.run_dir,
-        manifest,
-        {
-            "reports": ens.member_reports,
-            "ensemble": ens,
-            "outcome": outcome,
-            "comparison_width": width,
-            "comparison_accuracy": comp_report.accuracy,
-        },
-    )
+    details.update(outcome=outcome, comparison_width=width,
+                   comparison_accuracy=comp_report.accuracy)
+    return RunResult(ctx.run_dir, ctx.finish(), details)
 
 
 _RUNNERS = {
@@ -738,6 +743,8 @@ def replay_manifest(manifest_path, out=None):
     """Re-run a manifest's recorded config; outputs come out bit-identical."""
     with open(manifest_path) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict) or "config" not in manifest:
+        raise DataError("%s is not a run manifest: no config object" % manifest_path)
     config = ExperimentConfig.from_resolved(manifest["config"])
     if out is not None:
         config = replace(config, out=out)

@@ -3,6 +3,9 @@
 Two builders cover every architecture in scope: a fixed two-conv stack with a
 swept hidden width, and a one-hidden-layer MLP. Both end in a probability
 head (softmax for multi-class, a single sigmoid unit for binary tasks).
+NetworkSpec's one walk over the layers makes every check, and gives the
+shapes the initializer and the checkpoint reader use. Evaluation runs the
+image layers (conv, pool and flatten over [C,H,W] input) one image at a time.
 
 Gradient convention: the loss layer hands backward() the gradient with
 respect to the final layer's pre-activation logits (the fused softmax and
@@ -18,6 +21,7 @@ all T; a network without that axis runs the same lines.
 import math
 import struct
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -65,32 +69,14 @@ class DenseSpec:
     activation: str = "none"
 
 
-def _validate_layer(spec):
-    if isinstance(spec, Conv2DSpec):
-        if spec.filters < 1 or spec.kernel_size < 1:
-            raise DimensionError("conv filters and kernel size must be >= 1")
-        if spec.kernel_size % 2 == 0:
-            raise DimensionError("conv kernel size must be odd for same padding")
-        # backward differentiates a conv layer from its cached x and z only
-        if spec.activation not in ("relu", "none"):
-            raise DimensionError(
-                "conv activation must be relu or none, got %r" % (spec.activation,)
-            )
-    elif isinstance(spec, MaxPool2DSpec):
-        if spec.window != 2 or spec.stride != 2:
-            raise DimensionError("only 2x2/stride-2 pooling is supported")
-    elif isinstance(spec, DenseSpec):
-        if spec.units < 1:
-            raise DimensionError("dense units must be >= 1")
-    elif not isinstance(spec, FlattenSpec):
-        raise DimensionError("unknown layer spec %r" % (spec,))
-    act = getattr(spec, "activation", "none")
-    if act not in ACTIVATIONS:
-        raise DimensionError("unknown activation %r" % (act,))
-
-
 class NetworkSpec:
-    """Input shape plus an ordered layer list; validated by shape inference."""
+    """Input shape plus an ordered layer list, checked in one walk.
+
+    Layer by layer, so the first faulty layer raises, the walk checks the
+    layer's own fields, then its input shape, and records its output shape
+    (layer_shapes, no batch axis) and its parameters' {name: shape} in
+    storage order (param_shapes).
+    """
 
     def __init__(self, input_shape, layers, seed):
         self.input_shape = check_dims(input_shape)
@@ -98,57 +84,60 @@ class NetworkSpec:
         self.seed = int(seed)
         if not self.layers:
             raise DimensionError("network needs at least one layer")
-        for spec in self.layers:
-            _validate_layer(spec)
-        for i, spec in enumerate(self.layers):
-            if getattr(spec, "activation", "none") == "softmax" and (
-                i != len(self.layers) - 1 or not isinstance(spec, DenseSpec)
-            ):
-                raise DimensionError(
-                    "softmax is only valid on the final dense layer"
-                )
-        self.layer_shapes = self._infer_shapes()
-        # the conv, pool and flatten layers before the first dense layer,
-        # which evaluation runs one image at a time
-        self.image_layers = next(
-            (i for i, spec in enumerate(self.layers) if isinstance(spec, DenseSpec)),
-            len(self.layers),
-        )
-
-    def _infer_shapes(self):
-        """Per-layer output shapes (sample shape, no batch axis)."""
-        shapes = []
+        self.layer_shapes, self.param_shapes = [], []
+        # the conv, pool and flatten layers over [C,H,W] input before the
+        # first dense layer, which evaluation runs one image at a time
+        self.image_layers = 0
+        image = len(self.input_shape) == 3
         cur = self.input_shape
-        for spec in self.layers:
+        for i, spec in enumerate(self.layers):
+            params = {}
             if isinstance(spec, Conv2DSpec):
-                if len(cur) != 3:
+                if spec.filters < 1 or spec.kernel_size < 1:
+                    raise DimensionError("conv filters and kernel size must be >= 1")
+                if spec.kernel_size % 2 == 0:
+                    raise DimensionError("conv kernel size must be odd for same padding")
+                # backward differentiates a conv layer from its cached x and z only
+                if spec.activation not in ("relu", "none"):
                     raise DimensionError(
-                        "conv needs [C,H,W] input, got %r" % (cur,)
+                        "conv activation must be relu or none, got %r" % (spec.activation,)
                     )
+                if len(cur) != 3:
+                    raise DimensionError("conv needs [C,H,W] input, got %r" % (cur,))
+                k = spec.kernel_size
+                params = {"w": (spec.filters, cur[0], k, k), "b": (spec.filters,)}
                 cur = (spec.filters, cur[1], cur[2])
             elif isinstance(spec, MaxPool2DSpec):
+                if spec.window != 2 or spec.stride != 2:
+                    raise DimensionError("only 2x2/stride-2 pooling is supported")
                 if len(cur) != 3:
-                    raise DimensionError(
-                        "pool needs [C,H,W] input, got %r" % (cur,)
-                    )
+                    raise DimensionError("pool needs [C,H,W] input, got %r" % (cur,))
                 if cur[1] % 2 or cur[2] % 2:
                     raise DimensionError(
                         "pool input %dx%d has an odd dimension" % (cur[1], cur[2])
                     )
                 cur = (cur[0], cur[1] // 2, cur[2] // 2)
             elif isinstance(spec, FlattenSpec):
-                n = 1
-                for d in cur:
-                    n *= d
-                cur = (n,)
+                cur = (math.prod(cur),)
             elif isinstance(spec, DenseSpec):
+                if spec.units < 1:
+                    raise DimensionError("dense units must be >= 1")
+                if spec.activation not in ACTIVATIONS:
+                    raise DimensionError("unknown activation %r" % (spec.activation,))
+                if spec.activation == "softmax" and i != len(self.layers) - 1:
+                    raise DimensionError("softmax is only valid on the final dense layer")
                 if len(cur) != 1:
                     raise DimensionError(
                         "dense needs flat input, got %r (missing Flatten?)" % (cur,)
                     )
+                params = {"w": (cur[0], spec.units), "b": (spec.units,)}
                 cur = (spec.units,)
-            shapes.append(cur)
-        return shapes
+                image = False
+            else:
+                raise DimensionError("unknown layer spec %r" % (spec,))
+            self.layer_shapes.append(cur)
+            self.param_shapes.append(params)
+            self.image_layers += image
 
     @property
     def output_units(self):
@@ -182,23 +171,6 @@ class Network:
         )
 
 
-def _param_shapes(spec):
-    """Per layer, {parameter name: shape} in storage order; empty for
-    layers without parameters."""
-    shapes = []
-    cur = spec.input_shape
-    for layer, out in zip(spec.layers, spec.layer_shapes):
-        if isinstance(layer, Conv2DSpec):
-            k = layer.kernel_size
-            shapes.append({"w": (layer.filters, cur[0], k, k), "b": (layer.filters,)})
-        elif isinstance(layer, DenseSpec):
-            shapes.append({"w": (cur[0], layer.units), "b": (layer.units,)})
-        else:
-            shapes.append({})
-        cur = out
-    return shapes
-
-
 def _init_params(spec):
     """He-style uniform fan-in init, biases zero, from the spec's seed.
 
@@ -208,7 +180,7 @@ def _init_params(spec):
     rng = Rng(spec.seed)
     params = []
     last = len(spec.layers) - 1
-    for i, shapes in enumerate(_param_shapes(spec)):
+    for i, shapes in enumerate(spec.param_shapes):
         p = {name: np.zeros(shape) for name, shape in shapes.items()}
         if p and not (i == last and isinstance(spec.layers[i], DenseSpec)):
             # fan-in: weights per output unit
@@ -221,17 +193,9 @@ def _init_params(spec):
 def build_conv_net(input_shape, hidden_units, output_units, seed):
     """The fixed conv stack: 32 then 64 5x5 filters, each pooled 2x2, then a
     ReLU hidden layer of the given width and a probability head."""
-    shape = check_dims(input_shape)
-    if len(shape) != 3:
-        raise DimensionError("expected [C,H,W] input, got %r" % (shape,))
-    if shape[1] % 4 or shape[2] % 4:
-        raise DimensionError(
-            "spatial dims must be divisible by 4 for two pool stages, got %r"
-            % (shape,)
-        )
     head = "softmax" if output_units > 1 else "sigmoid"
     spec = NetworkSpec(
-        shape,
+        input_shape,
         [
             Conv2DSpec(32, 5, "relu"),
             MaxPool2DSpec(),
@@ -248,8 +212,6 @@ def build_conv_net(input_shape, hidden_units, output_units, seed):
 
 def build_mlp(input_dim, hidden_units, seed):
     """One ReLU hidden layer over flat input, single sigmoid output unit."""
-    if input_dim < 1:
-        raise DimensionError("input_dim must be >= 1, got %r" % (input_dim,))
     spec = NetworkSpec(
         (input_dim,),
         [DenseSpec(hidden_units, "relu"), DenseSpec(1, "sigmoid")],
@@ -274,48 +236,35 @@ def _dense(x, p):
 
 
 def _forward_images(net, x):
-    """The layers before the first dense layer, in evaluation, one image at
-    a time; returns their output for x [N,C,H,W] as a C-contiguous array.
+    """The image layers (NetworkSpec.image_layers) in evaluation, one image
+    at a time; returns their output for x [N,C,H,W] as a C-contiguous array.
 
-    Each conv layer's padded input, column and output buffers are allocated
-    once per call and reused for every image. A pool writes its window max
-    straight into the next conv's padded interior, and the last conv or pool
-    writes into the image's [C,H,W]-ordered row of the result. Each image
-    takes the batch kernels' GEMM, bias, ReLU and pool order, so every value
-    equals theirs.
+    Each conv or pool layer is one stage, allocated once per call: an
+    _ImageConv with its padded input, column and output buffers, or a pool
+    with its [H,W,C] output buffer. A stage takes the previous stage's
+    output (a conv copies it into its padded input), and the last stage's
+    output is copied into the image's [C,H,W]-ordered row of the result.
+    Each image takes the batch kernels' GEMM, bias, ReLU and pool order, so
+    every value equals theirs.
     """
     spec = net.spec
     shapes = [spec.input_shape] + spec.layer_shapes
-    # one stage per conv or pool layer: its _ImageConv, or None for a pool
     stages = [
         _ImageConv(net.params[i]["w"], net.params[i]["b"], shapes[i][1:],
                    layer.activation == "relu")
-        if isinstance(layer, Conv2DSpec) else None
+        if isinstance(layer, Conv2DSpec)
+        else partial(_image_pool, out=np.empty(shapes[i + 1][1:] + shapes[i + 1][:1]))
         for i, layer in enumerate(spec.layers[:spec.image_layers])
         if not isinstance(layer, FlattenSpec)
     ]
-    # a pool's target: the next conv's padded interior, a buffer of its own
-    # before another pool, or (None) the image's row of the result
-    targets = [None] * len(stages)
-    for j in range(len(stages) - 1):
-        if stages[j] is None:
-            c, h, w = shapes[j + 1]
-            nxt = stages[j + 1]
-            targets[j] = np.empty((h, w, c)) if nxt is None else nxt.inp
+    # a flatten only ever follows the conv and pool layers
     c, h, w = shapes[len(stages)]
     out = np.empty((len(x),) + shapes[spec.image_layers])
     for img, row in zip(x, out):
-        row = row.reshape(c, h, w).transpose(1, 2, 0)
         src = img.transpose(1, 2, 0)
-        for stage, target in zip(stages, targets):
-            if stage is None:
-                src = _image_pool(src, row if target is None else target)
-                continue
-            if src is not stage.inp:  # a pool has not written it already
-                stage.inp[...] = src
-            src = stage()
-        if src is not row:
-            row[...] = src
+        for stage in stages:
+            src = stage(src)
+        row.reshape(c, h, w).transpose(1, 2, 0)[...] = src
     return out
 
 
@@ -323,12 +272,12 @@ def forward(net, batch, train=False):
     """Run the stack; returns (output probabilities, cache for backward).
 
     Pure in (parameters, input): repeated calls give bit-identical outputs.
-    With train=False no cache is kept: the conv, pool and flatten layers run
-    per image through buffers allocated once per call (_forward_images), and
-    only the dense layers see the whole batch. A trial stack takes a
+    With train=False no cache is kept: the image layers run per image
+    through buffers allocated once per call (_forward_images), and only the
+    layers after them see the whole batch. A trial stack takes a
     [T, batch, ...] array, trial t's rows forwarded through trial t.
     """
-    x = batch.array if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=np.float64)
     expect = net.spec.input_shape
     lanes = net.lanes
     if x.shape[:len(lanes)] != lanes or x.shape[len(lanes) + 1:] != expect:
@@ -339,8 +288,8 @@ def forward(net, batch, train=False):
     start = 0 if train else net.spec.image_layers
     if start:
         x = _forward_images(net, x)
-    # conv and pool layers come before the first dense layer, so only a
-    # training pass meets them here
+    # an evaluation pass has run every conv and pool layer per image, so
+    # only a training pass meets them here
     for i, layer in enumerate(net.spec.layers[start:], start):
         if isinstance(layer, Conv2DSpec):
             p = net.params[i]
@@ -348,7 +297,7 @@ def forward(net, batch, train=False):
             cache.append({"x": x, "z": z})
             x = _apply_activation(layer.activation, z)
         elif isinstance(layer, MaxPool2DSpec):
-            pooled, idx = _maxpool2d(x, True)
+            pooled, idx = _maxpool2d(x)
             cache.append({"idx": idx, "in_hw": x.shape[2:]})
             x = pooled
         elif isinstance(layer, FlattenSpec):
@@ -376,7 +325,7 @@ def backward(net, loss_grad, cache):
         raise StateError("backward called without a forward cache (train=True)")
     if len(cache) != len(net.spec.layers):
         raise StateError("forward cache does not match the network's layers")
-    d = loss_grad.array if isinstance(loss_grad, Tensor) else np.asarray(loss_grad)
+    d = np.asarray(loss_grad)
     last = len(net.spec.layers) - 1
     for i in range(last, -1, -1):
         layer = net.spec.layers[i]
@@ -506,7 +455,7 @@ def load_network(path):
     except DimensionError as e:
         raise CheckpointError("checkpoint spec is not instantiable: %s" % e)
     params = []
-    for i, shapes in enumerate(_param_shapes(spec)):
+    for i, shapes in enumerate(spec.param_shapes):
         p = {}
         for name, shape in shapes.items():
             raw = r.take(8 * math.prod(shape), "layer %d %s" % (i, name))

@@ -127,23 +127,23 @@ def _conv2d(x, w, b):
 class _ImageConv:
     """Same-padding conv of one image at a time through buffers made once.
 
-    Fill `inp`, the image's [H,W,C] slot, then call: one GEMM of its
-    tap-major columns writes the [H*W, F] output, and the bias and (with
-    relu) the ReLU are applied in place. Returns the output as [H,W,F]; the
-    next call overwrites it.
+    Call with an [H,W,C] image: it is copied into the padded input, one GEMM
+    of its tap-major columns writes the [H*W, F] output, and the bias and
+    (with relu) the ReLU are applied in place. Returns the output as
+    [H,W,F]; the next call overwrites it.
     """
 
     def __init__(self, w, b, hw, relu):
         f, c, kh, kw = w.shape
         self.cols = _Columns(c, *hw, kh, kw)
-        self.inp = self.cols.inp
         self.wmat = _weight_matrix(w)
         self.b = b
         self.relu = relu
         self.z = np.empty((hw[0] * hw[1], f))
         self.out = self.z.reshape(hw + (f,))
 
-    def __call__(self):
+    def __call__(self, img):
+        self.cols.inp[...] = img
         z = self.z
         np.matmul(self.cols(), self.wmat, out=z)
         z += self.b
@@ -208,12 +208,12 @@ def _image_pool(x, out):
     return _window_max(*(x[a::2, b::2] for a, b in _WINDOW), out=out)
 
 
-def _maxpool2d(x, with_index):
+def _maxpool2d(x):
     """Non-overlapping 2x2/stride-2 max pool.
 
-    Returns (pooled [N,C,H/2,W/2], winner). With with_index, winner is an
-    int64 [N,C,H/2,W/2] map of the window position 0..3 in row-major scan
-    order, ties taking the first position as argmax would; otherwise None.
+    Returns (pooled [N,C,H/2,W/2], winner), winner an int64 [N,C,H/2,W/2]
+    map of the window position 0..3 in row-major scan order, ties taking
+    the first position as argmax would.
     """
     h, w = x.shape[2:]
     if h % 2 or w % 2:
@@ -222,8 +222,6 @@ def _maxpool2d(x, with_index):
         )
     v0, v1, v2, v3 = (x[:, :, a::2, b::2] for a, b in _WINDOW)
     pooled = _window_max(v0, v1, v2, v3)
-    if not with_index:
-        return pooled, None
     # the winner is the count of leading positions that miss the max, so the
     # first maximum in scan order wins
     miss = v0 != pooled

@@ -831,6 +831,46 @@ class TestOvaRuns:
         assert total == pytest.approx(1.0)
         assert result.manifest["outputs"] == OVA_ENSEMBLE_OUTPUTS
 
+    def test_member_divergence_is_recorded(self, tmp_path, monkeypatch, capsys):
+        from tinynn import ensemble
+
+        real_train = ensemble.train
+
+        def diverge_on_class_1(net, view, cfg):
+            if view.target_class == 1:
+                raise DivergenceError("loss diverged at epoch 1, batch 1")
+            return real_train(net, view, cfg)
+
+        monkeypatch.setattr(ensemble, "train", diverge_on_class_1)
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            "[experiment]\nkind = ova-binary\ndataset = synthetic\nhidden = 1\n"
+            "synth_n = 200\n[training]\nepochs = 1\n[output]\nout = %s\n"
+            % (tmp_path / "runs")
+        )
+        assert main(["--config", str(ini)]) == 3
+        (run_dir,) = (tmp_path / "runs" / "ova-binary").iterdir()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        (divergence,) = manifest["divergences"]
+        assert "class 1" in divergence["error"]
+        assert manifest["outputs"] == {}
+
+    def test_comparison_divergence_is_recorded(self, tiny_mnist_dir, tmp_path, monkeypatch):
+        def diverge(net, data, cfg):
+            raise DivergenceError("loss diverged at epoch 1, batch 1")
+
+        monkeypatch.setattr(experiments, "train", diverge)
+        cfg = tiny_image_config("ova-ensemble", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
+        result = run_experiment(cfg)
+        assert result.diverged
+        assert result.manifest["divergences"] == [
+            {"comparison": 16, "error": "loss diverged at epoch 1, batch 1"}
+        ]
+        assert "verdicts.csv" in result.manifest["outputs"]
+        assert "comparison.csv" not in result.manifest["outputs"]
+        with open(os.path.join(result.run_dir, "manifest.json")) as f:
+            assert json.load(f)["divergences"] == result.manifest["divergences"]
+
 
 class TestCli:
     def write_ini(self, tmp_path):
@@ -866,10 +906,24 @@ class TestCli:
         )
         assert rc == 1
 
-    def test_unknown_experiment_rejected_by_parser(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--experiment", "frobnicate", "--dataset", "synthetic"],
+            ["--experiment", "synthetic-sweep", "--dataset", "synthetic", "--trials", "abc"],
+            ["--experiment", "synthetic-sweep", "--dataset", "synthetic", "--frobnicate"],
+        ],
+        ids=["unknown-experiment", "non-integer-trials", "unknown-flag"],
+    )
+    def test_unknown_experiment_rejected_by_parser(self, argv, capsys):
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--experiment", "frobnicate", "--dataset", "synthetic"])
-        assert exc.value.code == 2
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--experiment" in capsys.readouterr().out
 
     def test_missing_data_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -946,11 +1000,29 @@ class TestCli:
             os.path.join(run_b, "grid.csv")
         )
 
-    def test_replay_malformed_manifest_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text", ["not json at all", '{"x": 1}', "[1, 2]"],
+        ids=["not-json", "no-config", "not-an-object"],
+    )
+    def test_replay_malformed_manifest_is_data_error(self, text, tmp_path, capsys):
         bad = tmp_path / "manifest.json"
-        bad.write_text("not json at all")
+        bad.write_text(text)
         assert main(["--replay", str(bad)]) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_replay_incomplete_config_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text('{"config": {"kind": "synthetic-sweep"}}')
+        assert main(["--replay", str(bad)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_resume_malformed_config_is_config_error(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        config = tiny_sweep_config(tmp_path).resolved()
+        (run / "config.json").write_text(json.dumps(dict(config, hidden="x")))
+        assert main(["--resume", str(run)]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_resume_without_config_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "nothing-here"

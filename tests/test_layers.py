@@ -43,6 +43,35 @@ def peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+# specs every builder or NetworkSpec must refuse, and the message each names
+REJECTED_SPECS = [
+    ("odd-pool-dim", "even|odd", lambda: NetworkSpec(
+        (1, 6, 6),
+        [Conv2DSpec(4, 3, "relu"), MaxPool2DSpec(), MaxPool2DSpec(), MaxPool2DSpec()],
+        seed=0)),
+    ("conv-builder-indivisible", None, lambda: build_conv_net((1, 30, 30), 4, 10, seed=0)),
+    ("conv-builder-rank-2", r"\[C,H,W\]", lambda: build_conv_net((28, 28), 4, 10, seed=0)),
+    ("mlp-builder-no-input", ">= 1", lambda: build_mlp(0, 4, seed=0)),
+    ("dense-on-unflattened", None, lambda: NetworkSpec(
+        (1, 8, 8), [Conv2DSpec(2, 3), DenseSpec(4)], seed=0)),
+    ("softmax-not-final", "softmax", lambda: NetworkSpec(
+        (5,), [DenseSpec(4, "softmax"), DenseSpec(2, "softmax")], seed=0)),
+    *[("conv-" + act, "conv activation",
+       lambda act=act: NetworkSpec((1, 8, 8), [Conv2DSpec(2, 3, act)], seed=0))
+      for act in ("sigmoid", "softmax", "tanh")],
+    ("even-kernel", None, lambda: NetworkSpec((1, 8, 8), [Conv2DSpec(4, 6)], seed=0)),
+    ("even-kernel-relu", None, lambda: NetworkSpec(
+        (1, 8, 8), [Conv2DSpec(4, 4, "relu")], seed=0)),
+    ("conv-no-filters", ">= 1", lambda: NetworkSpec((1, 8, 8), [Conv2DSpec(0, 3)], seed=0)),
+    ("dense-no-units", ">= 1", lambda: NetworkSpec((5,), [DenseSpec(0)], seed=0)),
+    ("unknown-kind", "unknown layer", lambda: NetworkSpec((5,), ["dense"], seed=0)),
+    ("dense-tanh", "unknown activation", lambda: NetworkSpec(
+        (5,), [DenseSpec(2, "tanh")], seed=0)),
+    ("conv-on-flat", r"\[C,H,W\]", lambda: NetworkSpec((5,), [Conv2DSpec(2, 3)], seed=0)),
+    ("pool-on-flat", r"\[C,H,W\]", lambda: NetworkSpec((4,), [MaxPool2DSpec()], seed=0)),
+]
+
+
 class TestShapeInference:
     def test_conv_stack_shapes(self):
         net = build_conv_net((1, 28, 28), 7, 10, seed=0)
@@ -56,43 +85,13 @@ class TestShapeInference:
             (10,),
         ]
 
-    def test_odd_pool_dim_rejected(self):
-        with pytest.raises(DimensionError, match="even|odd"):
-            NetworkSpec(
-                (1, 6, 6),
-                [Conv2DSpec(4, 3, "relu"), MaxPool2DSpec(), MaxPool2DSpec(),
-                 MaxPool2DSpec()],
-                seed=0,
-            )
-
-    def test_conv_builder_requires_divisible_dims(self):
-        with pytest.raises(DimensionError):
-            build_conv_net((1, 30, 30), 4, 10, seed=0)
-
-    def test_dense_on_unflattened_rejected(self):
-        with pytest.raises(DimensionError):
-            NetworkSpec(
-                (1, 8, 8), [Conv2DSpec(2, 3), DenseSpec(4)], seed=0
-            )
-
-    def test_softmax_only_on_final_dense(self):
-        with pytest.raises(ValueError, match="softmax"):
-            NetworkSpec(
-                (5,),
-                [DenseSpec(4, "softmax"), DenseSpec(2, "softmax")],
-                seed=0,
-            )
-
-    @pytest.mark.parametrize("act", ["sigmoid", "softmax", "tanh"])
-    def test_conv_activation_other_than_relu_or_none_rejected(self, act):
-        with pytest.raises(DimensionError, match="conv activation"):
-            NetworkSpec((1, 8, 8), [Conv2DSpec(2, 3, act)], seed=0)
-
-    def test_even_kernel_rejected_at_assembly(self):
-        with pytest.raises(DimensionError):
-            NetworkSpec((1, 8, 8), [Conv2DSpec(4, 6)], seed=0)
-        with pytest.raises(DimensionError):
-            NetworkSpec((1, 8, 8), [Conv2DSpec(4, 4, "relu")], seed=0)
+    @pytest.mark.parametrize(
+        "match,build", [case[1:] for case in REJECTED_SPECS],
+        ids=[case[0] for case in REJECTED_SPECS],
+    )
+    def test_rejected(self, match, build):
+        with pytest.raises(DimensionError, match=match):
+            build()
 
 
 def parameter_count(net):
@@ -181,9 +180,13 @@ class TestForward:
                 MaxPool2DSpec(), Conv2DSpec(3, 3, "none"), FlattenSpec(),
                 DenseSpec(10, "softmax"),
             ], seed=11)), 7),
+            # a flatten over input that is flat already: no image layers
+            (lambda: Network(NetworkSpec((5,), [
+                FlattenSpec(), DenseSpec(2, "relu"), DenseSpec(1, "sigmoid"),
+            ], seed=11)), 6),
         ],
         ids=["stack8-5", "mnist-1", "mnist-65", "cifar-1", "cifar-65", "conv-conv-pool-pool-5",
-             "pool-conv-7"],
+             "pool-conv-7", "flatten-flat-6"],
     )
     def test_eval_output_matches_train_output(self, make_net, n):
         # eval runs the conv stack per image and pools without winner
@@ -348,6 +351,24 @@ class TestOrientation:
         from tinynn.training import _orient_dead_relu_units
 
         assert peak_bytes(_orient_dead_relu_units, net, probe) < 8 << 20
+
+    def test_flatten_over_flat_input_trains_as_the_mlp(self):
+        # the flatten is the identity on flat rows and holds no parameters,
+        # so the probe and every step match the plain MLP's
+        from tinynn.datasets import SyntheticSpec, generate_synthetic
+        from tinynn.training import TrainConfig, train
+
+        data = generate_synthetic(SyntheticSpec(std=1.0, n_samples=200, seed=37))
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=38)
+        spec = NetworkSpec(
+            (3,), [FlattenSpec(), DenseSpec(2, "relu"), DenseSpec(1, "sigmoid")], seed=39
+        )
+        got, report = train(Network(spec), data, cfg)
+        want, want_report = train(build_mlp(3, 2, seed=39), data, cfg)
+        assert report == want_report
+        for p, q in zip([p for p in got.params if p], want.params):
+            for k in q:
+                np.testing.assert_array_equal(p[k], q[k])
 
 
 class TestCheckpoint:

@@ -248,26 +248,21 @@ class TestMaxPool:
         for make in POOL_INPUTS:
             x = make()
             want, widx = pool_oracle(x)
-            pooled, idx = tensor._maxpool2d(x, True)
+            pooled, idx = tensor._maxpool2d(x)
             np.testing.assert_array_equal(pooled, want)
             np.testing.assert_array_equal(idx, widx)
-            pooled, idx = tensor._maxpool2d(x, False)
-            np.testing.assert_array_equal(pooled, want)
-            assert idx is None
 
     def test_ties_take_first_in_scan_order(self):
         # channel 0: four-way tie at 0; channel 1: three-way tie at 7
         x = np.array([[[[0.0, 0.0], [0.0, 0.0]], [[1.0, 7.0], [7.0, 7.0]]]])
         for layout in (np.asarray, nhwc):
-            pooled, idx = tensor._maxpool2d(layout(x), True)
+            pooled, idx = tensor._maxpool2d(layout(x))
             np.testing.assert_array_equal(idx[0, :, 0, 0], [0, 1])
-            np.testing.assert_array_equal(pooled[0, :, 0, 0], [0.0, 7.0])
-            pooled, _ = tensor._maxpool2d(layout(x), False)
             np.testing.assert_array_equal(pooled[0, :, 0, 0], [0.0, 7.0])
 
     def test_odd_dims_rejected(self):
         with pytest.raises(DimensionError, match="even"):
-            tensor._maxpool2d(rand((1, 1, 5, 4), 0), True)
+            tensor._maxpool2d(rand((1, 1, 5, 4), 0))
 
     def test_only_2x2_stride_2(self):
         with pytest.raises(DimensionError, match="2x2"):
@@ -276,7 +271,7 @@ class TestMaxPool:
     def test_scatter_grad_inverts_pool(self):
         for make in POOL_INPUTS:
             x = make()
-            pooled, idx = tensor._maxpool2d(x, True)
+            pooled, idx = tensor._maxpool2d(x)
             dz = rand(pooled.shape, 22)
             back = tensor._maxpool2d_grad(dz, idx, 8, 6)
             assert back.shape == x.shape
