@@ -106,13 +106,25 @@ CIFAR_FILES = tuple("data_batch_%d.bin" % i for i in range(1, 6)) + ("test_batch
 
 
 def _text(name, value):
+    if not isinstance(value, str):
+        raise ConfigError("%s must be a string, got %r" % (name, value))
     return value
+
+
+def _coerce(kind, value):
+    """value as kind. A bool, or a float that is not a whole number where an
+    int is wanted, raises ValueError instead of being truncated."""
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(value)
+    return kind(value)
 
 
 def _number(kind, what):
     def parse(name, value):
         try:
-            return kind(value)
+            return _coerce(kind, value)
         except (TypeError, ValueError):
             raise ConfigError("%s must be %s, got %r" % (name, what, value))
 
@@ -124,7 +136,7 @@ def _number_list(kind, what):
         if not isinstance(value, (list, tuple)):
             value = [p for p in str(value).split(",") if p.strip() != ""]
         try:
-            return tuple(kind(p) for p in value)
+            return tuple(_coerce(kind, p) for p in value)
         except (TypeError, ValueError):
             raise ConfigError(
                 "expected a comma-separated %s list, got %r" % (what, value)

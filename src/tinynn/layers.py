@@ -97,7 +97,7 @@ class NetworkSpec:
                     raise DimensionError("conv filters and kernel size must be >= 1")
                 if spec.kernel_size % 2 == 0:
                     raise DimensionError("conv kernel size must be odd for same padding")
-                # backward differentiates a conv layer from its cached x and z only
+                # backward differentiates a conv layer from its input and ReLU mask only
                 if spec.activation not in ("relu", "none"):
                     raise DimensionError(
                         "conv activation must be relu or none, got %r" % (spec.activation,)
@@ -268,6 +268,18 @@ def _forward_images(net, x):
     return out
 
 
+def _pool_takes_relu(layers, i):
+    """Whether layer i is a max pool right after a ReLU conv. Such a pool
+    carries the conv's ReLU mask, at pooled size: a window's winner passes
+    its gradient through the ReLU exactly when the pooled value is > 0."""
+    return (
+        0 < i < len(layers)
+        and isinstance(layers[i], MaxPool2DSpec)
+        and isinstance(layers[i - 1], Conv2DSpec)
+        and layers[i - 1].activation == "relu"
+    )
+
+
 def forward(net, batch, train=False):
     """Run the stack; returns (output probabilities, cache for backward).
 
@@ -276,6 +288,13 @@ def forward(net, batch, train=False):
     through buffers allocated once per call (_forward_images), and only the
     layers after them see the whole batch. A trial stack takes a
     [T, batch, ...] array, trial t's rows forwarded through trial t.
+
+    The cache keeps only what backward reads. A conv keeps its input x and
+    applies its ReLU in place; a pool keeps its uint8 winners and input
+    size. A ReLU's mask, "live", sits with the layer whose output gradient
+    it gates: at pooled size with the pool that follows the conv
+    (_pool_takes_relu), else at full size with the conv. A dense layer
+    keeps its input, pre-activation and activation.
     """
     x = np.asarray(batch, dtype=np.float64)
     expect = net.spec.input_shape
@@ -285,20 +304,28 @@ def forward(net, batch, train=False):
             "batch shape %r does not match input shape %r" % (x.shape, expect)
         )
     cache = [] if train else None
+    layers = net.spec.layers
     start = 0 if train else net.spec.image_layers
     if start:
         x = _forward_images(net, x)
     # an evaluation pass has run every conv and pool layer per image, so
     # only a training pass meets them here
-    for i, layer in enumerate(net.spec.layers[start:], start):
+    for i, layer in enumerate(layers[start:], start):
         if isinstance(layer, Conv2DSpec):
             p = net.params[i]
-            z = _conv2d(x, p["w"], p["b"])
-            cache.append({"x": x, "z": z})
-            x = _apply_activation(layer.activation, z)
+            c = {"x": x}
+            x = _conv2d(x, p["w"], p["b"])
+            if layer.activation == "relu":
+                np.maximum(x, 0.0, out=x)
+                if not _pool_takes_relu(layers, i + 1):
+                    c["live"] = x > 0.0
+            cache.append(c)
         elif isinstance(layer, MaxPool2DSpec):
             pooled, idx = _maxpool2d(x)
-            cache.append({"idx": idx, "in_hw": x.shape[2:]})
+            c = {"idx": idx, "in_hw": x.shape[2:]}
+            if _pool_takes_relu(layers, i):
+                c["live"] = pooled > 0.0
+            cache.append(c)
             x = pooled
         elif isinstance(layer, FlattenSpec):
             if train:
@@ -318,8 +345,9 @@ def backward(net, loss_grad, cache):
     """Populate net.grads from the loss gradient w.r.t. output logits.
 
     The final layer's activation is fused into loss_grad; hidden activations
-    are differentiated here. The input gradient of the first layer is never
-    needed and is not computed.
+    are differentiated here, a conv's ReLU through its cached mask (see
+    forward). The input gradient of the first layer is never needed and is
+    not computed.
     """
     if cache is None:
         raise StateError("backward called without a forward cache (train=True)")
@@ -330,6 +358,10 @@ def backward(net, loss_grad, cache):
     for i in range(last, -1, -1):
         layer = net.spec.layers[i]
         c = cache[i]
+        if "live" in c:
+            # the ReLU gate: d * False keeps a negative d's sign, as the
+            # unfused d * (z > 0) does, and a pool's non-winners stay +0.0
+            d = d * c["live"]
         if isinstance(layer, DenseSpec):
             if i == last:
                 dz = d
@@ -340,11 +372,10 @@ def backward(net, loss_grad, cache):
             if i > 0:
                 d = dz @ net.params[i]["w"].swapaxes(-1, -2)
         elif isinstance(layer, Conv2DSpec):
-            dz = _activation_grad(layer.activation, d, c)
-            _conv2d_kernel_grad(dz, c["x"], net.grads[i]["w"])
-            np.sum(dz, axis=(0, 2, 3), out=net.grads[i]["b"])
+            _conv2d_kernel_grad(d, c["x"], net.grads[i]["w"])
+            np.sum(d, axis=(0, 2, 3), out=net.grads[i]["b"])
             if i > 0:
-                d = _conv2d_input_grad(dz, net.params[i]["w"])
+                d = _conv2d_input_grad(d, net.params[i]["w"])
         elif isinstance(layer, MaxPool2DSpec):
             h, w = c["in_hw"]
             d = _maxpool2d_grad(d, c["idx"], h, w)

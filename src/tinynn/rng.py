@@ -16,15 +16,18 @@ of any consumer. A block is `_MAX_LANES` lanes of `_LANE_STEPS` consecutive
 draws. Lane j starts at the state j * `_LANE_STEPS` steps ahead. The xoshiro
 step is linear over GF(2), so a jump by m steps is a 256x256 bit matrix, kept
 as a nibble table: for each of the state's 64 nibbles, the images of its 16
-values. The lane starts come from the current state by doubling: the jump by
-`_LANE_STEPS` * 2**k is applied to every start found so far. The tables are
-built once per process, when the first lane block is drawn. The lanes then
-step together as uint64 arrays with `_step`, which also builds the tables,
-and the last lane's final state is the generator's new state. A shortfall
-below `_LANE_MIN` on an empty buffer comes from the scalar loop instead,
-which holds the state in Python ints, so the short requests of a fresh
-generator build no table. numpy forms the outputs from the recorded state
-words with the same wrapping 64-bit arithmetic.
+values. The generator keeps the lane starts of its last block, and the next
+block's starts are those jumped by `LANE_BLOCK` steps, one jump of all
+`_MAX_LANES` starts. Without kept starts (a fresh generator, or one whose
+state the scalar loop has moved) they come from the current state by
+doubling: the jump by `_LANE_STEPS` * 2**k is applied to every start found
+so far. The tables are built once per process, when the first lane block is
+drawn. The lanes then step together as uint64 arrays with `_step`, which
+also builds the tables, and the last lane's final state is the generator's
+new state. A shortfall below `_LANE_MIN` on an empty buffer comes from the
+scalar loop instead, which holds the state in Python ints, so the short
+requests of a fresh generator build no table. numpy forms the outputs from
+the recorded state words with the same wrapping 64-bit arithmetic.
 
 The bulk consumers (`shuffle`, `fill_uniform`, `fill_normal`) take their
 draws in blocks and give results bit-identical to repeated calls of the
@@ -123,9 +126,9 @@ def _nibble_table(images):
 @functools.cache
 def _jump_tables():
     """Nibble tables of the jumps by _LANE_STEPS * 2**k steps, for k from 0
-    while 2**k < _MAX_LANES, built on first use: the unit states stepped
+    while 2**k <= _MAX_LANES, built on first use: the unit states stepped
     _LANE_STEPS times give the first, and each further one squares the one
-    before by jumping its own images."""
+    before by jumping its own images. The last jumps by LANE_BLOCK steps."""
     units = np.zeros((4, 256), np.uint64)
     bit = np.arange(256)
     units[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
@@ -133,7 +136,7 @@ def _jump_tables():
         _step(units)
     images = units.T
     tables = [_nibble_table(images)]
-    while len(tables) < _MAX_LANES.bit_length() - 1:
+    while len(tables) < _MAX_LANES.bit_length():
         images = _jump(tables[-1], images.T)
         tables.append(_nibble_table(images))
     return tuple(tables)
@@ -161,6 +164,7 @@ class Rng:
         self._s = state
         self._spare_normal = None
         self._buf = np.empty(0, np.uint64)  # drawn, not yet served
+        self._starts = None  # the last lane block's [4, lanes] starts
 
     def _draws(self, n):
         """The next n outputs as a uint64 array, exactly as n next_u64 calls
@@ -202,19 +206,33 @@ class Rng:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & mask  # rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
+        self._starts = None
         return _outputs(np.array([firsts, lasts], np.uint64).reshape(2, n))
 
     def _lane_block(self):
         """The next LANE_BLOCK outputs, as a read-only array: lane j of the
         _MAX_LANES starts at the state j * _LANE_STEPS steps ahead, and all
-        lanes step together."""
-        s = np.empty((4, _MAX_LANES), np.uint64)
-        s[:, 0] = self._s
-        found = 1
-        for table in _jump_tables():
-            # lanes found..2 * found start found * _LANE_STEPS past lanes 0..found
-            s[:, found:2 * found] = _jump(table, s[:, :found]).T
-            found *= 2
+        lanes step together. The starts are the kept ones of the last block
+        jumped by LANE_BLOCK steps, or else found from the state by
+        doubling."""
+        *doubling, whole_block = _jump_tables()
+        starts = np.empty((4, _MAX_LANES), np.uint64)
+        if self._starts is not None:
+            # in halves, so that the jump's [64, lanes, 4] gather is no
+            # larger than the doubling's last (256 KiB); one of 512 KiB
+            # raised a synthetic sweep's peak RSS by about 0.5 MB
+            half = _MAX_LANES // 2
+            for lanes in (slice(0, half), slice(half, None)):
+                starts[:, lanes] = _jump(whole_block, self._starts[:, lanes]).T
+        else:
+            starts[:, 0] = self._s
+            found = 1
+            for table in doubling:
+                # lanes found..2 * found start found * _LANE_STEPS past lanes 0..found
+                starts[:, found:2 * found] = _jump(table, starts[:, :found]).T
+                found *= 2
+        self._starts = starts
+        s = starts.copy()
         words = np.empty((_LANE_STEPS, 2, _MAX_LANES), np.uint64)
         for j in range(_LANE_STEPS):
             words[j] = s[::3]  # s0 and s3

@@ -13,10 +13,12 @@ per-op validation. Conv forward and its kernel gradient read tap-major
 columns, [H,W,kh,kw,C] per image, that _Columns copies from a window view of
 a zero-padded NHWC buffer one image at a time, so no whole-batch column
 matrix is built or kept; the kernel gradient recomputes them from the layer
-input. The input gradient is one small GEMM per kernel tap, scatter-added
-into a padded buffer. The conv kernels return [N,C,H,W] views of NHWC
-memory, and the pool kernels keep that layout, so the reshapes to [NHW, C]
-between them are free.
+input. The input gradient is one stacked GEMM per image, its [HW,F] output
+gradient times all kh*kw taps at once, whose per-tap products are
+scatter-added in tap order into a padded buffer. The conv kernels return
+[N,C,H,W] views of NHWC memory, and the pool kernels keep that layout, so
+the reshapes to [NHW, C] between them are free. A pool records its winners
+as a uint8 map of window positions, one byte per window.
 
 Evaluation keeps no whole-batch arrays: _ImageConv and _image_pool run one
 [H,W,C] image at a time through buffers made once per forward call. They
@@ -172,21 +174,22 @@ def _conv2d_kernel_grad(dz, x, out):
 def _conv2d_input_grad(dz, w):
     """Gradient of same-padding conv w.r.t. its input.
 
-    dz [N,F,H,W], w [F,C,kh,kw] -> [N,C,H,W]. For each image, each kernel
-    tap (i, j) sends dz through one GEMM, dz_n[HW,F] @ w[:,:,i,j] -> [HW,C],
-    added into the image's zero-padded NHWC buffer at offset (i, j); the
-    gradient is the buffers' interior.
+    dz [N,F,H,W], w [F,C,kh,kw] -> [N,C,H,W]. For each image one stacked
+    GEMM, dz_n[HW,F] @ the taps [kh*kw,F,C], gives every tap's [HW,C]
+    product; tap (i, j)'s is added, in row-major tap order, into the image's
+    zero-padded NHWC buffer at offset (i, j). The gradient is the buffers'
+    interior.
     """
     n, f, h, wd = dz.shape
     _, c, kh, kw = w.shape
     ph, pw = kh // 2, kw // 2
-    taps = w.transpose(2, 3, 0, 1)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, f, c)
+    prods = np.empty((kh * kw, h, wd, c))
     grad = np.zeros((n, h + 2 * ph, wd + 2 * pw, c))
     for g, d in zip(grad, dz.transpose(0, 2, 3, 1)):
-        dzmat = d.reshape(h * wd, f)
-        for i in range(kh):
-            for j in range(kw):
-                g[i:i + h, j:j + wd] += (dzmat @ taps[i, j]).reshape(h, wd, c)
+        np.matmul(d.reshape(h * wd, f), taps, out=prods.reshape(kh * kw, h * wd, c))
+        for (i, j), p in zip(np.ndindex(kh, kw), prods):
+            g[i:i + h, j:j + wd] += p
     return grad[:, ph:ph + h, pw:pw + wd].transpose(0, 3, 1, 2)
 
 
@@ -211,7 +214,7 @@ def _image_pool(x, out):
 def _maxpool2d(x):
     """Non-overlapping 2x2/stride-2 max pool.
 
-    Returns (pooled [N,C,H/2,W/2], winner), winner an int64 [N,C,H/2,W/2]
+    Returns (pooled [N,C,H/2,W/2], winner), winner a uint8 [N,C,H/2,W/2]
     map of the window position 0..3 in row-major scan order, ties taking
     the first position as argmax would.
     """
@@ -225,7 +228,7 @@ def _maxpool2d(x):
     # the winner is the count of leading positions that miss the max, so the
     # first maximum in scan order wins
     miss = v0 != pooled
-    idx = miss.astype(np.int64)
+    idx = miss.astype(np.uint8)
     for v in (v1, v2):
         miss &= v != pooled
         idx += miss

@@ -1,6 +1,7 @@
 """References the library is judged by: the probability-space
 cross-entropy, which the fused logit losses in tinynn.training must match,
-the central finite-difference check of backward's gradients, the
+the central finite-difference check of backward's gradients, the unfused
+backward whose gradients backward's must equal bit for bit, the
 trial-at-a-time repeat_trials that the stacked one must equal, and the
 one-step-at-a-time xoshiro256++ that the generator's blocks must equal.
 
@@ -15,8 +16,9 @@ from dataclasses import replace
 import numpy as np
 
 from tinynn.errors import ConfigError, DataError, DivergenceError
-from tinynn.layers import backward, forward
+from tinynn.layers import Conv2DSpec, DenseSpec, MaxPool2DSpec, backward, forward
 from tinynn.rng import derive_seed
+from tinynn.tensor import _conv2d, _conv2d_kernel_grad, _maxpool2d, _maxpool2d_grad
 from tinynn.training import TrialSummary, train
 
 
@@ -108,6 +110,71 @@ def fd_check(net, x, labels, n_params, rng, tol, eps=1e-5):
             % (li, key, j, a, numeric, rel)
         )
     return worst
+
+
+def conv_input_grad_per_tap(dz, w):
+    """The conv input gradient as one GEMM per kernel tap and image,
+    dz_n[HW,F] @ w[:,:,i,j], each added into a zero-padded NHWC buffer at
+    offset (i, j) in row-major tap order."""
+    n, f, h, wd = dz.shape
+    _, c, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    grad = np.zeros((n, h + 2 * ph, wd + 2 * pw, c))
+    for g, d in zip(grad, dz.transpose(0, 2, 3, 1)):
+        dzmat = d.reshape(h * wd, f)
+        for i in range(kh):
+            for j in range(kw):
+                g[i:i + h, j:j + wd] += (dzmat @ w[:, :, i, j]).reshape(h, wd, c)
+    return grad[:, ph:ph + h, pw:pw + wd].transpose(0, 3, 1, 2)
+
+
+def unfused_grads(net, x, loss_grad):
+    """backward's parameter gradients, computed without its fusions: every
+    ReLU layer keeps its full-size pre-activation z and gates its output
+    gradient with d * (z > 0), after any pool's winner scatter, and the
+    conv input gradient takes one GEMM per tap. Hidden layers are ReLU or
+    linear; the final layer's activation is fused into loss_grad, as
+    backward takes it."""
+    layers = net.spec.layers
+    caches = []
+    for layer, p in zip(layers, net.params):
+        if isinstance(layer, Conv2DSpec):
+            z = _conv2d(x, p["w"], p["b"])
+            caches.append((x, z))
+            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        elif isinstance(layer, MaxPool2DSpec):
+            pooled, idx = _maxpool2d(x)
+            caches.append((idx, x.shape[2:]))
+            x = pooled
+        elif isinstance(layer, DenseSpec):
+            z = x @ p["w"] + p["b"]
+            caches.append((x, z))
+            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        else:  # Flatten
+            caches.append(x.shape)
+            x = x.reshape(len(x), -1)
+    grads = [{} for _ in layers]
+    d = np.asarray(loss_grad)
+    for i in range(len(layers) - 1, -1, -1):
+        layer, p, c = layers[i], net.params[i], caches[i]
+        if isinstance(layer, (Conv2DSpec, DenseSpec)):
+            x, z = c
+            gated = layer.activation == "relu" and i < len(layers) - 1
+            dz = d * (z > 0.0) if gated else d
+            if isinstance(layer, Conv2DSpec):
+                grads[i]["w"] = _conv2d_kernel_grad(dz, x, np.empty(p["w"].shape))
+                grads[i]["b"] = dz.sum(axis=(0, 2, 3))
+                d = conv_input_grad_per_tap(dz, p["w"])
+            else:
+                grads[i]["w"] = x.T @ dz
+                grads[i]["b"] = dz.sum(axis=0)
+                d = dz @ p["w"].T
+        elif isinstance(layer, MaxPool2DSpec):
+            idx, (h, w) = c
+            d = _maxpool2d_grad(d, idx, h, w)
+        else:
+            d = d.reshape(c)
+    return grads
 
 
 def repeat_trials_one_by_one(build_network, generate_data, cfg, n_trials):

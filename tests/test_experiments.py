@@ -297,6 +297,33 @@ class TestBuildConfig:
         d["comparison_epochs"] = 70
         assert ExperimentConfig.from_resolved(d).kind == "synthetic-sweep"
 
+    @pytest.mark.parametrize(
+        "stored,fragment",
+        [
+            ({"hidden": [1.5, 2.9], "trials": 2.7}, "integer list"),
+            ({"trials": 2.7}, "trials must be an integer"),
+            ({"trials": True}, "trials must be an integer"),
+            ({"hidden": [2, False]}, "integer list"),
+            ({"synth_std": True}, "synth_std must be a number"),
+            ({"stds": [0.5, True]}, "float list"),
+            ({"trials": float("inf")}, "trials must be an integer"),
+        ],
+        ids=["floats-in-int-fields", "float-int", "bool-int", "bool-in-int-list",
+             "bool-float", "bool-in-float-list", "inf-int"],
+    )
+    def test_from_resolved_rejects_non_integral_and_bool(self, stored, fragment):
+        # a stored JSON number is never truncated or read as a flag's truth
+        d = {"kind": "synthetic-sweep", "dataset": "synthetic", **stored}
+        with pytest.raises(ConfigError, match=fragment):
+            ExperimentConfig.from_resolved(d)
+
+    def test_from_resolved_takes_integral_floats(self):
+        d = {"kind": "synthetic-sweep", "dataset": "synthetic",
+             "hidden": [2.0, 3], "trials": 4.0}
+        cfg = ExperimentConfig.from_resolved(d)
+        assert (cfg.hidden, cfg.trials) == ((2, 3), 4)
+        assert isinstance(cfg.trials, int)
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -1015,6 +1042,18 @@ class TestCli:
         bad.write_text('{"config": {"kind": "synthetic-sweep"}}')
         assert main(["--replay", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["out", "mnist_dir", "kind"])
+    def test_replay_non_string_text_is_config_error(
+        self, field, tmp_path, monkeypatch, capsys
+    ):
+        # rejected while the config is read, before any run directory exists
+        monkeypatch.chdir(tmp_path)
+        config = dict(tiny_sweep_config("runs").resolved(), **{field: 5})
+        (tmp_path / "manifest.json").write_text(json.dumps({"config": config}))
+        assert main(["--replay", "manifest.json"]) == 1
+        assert "%s must be a string" % field in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["manifest.json"]
 
     def test_resume_malformed_config_is_config_error(self, tmp_path, capsys):
         run = tmp_path / "run"

@@ -26,7 +26,13 @@ from tinynn.layers import (
 )
 from tinynn.rng import Rng
 
-from reference import analytic_grads, cross_entropy_loss, fd_check, randomize_head
+from reference import (
+    analytic_grads,
+    cross_entropy_loss,
+    fd_check,
+    randomize_head,
+    unfused_grads,
+)
 
 
 def rand(shape, seed):
@@ -152,6 +158,45 @@ class TestInitialization:
         assert (a.params[0]["w"] != c.params[0]["w"]).any()
 
 
+# networks over image input, each with its batch size: the fixed stack at
+# several shapes and hand-built specs that order the layers differently
+IMAGE_NETS = [
+    (lambda: build_conv_net((1, 8, 8), 3, 10, seed=11), 5),
+    (lambda: build_conv_net((1, 28, 28), 3, 10, seed=11), 1),
+    (lambda: build_conv_net((1, 28, 28), 3, 10, seed=11), 65),
+    (lambda: build_conv_net((3, 32, 32), 3, 10, seed=11), 1),
+    (lambda: build_conv_net((3, 32, 32), 3, 10, seed=11), 65),
+    # a ReLU conv not followed by a pool, and a pool followed by a pool
+    (lambda: Network(NetworkSpec((1, 8, 8), [
+        Conv2DSpec(3, 3, "relu"), Conv2DSpec(4, 5, "none"), MaxPool2DSpec(),
+        MaxPool2DSpec(), FlattenSpec(), DenseSpec(3, "relu"),
+        DenseSpec(10, "softmax"),
+    ], seed=11)), 5),
+    # a pool first, writing into a conv whose signed output is the row
+    (lambda: Network(NetworkSpec((2, 8, 8), [
+        MaxPool2DSpec(), Conv2DSpec(3, 3, "none"), FlattenSpec(),
+        DenseSpec(10, "softmax"),
+    ], seed=11)), 7),
+    # a flatten over input that is flat already: no image layers
+    (lambda: Network(NetworkSpec((5,), [
+        FlattenSpec(), DenseSpec(2, "relu"), DenseSpec(1, "sigmoid"),
+    ], seed=11)), 6),
+]
+IMAGE_NET_IDS = ["stack8-5", "mnist-1", "mnist-65", "cifar-1", "cifar-65",
+                 "conv-conv-pool-pool-5", "pool-conv-7", "flatten-flat-6"]
+
+
+def prepared(make_net, n):
+    """make_net's network with random biases and head, and n non-negative
+    input rows, whose zero windows tie in a pool."""
+    net = make_net()
+    for i, p in enumerate(net.params):
+        if p:
+            p["b"][...] = 0.1 * rand(p["b"].shape, i)  # init leaves biases zero
+    randomize_head(net, Rng(1))
+    return net, np.maximum(rand((n,) + net.spec.input_shape, 12), 0.0)
+
+
 class TestForward:
     def test_repeated_calls_bit_identical(self):
         net = build_conv_net((1, 8, 8), 3, 10, seed=11)
@@ -161,42 +206,11 @@ class TestForward:
         b, _ = forward(net, x)
         np.testing.assert_array_equal(a.array, b.array)
 
-    @pytest.mark.parametrize(
-        "make_net,n",
-        [
-            (lambda: build_conv_net((1, 8, 8), 3, 10, seed=11), 5),
-            (lambda: build_conv_net((1, 28, 28), 3, 10, seed=11), 1),
-            (lambda: build_conv_net((1, 28, 28), 3, 10, seed=11), 65),
-            (lambda: build_conv_net((3, 32, 32), 3, 10, seed=11), 1),
-            (lambda: build_conv_net((3, 32, 32), 3, 10, seed=11), 65),
-            # a conv not followed by a pool, and a pool followed by a pool
-            (lambda: Network(NetworkSpec((1, 8, 8), [
-                Conv2DSpec(3, 3, "relu"), Conv2DSpec(4, 5, "none"), MaxPool2DSpec(),
-                MaxPool2DSpec(), FlattenSpec(), DenseSpec(3, "relu"),
-                DenseSpec(10, "softmax"),
-            ], seed=11)), 5),
-            # a pool first, writing into a conv whose signed output is the row
-            (lambda: Network(NetworkSpec((2, 8, 8), [
-                MaxPool2DSpec(), Conv2DSpec(3, 3, "none"), FlattenSpec(),
-                DenseSpec(10, "softmax"),
-            ], seed=11)), 7),
-            # a flatten over input that is flat already: no image layers
-            (lambda: Network(NetworkSpec((5,), [
-                FlattenSpec(), DenseSpec(2, "relu"), DenseSpec(1, "sigmoid"),
-            ], seed=11)), 6),
-        ],
-        ids=["stack8-5", "mnist-1", "mnist-65", "cifar-1", "cifar-65", "conv-conv-pool-pool-5",
-             "pool-conv-7", "flatten-flat-6"],
-    )
+    @pytest.mark.parametrize("make_net,n", IMAGE_NETS, ids=IMAGE_NET_IDS)
     def test_eval_output_matches_train_output(self, make_net, n):
         # eval runs the conv stack per image and pools without winner
         # indices; its output must not differ by a bit
-        net = make_net()
-        for i, p in enumerate(net.params):
-            if p:
-                p["b"][...] = 0.1 * rand(p["b"].shape, i)  # init leaves biases zero
-        randomize_head(net, Rng(1))
-        x = np.maximum(rand((n,) + net.spec.input_shape, 12), 0.0)  # zero windows tie in pool
+        net, x = prepared(make_net, n)
         a, _ = forward(net, x, train=False)
         b, cache = forward(net, x, train=True)
         assert cache is not None
@@ -207,6 +221,18 @@ class TestForward:
         # about 40 MB; per-image buffers take a few
         net = build_conv_net((1, 28, 28), 4, 1, seed=3)
         assert peak_bytes(forward, net, rand((64, 1, 28, 28), 4)) < 8 << 20
+
+    def test_training_step_memory(self):
+        # a batch-32 MNIST-shaped step caches ReLU masks, not each conv's
+        # pre-activation beside a second ReLU output (about 30 MB)
+        net = build_conv_net((1, 28, 28), 1, 1, seed=3)
+        x = rand((32, 1, 28, 28), 4)
+
+        def step():
+            out, cache = forward(net, x, train=True)
+            backward(net, out.array - 1.0, cache)
+
+        assert peak_bytes(step) < 20 << 20
 
     def test_softmax_head_rows_normalized(self):
         net = build_conv_net((1, 8, 8), 3, 10, seed=13)
@@ -254,7 +280,26 @@ class TestBackwardState:
 
 
 class TestGradients:
-    """Finite-difference agreement, layer kind by layer kind."""
+    """Finite-difference agreement, layer kind by layer kind, and bit-for-bit
+    agreement with the unfused reference backward."""
+
+    @pytest.mark.parametrize("make_net,n", IMAGE_NETS, ids=IMAGE_NET_IDS)
+    def test_grads_equal_unfused_reference(self, make_net, n):
+        # a pool gates its ReLU conv's gradient at pooled size and the conv
+        # input gradient stacks its taps; every gradient bit, signed zeros
+        # included, must equal the unfused d * (z > 0) one
+        net, x = prepared(make_net, n)
+        for layer, p in zip(net.spec.layers, net.params):
+            if isinstance(layer, Conv2DSpec):
+                p["b"][0] = -1e3  # a dead filter, gated off everywhere
+        out, cache = forward(net, x, train=True)
+        d = rand(out.array.shape, 13)
+        want = unfused_grads(net, x, d)
+        got = backward(net, d, cache)
+        assert [g.keys() for g in got] == [w.keys() for w in want]
+        for g, w in zip(got, want):
+            for k in g:
+                assert g[k].tobytes() == w[k].tobytes(), k
 
     def test_dense_sigmoid_head_tight(self):
         # dense-only stack admits a tighter bound: no kinks in the path

@@ -356,6 +356,52 @@ def test_consumers_hand_the_stream_on(seed, consumers):
     assert [got.normal(), got.next_u64()] == [ref.normal(), ref.next_u64()]
 
 
+class OneStepRng(Rng):
+    """An Rng whose every draw comes from the one-step reference, so its
+    bulk consumers run over the reference stream."""
+
+    def _draws(self, n):
+        out, self._s = xoshiro_steps(self._s, n)
+        return np.array(out, np.uint64)
+
+
+@st.composite
+def block_crossing(draw):
+    kind = draw(st.sampled_from(["shuffle", "fill_uniform", "fill_normal", "scalar"]))
+    if kind == "scalar":
+        return kind, draw(st.integers(1, _LANE_MIN - 1))
+    return kind, draw(st.integers(0, 3 * LANE_BLOCK))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    ops=st.lists(block_crossing(), min_size=1, max_size=6),
+)
+def test_kept_lane_starts_follow_the_reference(seed, ops):
+    # each lane block after the first takes its starts from the block
+    # before; a scalar run on an emptied buffer moves the state past them,
+    # so the block after it must find its starts afresh
+    got, ref = Rng(seed), OneStepRng(seed)
+    for kind, n in ops:
+        if kind == "scalar":
+            k = len(got._buf)
+            assert got._draws(k).tolist() == ref._draws(k).tolist()
+            assert got._draws(n).tolist() == ref._draws(n).tolist()
+            assert got._starts is None
+        elif kind == "shuffle":
+            a, b = list(range(n)), list(range(n))
+            got.shuffle(a)
+            ref.shuffle(b)
+            assert a == b
+        else:
+            a, b = np.empty(n), np.empty(n)
+            getattr(got, kind)(a, -1.0, 2.0)
+            getattr(ref, kind)(b, -1.0, 2.0)
+            assert a.tobytes() == b.tobytes()
+    assert [got.normal(), got.next_u64()] == [ref.normal(), ref.next_u64()]
+
+
 class TestLanes:
     """_draws' jump-ahead lanes against the per-step reference."""
 
@@ -392,9 +438,10 @@ class TestLanes:
             root = root.base
         assert root.nbytes == LANE_BLOCK * 8
 
-    @pytest.mark.parametrize("level", range(8))
+    @pytest.mark.parametrize("level", range(9))
     def test_jump_table_levels(self, level):
-        # the level-k table jumps by _LANE_STEPS * 2**k steps
+        # the level-k table jumps by _LANE_STEPS * 2**k steps; the last, by
+        # one whole lane block
         starts = [Rng(seed)._s for seed in (1, 2, 3)]
         got = _jump(_jump_tables()[level], np.array(starts, np.uint64).T)
         want = [xoshiro_steps(s, _LANE_STEPS << level)[1] for s in starts]

@@ -250,6 +250,7 @@ class TestMaxPool:
             want, widx = pool_oracle(x)
             pooled, idx = tensor._maxpool2d(x)
             np.testing.assert_array_equal(pooled, want)
+            assert idx.dtype == np.uint8
             np.testing.assert_array_equal(idx, widx)
 
     def test_ties_take_first_in_scan_order(self):
