@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 bad configuration (an unknown flag or a bad flag
-value included), 2 unreadable or malformed data (a manifest that is not an
-object holding a config object included), 3 training diverged: a sweep
-cell, a one-vs-all member or the comparison net, recorded in the manifest.
+Exit codes: 0 success, 1 bad configuration (an unknown flag, a bad flag
+value, a config file the INI parser rejects and an output path that cannot
+be created included), 2 unreadable or malformed data (a manifest that is
+not an object holding a config object included), 3 training diverged: a
+sweep cell, a one-vs-all member or the comparison net, recorded in the
+manifest. A run that exits 1 or 2 removes the directories it created.
 """
 
 import argparse

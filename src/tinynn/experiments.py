@@ -5,7 +5,8 @@ snapshot first, per-cell progress records as work completes, and a final
 manifest listing every output file with its SHA-256. Replaying a manifest
 reruns the recorded config and reproduces every CSV and checkpoint
 bit-exactly; resuming a directory skips cells whose outputs already exist
-and hash-match. A run that fails on its data leaves no directory behind.
+and hash-match. A run that fails on its data or its configuration leaves
+no directory behind.
 Both sweeps run their cells through RunContext.run_cells, which forks them
 over the config's jobs and writes their outputs in cell order; the
 one-vs-all runners fork their members through train_ensemble.
@@ -306,22 +307,27 @@ _INI_KEYS[("data", "data_dir")] = "data_dir"
 
 
 def load_config_file(path):
-    """Read the sectioned key-value config format into a flat dict."""
+    """Read the sectioned key-value config format into a flat dict. A file
+    the INI parser rejects (no section header, a repeated key, bytes that
+    are not UTF-8) is a configuration error."""
     import configparser
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        items = [(s, k, v) for s in parser.sections() for k, v in parser[s].items()]
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError("malformed config file %r: %s" % (path, e))
     if not read:
         raise ConfigError("config file %r not found or unreadable" % (path,))
     values = {}
-    for section in parser.sections():
-        for key in parser[section]:
-            target = _INI_KEYS.get((section, key))
-            if target is None:
-                raise ConfigError(
-                    "unknown config key [%s] %s in %r" % (section, key, path)
-                )
-            values[target] = parser[section][key]
+    for section, key, value in items:
+        target = _INI_KEYS.get((section, key))
+        if target is None:
+            raise ConfigError(
+                "unknown config key [%s] %s in %r" % (section, key, path)
+            )
+        values[target] = value
     return values
 
 
@@ -368,7 +374,10 @@ class RunContext:
 
     def __init__(self, config, run_dir):
         self.config = config
-        os.makedirs(run_dir, exist_ok=True)
+        try:
+            os.makedirs(run_dir, exist_ok=True)
+        except OSError as e:  # --out names a file, or a path under one
+            raise ConfigError("cannot create run directory %r: %s" % (run_dir, e))
         self.run_dir = run_dir
         self.stages = []
         self.outputs = {}
@@ -414,23 +423,35 @@ class RunContext:
         return entry
 
     def completed_cells(self):
-        """Verified progress records by cell; their outputs must hash-match."""
+        """Verified progress records by cell; their outputs must hash-match.
+
+        An unterminated last line is a record torn by a stop mid-append: it
+        is dropped and cut from the file, so that its cell runs again and
+        the next record starts on a line of its own.
+        """
         done = {}
         if not os.path.exists(self._progress_path):
             return done
-        with open(self._progress_path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                ok = all(
-                    os.path.exists(self.path(n)) and _sha256_file(self.path(n)) == h
-                    for n, h in entry["outputs"].items()
-                )
-                if ok:
-                    done[entry["cell"]] = entry
-                    self.outputs.update(entry["outputs"])
+        with open(self._progress_path, "rb+") as f:
+            data = f.read()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                f.truncate(end)
+        for line in data[:end].splitlines():
+            if not line.strip():
+                continue
+            entry = json.loads(line)
+            if not (isinstance(entry, dict) and isinstance(entry.get("cell"), str)
+                    and isinstance(entry.get("outputs"), dict)):
+                raise DataError("%s: not a progress record: %r"
+                                % (self._progress_path, line.decode()))
+            ok = all(
+                os.path.exists(self.path(n)) and _sha256_file(self.path(n)) == h
+                for n, h in entry["outputs"].items()
+            )
+            if ok:
+                done[entry["cell"]] = entry
+                self.outputs.update(entry["outputs"])
         return done
 
     def run_cells(self, cells, work, write):
@@ -722,15 +743,17 @@ def _missing_dirs(path):
 
 
 def run_experiment(config, run_dir=None):
-    """Run one experiment. If it fails on its data, the directories it
-    created are removed; a directory that already existed (a resume) stays."""
+    """Run one experiment. If it fails on its data or its configuration
+    (a batch larger than a training split, an output path under a file),
+    the directories it created are removed; a directory that already
+    existed (a resume) stays."""
     if run_dir is None:
         stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
         run_dir = os.path.join(config.out, config.kind, stamp)
     created = _missing_dirs(run_dir)
     try:
         return _RUNNERS[config.kind](config, run_dir)
-    except (DataError, DataFormatError):
+    except (ConfigError, DataError, DataFormatError):
         if created:
             shutil.rmtree(created[0], ignore_errors=True)
             for parent in created[1:]:

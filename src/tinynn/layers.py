@@ -348,6 +348,12 @@ def backward(net, loss_grad, cache):
     are differentiated here, a conv's ReLU through its cached mask (see
     forward). The input gradient of the first layer is never needed and is
     not computed.
+
+    When the gradient entering a layer below the head is all zero (a zero
+    head, or a hidden unit silent on every row), the gradients of that
+    layer and all below it are set to +0.0 and the pass stops. The full
+    pass gives the same bits: it would add sums of +-0.0 products into
+    +0.0 starts, which never turn -0.0.
     """
     if cache is None:
         raise StateError("backward called without a forward cache (train=True)")
@@ -356,6 +362,11 @@ def backward(net, loss_grad, cache):
     d = np.asarray(loss_grad)
     last = len(net.spec.layers) - 1
     for i in range(last, -1, -1):
+        if i < last and not d.any():
+            for g in net.grads[:i + 1]:
+                for v in g.values():
+                    v[...] = 0.0
+            break
         layer = net.spec.layers[i]
         c = cache[i]
         if "live" in c:

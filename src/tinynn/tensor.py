@@ -15,10 +15,13 @@ a zero-padded NHWC buffer one image at a time, so no whole-batch column
 matrix is built or kept; the kernel gradient recomputes them from the layer
 input. The input gradient is one stacked GEMM per image, its [HW,F] output
 gradient times all kh*kw taps at once, whose per-tap products are
-scatter-added in tap order into a padded buffer. The conv kernels return
-[N,C,H,W] views of NHWC memory, and the pool kernels keep that layout, so
-the reshapes to [NHW, C] between them are free. A pool records its winners
-as a uint8 map of window positions, one byte per window.
+scatter-added in tap order into a padded buffer. Both gradient kernels skip
+an image whose output gradient is all zero, as a silent hidden unit leaves
+it: its terms are +-0.0 and would leave their +0.0 buffers unchanged. The
+conv kernels return [N,C,H,W] views of NHWC memory, and the pool kernels
+keep that layout, so the reshapes to [NHW, C] between them are free. A pool
+records its winners as a uint8 map of window positions, one byte per
+window.
 
 Evaluation keeps no whole-batch arrays: _ImageConv and _image_pool run one
 [H,W,C] image at a time through buffers made once per forward call. They
@@ -158,13 +161,17 @@ def _conv2d_kernel_grad(dz, x, out):
     """Gradient of same-padding conv w.r.t. its kernel, written into out.
 
     dz [N,F,H,W] and the layer input x [N,C,H,W] give out [F,C,kh,kw]: the
-    sum over images of dz_n[HW,F]^T @ the image's tap-major columns.
+    sum over images of dz_n[HW,F]^T @ the image's tap-major columns. An
+    image whose dz_n is all zero adds nothing to the +0.0 start and is
+    skipped: no columns, no GEMM.
     """
     _, f, h, wd = dz.shape
     _, c, kh, kw = out.shape
     cols = _Columns(c, h, wd, kh, kw)
     acc = np.zeros((f, kh * kw * c))
     for img, d in zip(x, dz.transpose(0, 2, 3, 1)):
+        if not d.any():
+            continue
         cols.inp[...] = img.transpose(1, 2, 0)
         acc += d.reshape(h * wd, f).T @ cols()
     out[...] = acc.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
@@ -178,7 +185,8 @@ def _conv2d_input_grad(dz, w):
     GEMM, dz_n[HW,F] @ the taps [kh*kw,F,C], gives every tap's [HW,C]
     product; tap (i, j)'s is added, in row-major tap order, into the image's
     zero-padded NHWC buffer at offset (i, j). The gradient is the buffers'
-    interior.
+    interior. An image whose dz_n is all zero keeps its +0.0 buffer and is
+    skipped: no GEMM, no scatter.
     """
     n, f, h, wd = dz.shape
     _, c, kh, kw = w.shape
@@ -187,6 +195,8 @@ def _conv2d_input_grad(dz, w):
     prods = np.empty((kh * kw, h, wd, c))
     grad = np.zeros((n, h + 2 * ph, wd + 2 * pw, c))
     for g, d in zip(grad, dz.transpose(0, 2, 3, 1)):
+        if not d.any():
+            continue
         np.matmul(d.reshape(h * wd, f), taps, out=prods.reshape(kh * kw, h * wd, c))
         for (i, j), p in zip(np.ndindex(kh, kw), prods):
             g[i:i + h, j:j + wd] += p

@@ -1,9 +1,10 @@
 """References the library is judged by: the probability-space
 cross-entropy, which the fused logit losses in tinynn.training must match,
 the central finite-difference check of backward's gradients, the unfused
-backward whose gradients backward's must equal bit for bit, the
-trial-at-a-time repeat_trials that the stacked one must equal, and the
-one-step-at-a-time xoshiro256++ that the generator's blocks must equal.
+backward, which skips no zero gradient, whose gradients backward's must
+equal bit for bit, the trial-at-a-time repeat_trials that the stacked one
+must equal, and the one-step-at-a-time xoshiro256++ that the generator's
+blocks must equal.
 
 Gradient checks perturb parameters by +-eps and compare the central
 difference of the loss against the analytic gradient with the symmetric
@@ -18,7 +19,7 @@ import numpy as np
 from tinynn.errors import ConfigError, DataError, DivergenceError
 from tinynn.layers import Conv2DSpec, DenseSpec, MaxPool2DSpec, backward, forward
 from tinynn.rng import derive_seed
-from tinynn.tensor import _conv2d, _conv2d_kernel_grad, _maxpool2d, _maxpool2d_grad
+from tinynn.tensor import _conv2d, _maxpool2d, _maxpool2d_grad
 from tinynn.training import TrialSummary, train
 
 
@@ -128,13 +129,30 @@ def conv_input_grad_per_tap(dz, w):
     return grad[:, ph:ph + h, pw:pw + wd].transpose(0, 3, 1, 2)
 
 
+def conv_kernel_grad_every_image(dz, x, kh, kw):
+    """The conv kernel gradient [F,C,kh,kw] with no image skipped: for each
+    image, dz_n[HW,F]^T @ its tap-major columns [HW, kh*kw*C], cut from a
+    zero-padded NHWC copy, added in image order into a +0.0 start."""
+    n, f, h, wd = dz.shape
+    c = x.shape[1]
+    ph, pw = kh // 2, kw // 2
+    padded = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    acc = np.zeros((f, kh * kw * c))
+    for img, d in zip(padded, dz.transpose(0, 2, 3, 1)):
+        win = np.lib.stride_tricks.sliding_window_view(img, (kh, kw), axis=(0, 1))
+        cols = win.transpose(0, 1, 3, 4, 2).reshape(h * wd, kh * kw * c)
+        acc += d.reshape(h * wd, f).T @ cols
+    return acc.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+
+
 def unfused_grads(net, x, loss_grad):
     """backward's parameter gradients, computed without its fusions: every
     ReLU layer keeps its full-size pre-activation z and gates its output
-    gradient with d * (z > 0), after any pool's winner scatter, and the
-    conv input gradient takes one GEMM per tap. Hidden layers are ReLU or
-    linear; the final layer's activation is fused into loss_grad, as
-    backward takes it."""
+    gradient with d * (z > 0), after any pool's winner scatter, the conv
+    kernel gradient takes every image and the conv input gradient takes one
+    GEMM per tap, and the pass runs to the first layer whatever its
+    gradient. Hidden layers are ReLU or linear; the final layer's
+    activation is fused into loss_grad, as backward takes it."""
     layers = net.spec.layers
     caches = []
     for layer, p in zip(layers, net.params):
@@ -162,7 +180,7 @@ def unfused_grads(net, x, loss_grad):
             gated = layer.activation == "relu" and i < len(layers) - 1
             dz = d * (z > 0.0) if gated else d
             if isinstance(layer, Conv2DSpec):
-                grads[i]["w"] = _conv2d_kernel_grad(dz, x, np.empty(p["w"].shape))
+                grads[i]["w"] = conv_kernel_grad_every_image(dz, x, *p["w"].shape[2:])
                 grads[i]["b"] = dz.sum(axis=(0, 2, 3))
                 d = conv_input_grad_per_tap(dz, p["w"])
             else:

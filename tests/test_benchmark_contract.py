@@ -19,7 +19,10 @@ from tinynn import ensemble, layers, training
 from tinynn.datasets import LabeledDataset, SyntheticSpec, generate_synthetic, make_ova_views
 from tinynn.experiments import build_config
 from tinynn.layers import build_conv_net, build_mlp, forward
+from tinynn.rng import Rng
 from tinynn.tensor import Tensor
+
+from reference import randomize_head
 
 
 def load_tracing():
@@ -211,6 +214,8 @@ def test_tracer_reads_the_kernel_arguments(monkeypatch):
         monkeypatch.setattr(layers, name, recording)
     n = 3
     net = build_conv_net((1, 8, 8), 2, 1, seed=0)
+    # a zero head would stop backward above the image layers
+    randomize_head(net, Rng(1))
     out, cache = forward(net, np.random.default_rng(0).random((n, 1, 8, 8)), train=True)
     layers.backward(net, out.array - 1.0, cache)
 

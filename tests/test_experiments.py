@@ -579,6 +579,36 @@ class TestResume:
         with pytest.raises(ConfigError, match="config.json"):
             resume_run(str(tmp_path))
 
+    def test_resume_reruns_a_torn_last_record(self, sweep_run, tmp_path):
+        # a stop mid-append leaves the next cell's record unterminated: it
+        # is dropped and that cell recomputed, and the file stays one
+        # record per line
+        src = sweep_run.run_dir
+        run = tmp_path / "interrupted"
+        interrupt_after_first_cell(src, run)
+        with open(os.path.join(src, "progress.jsonl")) as f:
+            records = f.read().splitlines()
+        with open(run / "progress.jsonl", "a") as f:
+            f.write(records[1][:len(records[1]) // 2])
+        result = resume_run(str(run))
+        assert result.manifest["outputs"] == sweep_run.manifest["outputs"]
+        with open(run / "progress.jsonl") as f:
+            assert [json.loads(line) for line in f] == [json.loads(r) for r in records]
+
+    @pytest.mark.parametrize(
+        "bad", ['{"cell": "std0.5', "5", '{"cell": "std0.5"}', '{"cell": 1, "outputs": {}}'],
+        ids=["torn", "not-an-object", "no-outputs", "non-string-cell"],
+    )
+    def test_resume_bad_record_before_the_last_is_data_error(
+        self, bad, sweep_run, tmp_path, capsys
+    ):
+        run = tmp_path / "interrupted"
+        interrupt_after_first_cell(sweep_run.run_dir, run)
+        text = (run / "progress.jsonl").read_text()
+        (run / "progress.jsonl").write_text(bad + "\n" + text)
+        assert main(["--resume", str(run)]) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_resume_keeps_a_skipped_cells_divergence(self, tmp_path, monkeypatch, capsys):
         real = experiments.repeat_trials
 
@@ -994,6 +1024,42 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["--config", str(ini), "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"kind = synthetic-sweep\n",
+         b"[experiment]\nkind = synthetic-sweep\nkind = ova-binary\n",
+         b"[experiment]\nkind = synthetic-sweep\n[experiment]\ndataset = synthetic\n",
+         b"[experiment]\nkind = synthetic-sweep\n  continued\nnot a key\n",
+         b"[experiment]\nkind = \xff\n"],
+        ids=["no-section-header", "repeated-key", "repeated-section", "no-separator",
+             "not-utf-8"],
+    )
+    def test_malformed_config_file_is_config_error(self, text, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["--config", str(ini), "--out", str(out)]) == 1
+        assert "config error: malformed config file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_path_under_a_file_is_config_error(self, out, tmp_path, capsys):
+        (tmp_path / "afile").write_text("kept")
+        argv = ["--config", self.write_ini(tmp_path), "--out", str(tmp_path / out)]
+        assert main(argv) == 1
+        assert "cannot create run directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["afile", "run.ini"]
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    def test_config_error_mid_run_removes_the_run_directory(self, tmp_path, capsys):
+        # the batch is checked against a training split only when a cell
+        # trains, after config.json is written
+        out = tmp_path / "out"
+        argv = ["--config", self.write_ini(tmp_path), "--out", str(out), "--batch", "100000"]
+        assert main(argv) == 1
+        assert "exceeds training-set size" in capsys.readouterr().err
         assert not out.exists()
 
     def test_ova_ensemble_on_synthetic_is_config_error(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tinynn import tensor
 from tinynn.errors import CheckpointError, DimensionError, StateError
 from tinynn.layers import (
     Conv2DSpec,
@@ -197,6 +198,41 @@ def prepared(make_net, n):
     return net, np.maximum(rand((n,) + net.spec.input_shape, 12), 0.0)
 
 
+# single-neuron conv nets (hidden width 1), each with its batch size
+ONE_UNIT_NETS = [
+    (lambda: build_conv_net((1, 28, 28), 1, 1, seed=11), 6),
+    (lambda: build_conv_net((3, 32, 32), 1, 10, seed=11), 4),
+    (lambda: build_conv_net((1, 8, 8), 1, 10, seed=11), 8),
+]
+ONE_UNIT_IDS = ["mnist-binary-6", "cifar-4", "stack8-8"]
+
+
+def with_rows(make_net, n, pattern):
+    """prepared()'s one-unit net with its hidden unit live on every row
+    ("live"), silent on the rows whose pre-activation is at or below the
+    batch median ("silent"), or behind the zero head a fresh net starts
+    with ("dead"). Returns the net, its input rows, the forward output and
+    cache, and the rows' hidden pre-activations."""
+    net, x = prepared(make_net, n)
+    hidden = len(net.spec.layers) - 2
+    _, cache = forward(net, x, train=True)
+    z = cache[hidden]["z"][:, 0]
+    if pattern == "live":
+        net.params[hidden]["b"] -= z.min() - 1.0
+    elif pattern == "silent":
+        net.params[hidden]["b"] -= np.median(z)
+    else:
+        for v in net.params[-1].values():
+            v[...] = 0.0
+    out, cache = forward(net, x, train=True)
+    z = cache[hidden]["z"][:, 0]
+    if pattern == "silent":
+        assert 0 < (z > 0.0).sum() < n
+    elif pattern == "live":
+        assert (z > 0.0).all()
+    return net, x, out, cache, z
+
+
 class TestForward:
     def test_repeated_calls_bit_identical(self):
         net = build_conv_net((1, 8, 8), 3, 10, seed=11)
@@ -226,6 +262,7 @@ class TestForward:
         # a batch-32 MNIST-shaped step caches ReLU masks, not each conv's
         # pre-activation beside a second ReLU output (about 30 MB)
         net = build_conv_net((1, 28, 28), 1, 1, seed=3)
+        randomize_head(net, Rng(2))  # a zero head would stop backward early
         x = rand((32, 1, 28, 28), 4)
 
         def step():
@@ -300,6 +337,42 @@ class TestGradients:
         for g, w in zip(got, want):
             for k in g:
                 assert g[k].tobytes() == w[k].tobytes(), k
+
+    @pytest.mark.parametrize("pattern", ["live", "silent", "dead"])
+    @pytest.mark.parametrize("make_net,n", ONE_UNIT_NETS, ids=ONE_UNIT_IDS)
+    def test_zero_gradient_skips_equal_the_full_pass(self, make_net, n, pattern):
+        # backward skips the conv work of a silent row's image and, below a
+        # zero head, the whole pass; every gradient, each one written over
+        # a NaN, must equal the reference's bit for bit
+        net, x, out, cache, _ = with_rows(make_net, n, pattern)
+        d = rand(out.array.shape, 13)
+        want = unfused_grads(net, x, d)
+        for g in net.grads:
+            for v in g.values():
+                v[...] = np.nan
+        got = backward(net, d, cache)
+        for g, w in zip(got, want):
+            for k in g:
+                assert g[k].tobytes() == w[k].tobytes(), k
+
+    @pytest.mark.parametrize("pattern", ["live", "silent", "dead"])
+    def test_backward_takes_columns_for_live_images_only(self, monkeypatch, pattern):
+        # the kernel gradient copies an image's columns only if its output
+        # gradient is nonzero: once per conv for each row whose unit is on,
+        # never below a zero head
+        make_net, n = ONE_UNIT_NETS[0]
+        net, _, out, cache, z = with_rows(make_net, n, pattern)
+        calls = []
+        real = tensor._Columns.__call__
+
+        def counting(cols):
+            calls.append(cols)
+            return real(cols)
+
+        monkeypatch.setattr(tensor._Columns, "__call__", counting)
+        backward(net, out.array - 1.0, cache)
+        live = 0 if pattern == "dead" else int((z > 0.0).sum())
+        assert len(calls) == 2 * live
 
     def test_dense_sigmoid_head_tight(self):
         # dense-only stack admits a tighter bound: no kinks in the path
