@@ -43,7 +43,9 @@ class SyntheticSpec:
 
 
 class LabeledDataset:
-    """Feature tensor, integer labels, and a disjoint train/test partition."""
+    """Feature tensor, integer labels, and a disjoint train/test partition,
+    checked in O(n) by one bincount, after a length check and a range check
+    that keeps a negative index from reaching bincount."""
 
     def __init__(self, features, labels, class_count, train_indices, test_indices):
         self.features = features
@@ -63,9 +65,8 @@ class LabeledDataset:
                 "labels must lie in [0, %d)" % class_count
             )
         both = np.concatenate([self.train_indices, self.test_indices])
-        if len(np.unique(both)) != len(both) or len(both) != n or (
-            both.size and (both.min() < 0 or both.max() >= n)
-        ):
+        if len(both) != n or n and (both.min() < 0 or both.max() >= n
+                                    or np.bincount(both, minlength=n).max() != 1):
             raise DataError("train/test split must partition the sample indices")
         self.labels.flags.writeable = False
         self.train_indices.flags.writeable = False
@@ -104,11 +105,12 @@ class BinaryTaskView:
 
 
 def _stratified_split(labels, indices, train_fraction, rng):
-    """Split index array by label, shuffled per class; returns sorted arrays."""
+    """Split index array by label, shuffled per class in ascending class
+    order (the bincount's nonzero bins); returns sorted arrays."""
     train_parts, test_parts = [], []
-    for c in np.unique(labels[indices]):
-        cls = indices[labels[indices] == c]
-        cls = cls.copy()
+    present = labels[indices]
+    for c in np.flatnonzero(np.bincount(present)):
+        cls = indices[present == c]  # a copy: boolean indexing never views
         rng.shuffle(cls)
         cut = int(len(cls) * train_fraction)
         train_parts.append(cls[:cut])

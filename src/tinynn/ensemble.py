@@ -191,12 +191,14 @@ def member_scores(ensemble, features, indices):
     return np.column_stack(cols)
 
 
-def evaluate(ensemble, data, policy="redundant-error"):
-    """Verdict tally over the dataset's full (unbalanced) test split."""
+def evaluate(ensemble, data, policy="redundant-error", scores=None):
+    """Verdict tally over the dataset's full (unbalanced) test split; scores,
+    each member's outputs on it, spare their forwards when already at hand."""
     idx = data.test_indices
     if len(idx) == 0:
         raise DataError("test split is empty")
-    scores = member_scores(ensemble, data.feature_array, idx)
+    scores = (member_scores(ensemble, data.feature_array, idx) if scores is None
+              else np.column_stack(scores))
     pos_sets = [tuple(np.flatnonzero(row)) for row in scores > ensemble.threshold]
     argmax = scores.argmax(axis=1) if policy == "argmax" else None
     return outcome_from_positive_sets(pos_sets, data.labels_at(idx), policy, argmax)

@@ -361,6 +361,13 @@ def build_config(file_values=None, flag_values=None):
 # run directory bookkeeping
 
 
+def _shape(value):
+    """A JSON value's shape: its dicts and lists, with each leaf's type."""
+    if isinstance(value, dict):
+        return {k: _shape(v) for k, v in value.items()}
+    return [_shape(v) for v in value] if isinstance(value, list) else type(value)
+
+
 def _sha256_file(path):
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -454,18 +461,23 @@ class RunContext:
                 self.outputs.update(entry["outputs"])
         return done
 
-    def run_cells(self, cells, work, write):
+    def run_cells(self, cells, work, write, row_shapes):
         """Run independent cells; returns their rows in cell order.
 
         cells maps names to work's argument. A cell whose progress record
         still hash-verifies is skipped; its row and divergence come from the
-        record. The rest run as work(cell) through fork_map over config.jobs,
+        record, and a row whose _shape is not among row_shapes is a data
+        error. The rest run as work(cell) through fork_map over config.jobs,
         each timed where it runs. Then, in the parent and in cell order, each
         gets its stage, write(name, result) writes its outputs and returns
         (output names, row, divergence or None), and its progress record is
         appended, so a serial run writes each cell before the next starts.
         """
         done = self.completed_cells()
+        for name in cells:
+            if name in done and _shape(done[name].get("row")) not in row_shapes:
+                raise DataError("%s: malformed row in the record of cell %s"
+                                % (self._progress_path, name))
         todo = [name for name in cells if name not in done]
 
         def timed(i):
@@ -587,12 +599,16 @@ def run_synthetic_sweep(config, run_dir):
         diverged = {"cell": name, "count": summary.divergences}
         return names, row, diverged if summary.divergences else None
 
-    grid_rows = ctx.run_cells(cells, work, write)
+    metrics = ("accuracy", "sensitivity", "specificity")
+    grid_rows = ctx.run_cells(cells, work, write, [{
+        "std": float, "n_samples": int, "hidden": int, "n_ok": int,
+        "metrics": {m: [float, float] for m in metrics},
+    }])
     ctx.write("grid.csv", write_csv, "std,n_samples,hidden,metric,mean,stddev,n", (
         ("%g" % row["std"], row["n_samples"], row["hidden"], m, *row["metrics"][m],
          row["n_ok"])
         for row in grid_rows
-        for m in ("accuracy", "sensitivity", "specificity")
+        for m in metrics
     ))
     manifest = ctx.finish()
     return RunResult(ctx.run_dir, manifest, {"rows": grid_rows})
@@ -628,7 +644,9 @@ def run_layer_size_sweep(config, run_dir):
         ctx.write(names[1], lambda path: save_network(net, path))
         return names, {"width": width, "accuracy": report.accuracy, "diverged": 0}, None
 
-    rows = sorted(ctx.run_cells(cells, work, write), key=lambda r: r["width"])
+    shapes = [{"width": int, "accuracy": acc, "diverged": int}
+              for acc in (float, type(None))]
+    rows = sorted(ctx.run_cells(cells, work, write, shapes), key=lambda r: r["width"])
     ctx.write("accuracy_vs_width.csv", write_csv, "width,accuracy,diverged", (
         (r["width"], "" if r["accuracy"] is None else r["accuracy"], r["diverged"])
         for r in rows
@@ -681,8 +699,10 @@ def run_ova_ensemble(config, run_dir):
     if ens is None:
         return RunResult(ctx.run_dir, ctx.finish())
     details = {"reports": ens.member_reports, "ensemble": ens}
+    # the members' reports hold their scores on the split the ensemble is judged on
+    scores = [rep.scores for rep in ens.member_reports]
     with ctx.stage("evaluate"):
-        outcome = evaluate_ensemble(ens, data, policy=config.aggregation)
+        outcome = evaluate_ensemble(ens, data, config.aggregation, scores)
     idx = data.test_indices
     ctx.write("verdicts.csv", write_verdicts_csv, outcome, idx, data.labels_at(idx))
     ctx.write("summary.csv", write_outcome_summary_csv, outcome)

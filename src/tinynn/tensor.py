@@ -262,13 +262,11 @@ def _relu(x):
 
 
 def _sigmoid(x):
-    # two-branch form: never exponentiates a positive argument
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exponentiates -|x| only, never a positive argument, and each side of
+    # the where is the same IEEE arithmetic as a branch taken on x >= 0;
+    # minimum(x, -x) is -|x| that returns a NaN with its own sign bit
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax_rows(x):

@@ -78,6 +78,7 @@ class MetricsReport:
     Binary tasks store confusion as {"tp","tn","fp","fn"}; multi-class tasks
     store a KxK count matrix (rows true, columns predicted) and report
     macro-averaged sensitivity/specificity over the per-class reductions.
+    A binary report keeps the test-split scores it counted, in split order.
     """
 
     accuracy: float
@@ -85,6 +86,7 @@ class MetricsReport:
     specificity: float
     confusion: object
     loss_curve: list = field(default_factory=list)
+    scores: object = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +97,16 @@ def _binary_ce_from_logits(z, labels):
     """Fused sigmoid cross-entropy from logits [..., B, 1]; one mean loss
     per trial of a stack (a scalar for one network).
 
-    Written in a sign-mirrored branch form: negating every logit and
-    flipping every label negates the gradient bit-for-bit, which is what
-    makes label-swapped training runs exact mirrors.
+    Written in a sign-mirrored form, a where over z >= 0: negating every
+    logit and flipping every label negates the gradient bit-for-bit, which
+    is what makes label-swapped training runs exact mirrors.
     """
     zf = z[..., 0]
     yf = labels.astype(np.float64)
     b = zf.shape[-1]
     loss = np.mean(np.logaddexp(0.0, zf) - yf * zf, axis=-1)
-    pos = zf >= 0
-    g = np.empty_like(zf)
-    sp = 1.0 / (1.0 + np.exp(-zf[pos]))
-    g[pos] = (sp - yf[pos]) / b
-    sn = 1.0 / (1.0 + np.exp(zf[~pos]))
-    g[~pos] = -((sn - (1.0 - yf[~pos])) / b)
+    s = 1.0 / (1.0 + np.exp(np.minimum(zf, -zf)))  # as in tensor._sigmoid
+    g = np.where(zf >= 0, (s - yf) / b, -((s - (1.0 - yf)) / b))
     return loss, g[..., None]
 
 
@@ -269,6 +267,7 @@ def _binary_report(scores, labels):
         sensitivity=tp / (tp + fn) if tp + fn else 0.0,
         specificity=tn / (tn + fp) if tn + fp else 0.0,
         confusion={"tp": tp, "tn": tn, "fp": fp, "fn": fn},
+        scores=scores,
     )
 
 
@@ -410,7 +409,7 @@ def repeat_trials(build_network, generate_data, cfg, n_trials):
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be >= 2, got %r" % (n_trials,))
-    reports = []
+    rows = []
     for t in range(n_trials):
         ts = derive_seed(cfg.seed, t)
         data = generate_data(derive_seed(ts, 0))
@@ -424,13 +423,12 @@ def repeat_trials(build_network, generate_data, cfg, n_trials):
             stack = _TrialStack(data, net, min(group, n_trials - t))
         if stack.put(data, net, derive_seed(ts, 2)):
             _, done = train(stack.net, stack, replace(cfg, seed=tuple(stack.shuffle_seeds)))
-            reports += done
-            stack = None  # freed before the next group is allocated
-    rows = [
-        {"trial": t, **{m: getattr(report, m) for m in _SUMMARY_METRICS}}
-        for t, report in enumerate(reports)
-        if not isinstance(report, DivergenceError)
-    ]
+            rows += [  # a stack's reports, holding test scores, go with it
+                {"trial": i, **{m: getattr(r, m) for m in _SUMMARY_METRICS}}
+                for i, r in enumerate(done, t + 1 - len(done))
+                if not isinstance(r, DivergenceError)
+            ]
+            stack = done = None  # freed before the next group is allocated
     divergences = n_trials - len(rows)
     sums = {m: 0.0 for m in _SUMMARY_METRICS}
     sumsqs = {m: 0.0 for m in _SUMMARY_METRICS}

@@ -1,5 +1,7 @@
 """References the library is judged by: the probability-space
 cross-entropy, which the fused logit losses in tinynn.training must match,
+the boolean-mask two-branch sigmoid and fused binary cross-entropy, whose
+bytes the library's np.where forms must equal,
 the central finite-difference check of backward's gradients, the unfused
 backward, which skips no zero gradient, whose gradients backward's must
 equal bit for bit, the trial-at-a-time repeat_trials that the stacked one
@@ -52,6 +54,40 @@ def cross_entropy_loss(probs, labels):
         grad[np.arange(b), y] -= 1.0
         grad /= b
     return loss, grad
+
+
+# logits at every edge of the two-branch form: signed zeros, infinities,
+# NaNs of both signs, exp's underflow edge and far beyond it
+EDGE_LOGITS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 1e8, -1e8]
+)
+
+
+def two_branch_sigmoid(x):
+    """Sigmoid computed branch by branch through boolean masks: 1 / (1 +
+    exp(-x)) where x >= 0, e / (1 + e) with e = exp(x) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def two_branch_binary_ce(z, labels):
+    """The fused sigmoid cross-entropy of logits [..., B, 1], its gradient
+    computed branch by branch through boolean masks."""
+    zf = z[..., 0]
+    yf = labels.astype(np.float64)
+    b = zf.shape[-1]
+    loss = np.mean(np.logaddexp(0.0, zf) - yf * zf, axis=-1)
+    pos = zf >= 0
+    g = np.empty_like(zf)
+    sp = 1.0 / (1.0 + np.exp(-zf[pos]))
+    g[pos] = (sp - yf[pos]) / b
+    sn = 1.0 / (1.0 + np.exp(zf[~pos]))
+    g[~pos] = -((sn - (1.0 - yf[~pos])) / b)
+    return loss, g[..., None]
 
 
 def randomize_head(net, rng):

@@ -180,7 +180,8 @@ class TestLabeledDataset:
 
     @pytest.mark.parametrize(
         "train,test",
-        [([0, 1], [1, 2, 3]), ([0, 1], [2]), ([0, 0], [1, 2, 3]), ([0, 5], [1, 2, 3])],
+        [([0, 1], [1, 2, 3]), ([0, 1], [2]), ([0, 0], [1, 2, 3]), ([0, 5], [1, 2, 3]),
+         ([-1, 1], [2, 3]), ([0, 0], [2, 3]), ([0, 1], [2, 3, 0, 1]), ([], [])],
     )
     def test_split_must_partition(self, train, test):
         with pytest.raises(DataError, match="partition"):

@@ -23,6 +23,8 @@ from tinynn.layers import (
 )
 from tinynn.tensor import Tensor, check_dims
 
+from reference import EDGE_LOGITS, two_branch_sigmoid
+
 
 def rand(shape, seed):
     return np.random.default_rng(seed).normal(size=shape)
@@ -304,6 +306,14 @@ class TestPointwise:
         got = tensor._sigmoid(np.array([-745.0, 745.0, -1e8, 1e8]))
         assert np.isfinite(got).all()
         assert got[0] >= 0.0 and got[1] <= 1.0
+
+    @pytest.mark.parametrize("x", [
+        EDGE_LOGITS, rand((1000,), 32) * 40.0, rand((4, 32, 1), 33) * 10.0,
+    ], ids=["edges", "random", "stacked"])
+    def test_sigmoid_bytes_equal_the_two_branch_form(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = tensor._sigmoid(x), two_branch_sigmoid(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_sigmoid_symmetry(self):
         z = rand((100,), 3)

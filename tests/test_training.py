@@ -32,7 +32,15 @@ from tinynn.training import (
     _softmax_ce_from_logits,
 )
 
-from reference import cross_entropy_loss, repeat_trials_one_by_one
+from reference import (
+    EDGE_LOGITS,
+    cross_entropy_loss,
+    repeat_trials_one_by_one,
+    two_branch_binary_ce,
+)
+
+# labels for EDGE_LOGITS under which the gradient holds zeros of both signs
+EDGE_LABELS = np.arange(1, 11) % 2
 
 
 class TestTrainConfig:
@@ -108,6 +116,27 @@ class TestFusedLogitLosses:
         _, g = _binary_ce_from_logits(z, y)
         _, g_flip = _binary_ce_from_logits(-z, 1 - y)
         np.testing.assert_array_equal(g_flip, -g)
+
+    @pytest.mark.parametrize("z,y", [
+        (EDGE_LOGITS[:, None], EDGE_LABELS),
+        (np.random.default_rng(6).normal(size=(64, 1)) * 40.0,
+         np.random.default_rng(7).integers(0, 2, size=64)),
+        (np.random.default_rng(8).normal(size=(3, 32, 1)) * 10.0,
+         np.random.default_rng(9).integers(0, 2, size=(3, 32))),
+    ], ids=["edges", "random", "stacked"])
+    def test_binary_bytes_equal_the_two_branch_form(self, z, y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grad = _binary_ce_from_logits(z, y)
+            want_loss, want_grad = two_branch_binary_ce(z, y)
+        assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+        assert grad.shape == want_grad.shape and grad.tobytes() == want_grad.tobytes()
+
+    def test_binary_edge_gradients_hold_both_zeros(self):
+        # so that the bytes comparison above sees the signed zeros
+        with np.errstate(invalid="ignore"):
+            _, grad = _binary_ce_from_logits(EDGE_LOGITS[:, None], EDGE_LABELS)
+        zeros = grad[grad == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
     def test_binary_extreme_logits_finite(self):
         z = np.array([[-800.0], [800.0], [0.0]])
