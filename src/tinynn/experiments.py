@@ -458,26 +458,28 @@ class RunContext:
             )
             if ok:
                 done[entry["cell"]] = entry
-                self.outputs.update(entry["outputs"])
         return done
 
     def run_cells(self, cells, work, write, row_shapes):
         """Run independent cells; returns their rows in cell order.
 
         cells maps names to work's argument. A cell whose progress record
-        still hash-verifies is skipped; its row and divergence come from the
-        record, and a row whose _shape is not among row_shapes is a data
-        error. The rest run as work(cell) through fork_map over config.jobs,
-        each timed where it runs. Then, in the parent and in cell order, each
-        gets its stage, write(name, result) writes its outputs and returns
-        (output names, row, divergence or None), and its progress record is
-        appended, so a serial run writes each cell before the next starts.
+        still hash-verifies is skipped; its outputs, row and divergence come
+        from the record, and a row whose _shape is not among row_shapes is a
+        data error. A record of a cell not in cells adds nothing. The rest
+        run as work(cell) through fork_map over config.jobs, each timed where
+        it runs. Then, in the parent and in cell order, each gets its stage,
+        write(name, result) writes its outputs and returns (output names,
+        row, divergence or None), and its progress record is appended, so a
+        serial run writes each cell before the next starts.
         """
         done = self.completed_cells()
         for name in cells:
-            if name in done and _shape(done[name].get("row")) not in row_shapes:
-                raise DataError("%s: malformed row in the record of cell %s"
-                                % (self._progress_path, name))
+            if name in done:
+                if _shape(done[name].get("row")) not in row_shapes:
+                    raise DataError("%s: malformed row in the record of cell %s"
+                                    % (self._progress_path, name))
+                self.outputs.update(done[name]["outputs"])
         todo = [name for name in cells if name not in done]
 
         def timed(i):

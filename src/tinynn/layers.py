@@ -7,10 +7,12 @@ NetworkSpec's one walk over the layers makes every check, and gives the
 shapes the initializer and the checkpoint reader use. Evaluation runs the
 image layers (conv, pool and flatten over [C,H,W] input) one image at a time.
 
-Gradient convention: the loss layer hands backward() the gradient with
-respect to the final layer's pre-activation logits (the fused softmax and
-sigmoid cross-entropy forms), so the output activation's local derivative is
-never applied separately.
+A Network holds its spec and parameters only. backward() returns each
+step's gradients as new arrays, which training.sgd_step applies, so a
+loaded or trained network keeps no gradient buffers. The loss layer hands
+backward() the gradient with respect to the final layer's pre-activation
+logits (the fused softmax and sigmoid cross-entropy forms), so the output
+activation's local derivative is never applied separately.
 
 Trial stacks: the parameters of T same-shaped dense networks can carry a
 leading trial axis (a dense w of [T, in, out], b of [T, out]). forward and
@@ -145,14 +147,11 @@ class NetworkSpec:
 
 
 class Network:
-    """A NetworkSpec with instantiated parameters and gradient buffers."""
+    """A NetworkSpec and its parameters, one {name: array} dict per layer."""
 
     def __init__(self, spec, params=None):
         self.spec = spec
         self.params = params if params is not None else _init_params(spec)
-        self.grads = [
-            {k: np.zeros_like(v) for k, v in p.items()} for p in self.params
-        ]
 
     @property
     def lanes(self):
@@ -342,7 +341,9 @@ def forward(net, batch, train=False):
 
 
 def backward(net, loss_grad, cache):
-    """Populate net.grads from the loss gradient w.r.t. output logits.
+    """One step's parameter gradients from the loss gradient w.r.t. the
+    output logits: a new list with one {name: array} dict per layer, empty
+    for a layer without parameters.
 
     The final layer's activation is fused into loss_grad; hidden activations
     are differentiated here, a conv's ReLU through its cached mask (see
@@ -350,22 +351,20 @@ def backward(net, loss_grad, cache):
     not computed.
 
     When the gradient entering a layer below the head is all zero (a zero
-    head, or a hidden unit silent on every row), the gradients of that
-    layer and all below it are set to +0.0 and the pass stops. The full
-    pass gives the same bits: it would add sums of +-0.0 products into
-    +0.0 starts, which never turn -0.0.
+    head, or a hidden unit silent on every row), the pass stops and that
+    layer and all below it get no gradients, which sgd_step skips. The full
+    pass would give them +0.0 (sums of +-0.0 products added into +0.0
+    starts), and p - lr * (+0.0) is p, bit for bit.
     """
     if cache is None:
         raise StateError("backward called without a forward cache (train=True)")
     if len(cache) != len(net.spec.layers):
         raise StateError("forward cache does not match the network's layers")
+    grads = [{} for _ in cache]
     d = np.asarray(loss_grad)
     last = len(net.spec.layers) - 1
     for i in range(last, -1, -1):
         if i < last and not d.any():
-            for g in net.grads[:i + 1]:
-                for v in g.values():
-                    v[...] = 0.0
             break
         layer = net.spec.layers[i]
         c = cache[i]
@@ -374,17 +373,15 @@ def backward(net, loss_grad, cache):
             # unfused d * (z > 0) does, and a pool's non-winners stay +0.0
             d = d * c["live"]
         if isinstance(layer, DenseSpec):
-            if i == last:
-                dz = d
-            else:
-                dz = _activation_grad(layer.activation, d, c)
-            np.matmul(c["x"].swapaxes(-1, -2), dz, out=net.grads[i]["w"])
-            np.sum(dz, axis=-2, out=net.grads[i]["b"])
+            dz = d if i == last else _activation_grad(layer.activation, d, c)
+            grads[i] = {"w": c["x"].swapaxes(-1, -2) @ dz, "b": dz.sum(axis=-2)}
             if i > 0:
-                d = dz @ net.params[i]["w"].swapaxes(-1, -2)
+                wt = net.params[i]["w"].swapaxes(-1, -2)
+                d = _outer(dz, wt) if wt.shape[-2] == 1 else dz @ wt
         elif isinstance(layer, Conv2DSpec):
-            _conv2d_kernel_grad(d, c["x"], net.grads[i]["w"])
-            np.sum(d, axis=(0, 2, 3), out=net.grads[i]["b"])
+            k = layer.kernel_size
+            grads[i] = {"w": _conv2d_kernel_grad(d, c["x"], k, k),
+                        "b": d.sum(axis=(0, 2, 3))}
             if i > 0:
                 d = _conv2d_input_grad(d, net.params[i]["w"])
         elif isinstance(layer, MaxPool2DSpec):
@@ -392,7 +389,17 @@ def backward(net, loss_grad, cache):
             d = _maxpool2d_grad(d, c["idx"], h, w)
         else:  # Flatten
             d = d.reshape(c["in_shape"])
-    return net.grads
+    return grads
+
+
+def _outer(a, b):
+    """a [..., M, 1] @ b [..., 1, N], bit for bit, without the non-BLAS loop
+    matmul takes for it: each product added into +0.0 as that loop does,
+    and a NaN of a taking precedence over one of b, as in its a * b."""
+    d = a * b
+    d += 0.0
+    nan = np.isnan(a)
+    return np.where(nan, a, d) if nan.any() else d
 
 
 def _activation_grad(act, d_out, c):

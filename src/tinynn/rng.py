@@ -30,9 +30,10 @@ requests of a fresh generator build no table. numpy forms the outputs from
 the recorded state words with the same wrapping 64-bit arithmetic.
 
 The bulk consumers (`shuffle`, `fill_uniform`, `fill_normal`) take their
-draws in blocks and give results bit-identical to repeated calls of the
-scalar methods (`randbelow`, `uniform`, `normal`), which stay as the
-reference; `next_u64` takes its one draw through `_draws` too. The bulk
+draws in blocks and give results bit-identical to repeated scalar draws
+(top-bit rejection below n, `(u64 >> 11) * 2**-53` floats, Box-Muller
+pairs whose spare waits in `_spare_normal`; the tests keep these as their
+references); `next_u64` takes its one draw through `_draws` too. The bulk
 float paths use numpy only for operations that are correctly rounded, so
 they equal the scalar ones: the exact int-to-float conversion, products,
 sums and `sqrt`. `log`, `sin` and `cos` come from `math`, because numpy's
@@ -246,45 +247,11 @@ class Rng:
     def next_u64(self):
         return int(self._draws(1)[0])
 
-    def next_float(self):
-        """Uniform in [0, 1) with 53-bit resolution."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
-    def uniform(self, low, high):
-        return low + (high - low) * self.next_float()
-
-    def randbelow(self, n):
-        """Uniform integer in [0, n) by top-bit rejection; exact, no modulo bias."""
-        if n <= 0:
-            raise ValueError("randbelow needs n >= 1, got %r" % (n,))
-        bits = (n - 1).bit_length()
-        if bits == 0:
-            return 0
-        while True:
-            r = self.next_u64() >> (64 - bits)
-            if r < n:
-                return r
-
-    def normal(self, mean=0.0, std=1.0):
-        """Normal deviate via Box-Muller; generates in pairs, caches the spare."""
-        z = self._spare_normal
-        if z is not None:
-            self._spare_normal = None
-            return mean + std * z
-        u1 = self.next_float()
-        if u1 == 0.0:
-            u1 = 2.0 ** -53  # avoid log(0); smallest representable draw instead
-        u2 = self.next_float()
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare_normal = r * math.sin(theta)
-        return mean + std * r * math.cos(theta)
-
     def shuffle(self, seq):
         """In-place Fisher-Yates shuffle of a mutable sequence or 1-d array.
 
-        The same permutation as swapping seq[i] with seq[randbelow(i + 1)]
-        for i from the end down. Each position takes at least one draw, so a
+        The same permutation as swapping seq[i] with seq[r] for i from the
+        end down, r uniform in [0, i] by top-bit rejection. Each position takes at least one draw, so a
         request for as many draws as positions left is never overdrawn; the
         rounds of one shuffle, and the shuffles that follow, are served from
         the same lane blocks through the generator's buffer.
@@ -293,33 +260,33 @@ class Rng:
         i = len(items) - 1
         while i > 0:
             for r in self._draws(i).tolist():
-                r >>= 64 - i.bit_length()  # randbelow(i + 1)'s top-bit rejection
+                r >>= 64 - i.bit_length()  # top-bit rejection below i + 1
                 if r <= i:
                     items[i], items[r] = items[r], items[i]
                     i -= 1
         seq[:] = items
 
     def _uniforms(self, n):
-        """The next n next_float() values as a float64 array."""
+        """The next n draws as floats in [0, 1) with 53-bit resolution."""
         return (self._draws(n) >> 11) * _UNIT
 
     def fill_uniform(self, out_flat, low, high):
-        """Fill a flat float64 buffer with uniform draws in stream order,
-        equal to repeated uniform(low, high) calls."""
+        """Fill a flat float64 buffer with uniform draws in [low, high), in
+        stream order: low + (high - low) * u, u one draw's float each."""
         span = high - low
         for start in range(0, len(out_flat), _FILL_BLOCK):
             u = self._uniforms(min(_FILL_BLOCK, len(out_flat) - start))
             out_flat[start:start + len(u)] = low + span * u
 
     def fill_normal(self, out_flat, mean=0.0, std=1.0):
-        """Fill a flat float64 buffer with normal draws, equal to repeated
-        normal(mean, std) calls: a pending spare is used first, and an odd
-        count leaves one behind."""
+        """Fill a flat float64 buffer with normal draws, Box-Muller pairs in
+        stream order: a pending spare is used first, and an odd count leaves
+        one behind."""
         n = len(out_flat)
         start = 0
         if n and self._spare_normal is not None:
-            out_flat[0] = self.normal(mean, std)
-            start = 1
+            out_flat[0] = mean + std * self._spare_normal
+            self._spare_normal, start = None, 1
         for lo in range(start, n, _FILL_BLOCK):
             count = min(_FILL_BLOCK, n - lo)
             pairs = (count + 1) // 2

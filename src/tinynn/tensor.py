@@ -157,16 +157,16 @@ class _ImageConv:
         return self.out
 
 
-def _conv2d_kernel_grad(dz, x, out):
-    """Gradient of same-padding conv w.r.t. its kernel, written into out.
+def _conv2d_kernel_grad(dz, x, kh, kw):
+    """Gradient of same-padding conv w.r.t. its kh x kw kernel.
 
-    dz [N,F,H,W] and the layer input x [N,C,H,W] give out [F,C,kh,kw]: the
-    sum over images of dz_n[HW,F]^T @ the image's tap-major columns. An
-    image whose dz_n is all zero adds nothing to the +0.0 start and is
-    skipped: no columns, no GEMM.
+    dz [N,F,H,W] and the layer input x [N,C,H,W] give [F,C,kh,kw]: the sum
+    over images of dz_n[HW,F]^T @ the image's tap-major columns. An image
+    whose dz_n is all zero adds nothing to the +0.0 start and is skipped:
+    no columns, no GEMM.
     """
     _, f, h, wd = dz.shape
-    _, c, kh, kw = out.shape
+    c = x.shape[1]
     cols = _Columns(c, h, wd, kh, kw)
     acc = np.zeros((f, kh * kw * c))
     for img, d in zip(x, dz.transpose(0, 2, 3, 1)):
@@ -174,8 +174,7 @@ def _conv2d_kernel_grad(dz, x, out):
             continue
         cols.inp[...] = img.transpose(1, 2, 0)
         acc += d.reshape(h * wd, f).T @ cols()
-    out[...] = acc.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
-    return out
+    return acc.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
 
 
 def _conv2d_input_grad(dz, w):

@@ -20,10 +20,10 @@ its results equal those of training it alone, bit for bit.
 import math
 import os
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .datasets import LabeledDataset
 from .errors import ConfigError, DataError, DivergenceError
 from .layers import (
     DenseSpec,
@@ -35,7 +35,6 @@ from .layers import (
     forward,
 )
 from .rng import LANE_BLOCK, Rng, derive_seed
-from .tensor import Tensor
 
 # rows per forward pass over flat input, in evaluation and in the dead-unit
 # probe of a trial stack, so that their memory does not grow with the stack
@@ -130,12 +129,13 @@ def _softmax_ce_from_logits(z, labels):
 # optimization
 
 
-def sgd_step(net, learning_rate):
-    """params <- params - lr * grads, then clear the gradients."""
-    for p, g in zip(net.params, net.grads):
-        for k in p:
-            p[k] -= learning_rate * g[k]
-            g[k][:] = 0.0
+def sgd_step(net, grads, learning_rate):
+    """params <- params - lr * grads for the gradients backward returned. A
+    parameter with none (below a stopped pass) is left as it is: bit for bit
+    what a +0.0 gradient gives, as p - lr * (+0.0) is p, -0.0 and NaN too."""
+    for p, g in zip(net.params, grads):
+        for k, v in g.items():
+            p[k] -= learning_rate * v
     return net
 
 
@@ -149,11 +149,14 @@ def _orient_dead_relu_units(net, probe):
     probe rows.
 
     Forward-only and cache-free: the layers before the first dense layer run
-    per image as in evaluation, then each hidden dense layer's
-    pre-activations come from its input rows as forward computes them.
+    per image as in evaluation (_probe_features, which may stop early with
+    no unit to flip), then each hidden dense layer's pre-activations come
+    from its input rows as forward computes them.
     """
     spec = net.spec
-    x = _forward_images(net, probe) if spec.image_layers else probe
+    x = _probe_features(net, probe) if spec.image_layers else probe
+    if x is None:
+        return
     for i in range(spec.image_layers, len(spec.layers) - 1):
         layer = spec.layers[i]
         if not isinstance(layer, DenseSpec):
@@ -166,6 +169,31 @@ def _orient_dead_relu_units(net, probe):
                 net.params[i]["w"] *= flip[..., None, :]
                 net.params[i]["b"] *= flip
         x = _apply_activation(layer.activation, z)
+
+
+def _probe_features(net, probe):
+    """The image probe's rows after the image layers, or None once every
+    unit of the network's one hidden ReLU layer has fired. If that is the
+    first dense layer, the rows run in chunks of 1, 2, 4, ... rows, and a
+    unit has fired once z > 4 K 2**-53 (|x| @ |w| + |b|), K its fan-in:
+    above the rounding of any summation order, so one GEMM over every row
+    gives z > 0 too. Each image runs alone, so the chunks, concatenated,
+    are the bytes of one call over every row."""
+    spec = net.spec
+    relu = [i for i in range(spec.image_layers, len(spec.layers) - 1)
+            if getattr(spec.layers[i], "activation", "") == "relu"]
+    if relu != [spec.image_layers]:
+        return _forward_images(net, probe)
+    p = net.params[relu[0]]
+    fired, chunks = False, []
+    for k in range(len(probe).bit_length()):
+        x = _forward_images(net, probe[2 ** k - 1:2 ** (k + 1) - 1])
+        bound = np.abs(x) @ np.abs(p["w"]) + np.abs(p["b"])
+        fired = fired | (_dense(x, p) > 4 * len(p["w"]) * 2.0 ** -53 * bound).any(axis=0)
+        if fired.all():
+            return None
+        chunks.append(x)
+    return np.concatenate(chunks)
 
 
 def train(net, data, cfg):
@@ -230,8 +258,7 @@ def train(net, data, cfg):
                         raise error
                     for t in np.flatnonzero(bad):
                         diverged.setdefault(int(t), error)
-                backward(net, dz, cache)
-                sgd_step(net, cfg.learning_rate)
+                sgd_step(net, backward(net, dz, cache), cfg.learning_rate)
                 if bad.any():
                     for p in net.params:
                         for v in p.values():
@@ -346,7 +373,6 @@ class _TrialStack:
         self.net = Network(
             net.spec, [{k: stacked(v) for k, v in p.items()} for p in net.params]
         )
-        self.class_count = data.class_count
         self.feature_array = stacked(data.feature_array)
         self.labels = stacked(data.labels)
         self.train_indices = stacked(data.train_indices)
@@ -373,11 +399,10 @@ class _TrialStack:
         return self.labels[self._lane, idx]
 
     def trial(self, t):
-        """Trial t's dataset, sharing the stack's arrays."""
-        return LabeledDataset(
-            Tensor._wrap(self.feature_array[t]), self.labels[t], self.class_count,
-            self.train_indices[t], self.test_indices[t],
-        )
+        """Trial t's arrays, as evaluate reads them: no second partition check."""
+        return SimpleNamespace(feature_array=self.feature_array[t],
+                               test_indices=self.test_indices[t],
+                               labels_at=self.labels[t].__getitem__)
 
 
 def _trial_shapes(data, net):

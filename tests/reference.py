@@ -4,9 +4,11 @@ the boolean-mask two-branch sigmoid and fused binary cross-entropy, whose
 bytes the library's np.where forms must equal,
 the central finite-difference check of backward's gradients, the unfused
 backward, which skips no zero gradient, whose gradients backward's must
-equal bit for bit, the trial-at-a-time repeat_trials that the stacked one
-must equal, and the one-step-at-a-time xoshiro256++ that the generator's
-blocks must equal.
+equal bit for bit, the dead-unit probe over every row at once, whose flips
+the early-stopping probe must equal, the trial-at-a-time repeat_trials
+that the stacked one must equal, the scalar draws (next_float, uniform, randbelow, normal) that
+the generator's bulk consumers must equal, and the one-step-at-a-time
+xoshiro256++ that its blocks must equal.
 
 Gradient checks perturb parameters by +-eps and compare the central
 difference of the loss against the analytic gradient with the symmetric
@@ -19,7 +21,16 @@ from dataclasses import replace
 import numpy as np
 
 from tinynn.errors import ConfigError, DataError, DivergenceError
-from tinynn.layers import Conv2DSpec, DenseSpec, MaxPool2DSpec, backward, forward
+from tinynn.layers import (
+    Conv2DSpec,
+    DenseSpec,
+    MaxPool2DSpec,
+    _apply_activation,
+    _dense,
+    _forward_images,
+    backward,
+    forward,
+)
 from tinynn.rng import derive_seed
 from tinynn.tensor import _conv2d, _maxpool2d, _maxpool2d_grad
 from tinynn.training import TrialSummary, train
@@ -106,10 +117,13 @@ def loss_of(net, x, labels):
 
 
 def analytic_grads(net, x, labels):
+    """backward's gradients, with +0.0 ones for the parameters of the layers
+    a stopped pass leaves without."""
     out, cache = forward(net, x, train=True)
     _, dz = cross_entropy_loss(out, labels)
-    backward(net, dz, cache)
-    return [{k: v.copy() for k, v in g.items()} for g in net.grads]
+    grads = backward(net, dz, cache)
+    return [{k: g.get(k, np.zeros_like(v)) for k, v in p.items()}
+            for p, g in zip(net.params, grads)]
 
 
 def fd_check(net, x, labels, n_params, rng, tol, eps=1e-5):
@@ -127,7 +141,7 @@ def fd_check(net, x, labels, n_params, rng, tol, eps=1e-5):
     picked = (
         coords
         if len(coords) <= n_params
-        else [coords[rng.randbelow(len(coords))] for _ in range(n_params)]
+        else [coords[randbelow(rng, len(coords))] for _ in range(n_params)]
     )
     worst = 0.0
     for li, key, j in picked:
@@ -231,6 +245,26 @@ def unfused_grads(net, x, loss_grad):
     return grads
 
 
+def orient_on_every_row(net, probe):
+    """The dead-unit probe with no early stop: every probe row runs the
+    image layers in one call, then each hidden dense ReLU unit with no
+    positive pre-activation on any row has its weights and bias negated."""
+    spec = net.spec
+    x = _forward_images(net, probe) if spec.image_layers else probe
+    for i in range(spec.image_layers, len(spec.layers) - 1):
+        layer = spec.layers[i]
+        if not isinstance(layer, DenseSpec):
+            continue
+        z = _dense(x, net.params[i])
+        if layer.activation == "relu":
+            dead = ~(z > 0.0).any(axis=-2)
+            if dead.any():
+                flip = np.where(dead, -1.0, 1.0)
+                net.params[i]["w"] *= flip[..., None, :]
+                net.params[i]["b"] *= flip
+        x = _apply_activation(layer.activation, z)
+
+
 def repeat_trials_one_by_one(build_network, generate_data, cfg, n_trials):
     """repeat_trials as it ran before trials were stacked: each trial's
     network is trained alone, with the same derived seeds."""
@@ -266,6 +300,47 @@ def repeat_trials_one_by_one(build_network, generate_data, cfg, n_trials):
         means=means, stds=stds, n_trials=n_trials, divergences=divergences,
         trials=rows,
     )
+
+
+def next_float(rng):
+    """One draw of rng as a uniform float in [0, 1) with 53-bit resolution."""
+    return (rng.next_u64() >> 11) * (1.0 / (1 << 53))
+
+
+def uniform(rng, low, high):
+    return low + (high - low) * next_float(rng)
+
+
+def randbelow(rng, n):
+    """Uniform integer in [0, n) by top-bit rejection; exact, no modulo bias.
+    Rng.shuffle's swaps follow it draw for draw."""
+    if n <= 0:
+        raise ValueError("randbelow needs n >= 1, got %r" % (n,))
+    bits = (n - 1).bit_length()
+    if bits == 0:
+        return 0
+    while True:
+        r = rng.next_u64() >> (64 - bits)
+        if r < n:
+            return r
+
+
+def normal(rng, mean=0.0, std=1.0):
+    """Normal deviate via Box-Muller, generated in pairs; the spare waits in
+    rng._spare_normal, where Rng.fill_normal takes it first and leaves its
+    own."""
+    z = rng._spare_normal
+    if z is not None:
+        rng._spare_normal = None
+        return mean + std * z
+    u1 = next_float(rng)
+    if u1 == 0.0:
+        u1 = 2.0 ** -53  # avoid log(0); smallest representable draw instead
+    u2 = next_float(rng)
+    r = math.sqrt(-2.0 * math.log(u1))
+    theta = 2.0 * math.pi * u2
+    rng._spare_normal = r * math.sin(theta)
+    return mean + std * r * math.cos(theta)
 
 
 def xoshiro_steps(state, n):

@@ -23,7 +23,7 @@ from tinynn.experiments import (
 from tinynn.layers import build_conv_net, build_mlp
 from tinynn.rng import Rng
 
-from reference import fd_check, randomize_head
+from reference import fd_check, randbelow, randomize_head
 
 
 def file_bytes(path):
@@ -46,14 +46,14 @@ def test_criterion_1_gradient_checks_against_finite_differences():
         randomize_head(conv, rng)
         x = np.empty((3, 1, 12, 12))
         rng.fill_uniform(x.reshape(-1), -1.0, 1.0)
-        labels = np.array([rng.randbelow(4) for _ in range(3)])
+        labels = np.array([randbelow(rng, 4) for _ in range(3)])
         worst = max(worst, fd_check(conv, x, labels, 150, rng, tol=1e-4))
 
         mlp = build_mlp(6, 7, seed)
         randomize_head(mlp, rng)
         xm = np.empty((8, 6))
         rng.fill_uniform(xm.reshape(-1), -1.0, 1.0)
-        ym = np.array([rng.randbelow(2) for _ in range(8)])
+        ym = np.array([randbelow(rng, 2) for _ in range(8)])
         # all 57 parameters of the 6-7-1 MLP
         worst = max(worst, fd_check(mlp, xm, ym, 57, rng, tol=1e-4))
     elapsed = time.perf_counter() - t0

@@ -598,6 +598,18 @@ class TestResume:
                 ), name
         assert result.manifest["config"] == sweep_run.manifest["config"]
 
+    def test_resume_ignores_a_record_of_a_foreign_cell(self, sweep_run, tmp_path):
+        # a verified record of a cell the run does not have adds no outputs:
+        # the resumed manifest lists what a fresh run's does
+        run = tmp_path / "interrupted"
+        interrupt_after_first_cell(sweep_run.run_dir, run)
+        digest = hashlib.sha256(file_bytes(run / "config.json")).hexdigest()
+        foreign = {"cell": "w7", "outputs": {"config.json": digest}}
+        with open(run / "progress.jsonl", "a") as f:
+            f.write(json.dumps(foreign) + "\n")
+        result = resume_run(str(run))
+        assert result.manifest["outputs"] == sweep_run.manifest["outputs"]
+
     def test_resume_without_config_is_an_error(self, tmp_path):
         with pytest.raises(ConfigError, match="config.json"):
             resume_run(str(tmp_path))

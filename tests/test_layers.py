@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinynn import tensor
+from tinynn import layers, tensor
 from tinynn.errors import CheckpointError, DimensionError, StateError
 from tinynn.layers import (
     Conv2DSpec,
@@ -28,9 +28,11 @@ from tinynn.layers import (
 from tinynn.rng import Rng
 
 from reference import (
+    EDGE_LOGITS,
     analytic_grads,
     cross_entropy_loss,
     fd_check,
+    orient_on_every_row,
     randomize_head,
     unfused_grads,
 )
@@ -316,6 +318,19 @@ class TestBackwardState:
             backward(net, np.zeros((2, 1)), cache)
 
 
+def assert_grads_equal(got, want):
+    """backward's gradients byte-equal to the reference's. A layer that a
+    stopped pass leaves without gradients, which sgd_step skips, must have
+    +0.0 ones in the reference, which p - lr * (+0.0) applies as a skip."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if not g:
+            g = {k: np.zeros_like(v) for k, v in w.items()}
+        assert g.keys() == w.keys()
+        for k in w:
+            assert g[k].tobytes() == w[k].tobytes(), k
+
+
 class TestGradients:
     """Finite-difference agreement, layer kind by layer kind, and bit-for-bit
     agreement with the unfused reference backward."""
@@ -331,29 +346,20 @@ class TestGradients:
                 p["b"][0] = -1e3  # a dead filter, gated off everywhere
         out, cache = forward(net, x, train=True)
         d = rand(out.array.shape, 13)
-        want = unfused_grads(net, x, d)
-        got = backward(net, d, cache)
-        assert [g.keys() for g in got] == [w.keys() for w in want]
-        for g, w in zip(got, want):
-            for k in g:
-                assert g[k].tobytes() == w[k].tobytes(), k
+        assert_grads_equal(backward(net, d, cache), unfused_grads(net, x, d))
 
     @pytest.mark.parametrize("pattern", ["live", "silent", "dead"])
     @pytest.mark.parametrize("make_net,n", ONE_UNIT_NETS, ids=ONE_UNIT_IDS)
     def test_zero_gradient_skips_equal_the_full_pass(self, make_net, n, pattern):
         # backward skips the conv work of a silent row's image and, below a
-        # zero head, the whole pass; every gradient, each one written over
-        # a NaN, must equal the reference's bit for bit
+        # zero head, the whole pass, whose layers get no gradients; every
+        # gradient must equal the reference's bit for bit
         net, x, out, cache, _ = with_rows(make_net, n, pattern)
         d = rand(out.array.shape, 13)
-        want = unfused_grads(net, x, d)
-        for g in net.grads:
-            for v in g.values():
-                v[...] = np.nan
         got = backward(net, d, cache)
-        for g, w in zip(got, want):
-            for k in g:
-                assert g[k].tobytes() == w[k].tobytes(), k
+        assert_grads_equal(got, unfused_grads(net, x, d))
+        if pattern == "dead":
+            assert got[-1] and not any(got[:-1])
 
     @pytest.mark.parametrize("pattern", ["live", "silent", "dead"])
     def test_backward_takes_columns_for_live_images_only(self, monkeypatch, pattern):
@@ -373,6 +379,21 @@ class TestGradients:
         backward(net, out.array - 1.0, cache)
         live = 0 if pattern == "dead" else int((z > 0.0).sum())
         assert len(calls) == 2 * live
+
+    @pytest.mark.parametrize("kind", ["edges", "nans"])
+    @pytest.mark.parametrize("lanes", [(), (1,), (3,)], ids=["2d", "stack1", "stack3"])
+    @pytest.mark.parametrize("m,n", [(1, 1), (5, 1), (32, 1), (1, 7), (6, 3), (32, 100)])
+    def test_one_unit_input_grad_bytes_equal_matmul(self, lanes, m, n, kind):
+        # a one-unit layer's input gradient is an outer product; its bytes
+        # must equal matmul's on signed zeros, infinities and NaNs of both
+        # signs, in either factor and in both at once
+        rng = np.random.default_rng(m * 100 + n)
+        values = (np.concatenate([EDGE_LOGITS, [1.5, -2.0, 5e-324, -1e308]])
+                  if kind == "edges" else np.array([np.nan, -np.nan]))
+        dz = rng.choice(values, size=lanes + (m, 1))
+        wt = rng.choice(values, size=lanes + (n, 1)).swapaxes(-1, -2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert layers._outer(dz, wt).tobytes() == (dz @ wt).tobytes()
 
     def test_dense_sigmoid_head_tight(self):
         # dense-only stack admits a tighter bound: no kinks in the path
@@ -470,6 +491,52 @@ class TestOrientation:
 
         assert peak_bytes(_orient_dead_relu_units, net, probe) < 8 << 20
 
+    @pytest.mark.parametrize("pattern", ["live", "silent", "dead"])
+    @pytest.mark.parametrize(
+        "make_net,n", IMAGE_NETS + ONE_UNIT_NETS, ids=IMAGE_NET_IDS + ONE_UNIT_IDS
+    )
+    def test_early_stop_probe_equals_the_full_probe(self, make_net, n, pattern):
+        # the probe may stop once every unit of the one hidden ReLU layer
+        # has a certified positive; its flips and every parameter bit must
+        # equal those of the probe over every row
+        net, x = prepared(make_net, n)
+        relu = [i for i, layer in enumerate(net.spec.layers[:-1])
+                if isinstance(layer, DenseSpec) and layer.activation == "relu"]
+        if relu:
+            _, cache = forward(net, x, train=True)
+            z, b = cache[relu[0]]["z"], net.params[relu[0]]["b"]
+            b -= {"live": z.min(axis=0) - 1.0, "silent": np.median(z, axis=0),
+                  "dead": z.max(axis=0) + 1.0}[pattern]
+        want = Network(net.spec, [{k: v.copy() for k, v in p.items()} for p in net.params])
+        orient_on_every_row(want, x)
+        from tinynn.training import _orient_dead_relu_units
+
+        _orient_dead_relu_units(net, x)
+        for p, q in zip(net.params, want.params):
+            for k in q:
+                assert p[k].tobytes() == q[k].tobytes(), k
+
+    @pytest.mark.parametrize("pattern,rows", [("live", 1), ("dead", 64)])
+    def test_probe_forwards_rows_until_every_unit_fired(self, monkeypatch, pattern, rows):
+        # a unit that fires on row 0 stops the probe after one row; a dead
+        # unit takes every row, each forwarded once
+        from tinynn import training
+
+        net = build_conv_net((1, 28, 28), 1, 1, seed=3)
+        probe = np.abs(rand((64, 1, 28, 28), 4))
+        _, cache = forward(net, probe[:1], train=True)
+        net.params[5]["b"][0] = b = 1.0 - cache[5]["z"][0, 0] if pattern == "live" else -1e6
+        seen = []
+
+        def counting(net, x):
+            seen.append(len(x))
+            return layers._forward_images(net, x)
+
+        monkeypatch.setattr(training, "_forward_images", counting)
+        training._orient_dead_relu_units(net, probe)
+        assert sum(seen) == rows
+        assert net.params[5]["b"][0] == (-b if pattern == "dead" else b)
+
     def test_flatten_over_flat_input_trains_as_the_mlp(self):
         # the flatten is the identity on flat rows and holds no parameters,
         # so the probe and every step match the plain MLP's
@@ -504,6 +571,20 @@ class TestCheckpoint:
 
     def test_mlp_round_trip(self, tmp_path):
         self.round_trip(build_mlp(7, 3, seed=41), tmp_path)
+
+    def test_loaded_network_holds_only_its_parameters(self, tmp_path):
+        # a member loaded to judge keeps its parameters and nothing beside
+        # them: no gradient buffers (they took as many bytes again)
+        path = str(tmp_path / "net.ckpt")
+        save_network(build_conv_net((1, 28, 28), 10, 10, seed=44), path)
+        tracemalloc.start()
+        try:
+            net = load_network(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        params = sum(v.nbytes for p in net.params for v in p.values())
+        assert params <= held < params + (16 << 10)
 
     def test_conv_round_trip(self, tmp_path):
         net = build_conv_net((1, 8, 8), 2, 4, seed=42)

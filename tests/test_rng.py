@@ -4,7 +4,9 @@ The u64 streams are pinned against an independent C build of the public
 reference implementations (splitmix64 and xoshiro256++), compiled and run
 once; the expected values below are frozen from its output. The shuffle
 outputs are frozen from the per-element Fisher-Yates on `randbelow`, so a
-bulk path that changes the stream fails here. Blocks long enough for the
+bulk path that changes the stream fails here. The scalar draws
+(`reference.randbelow`, `uniform`, `normal`) are the references the bulk
+consumers must equal. Blocks long enough for the
 jump-ahead lanes are checked against the one-step-at-a-time reference, and so
 is the hand-off of buffered draws from one consumer to the next.
 """
@@ -34,7 +36,7 @@ from tinynn.rng import (
     splitmix64,
 )
 
-from reference import xoshiro_steps
+from reference import next_float, normal, randbelow, uniform, xoshiro_steps
 
 # first outputs of the reference splitmix64 stream seeded with 0
 SPLITMIX_FROM_0 = 16294208416658607535
@@ -77,21 +79,21 @@ CONV_INIT_DIGEST = "29c49839e7d55f65f1fa6d45b8817ccb6a74bc123fd820a30067ed12f3bc
 def shuffle_oracle(rng, seq):
     """Per-element Fisher-Yates on randbelow, the reference for shuffle."""
     for i in range(len(seq) - 1, 0, -1):
-        j = rng.randbelow(i + 1)
+        j = randbelow(rng, i + 1)
         seq[i], seq[j] = seq[j], seq[i]
 
 
 def assert_fill_normal_matches_scalar(seed, n, mean, std, spare_in):
     a, b = Rng(seed), Rng(seed)
     if spare_in:
-        a.normal()
-        b.normal()
-    want = [a.normal(mean, std) for _ in range(n)]
+        normal(a)
+        normal(b)
+    want = [normal(a, mean, std) for _ in range(n)]
     got = np.empty(n)
     b.fill_normal(got, mean, std)
     assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
     # the spare left behind and the state both carry over
-    assert [b.normal(), b.next_u64()] == [a.normal(), a.next_u64()]
+    assert [normal(b), b.next_u64()] == [normal(a), a.next_u64()]
 
 
 class TestReferenceVectors:
@@ -126,12 +128,12 @@ class TestReferenceVectors:
 class TestFloats:
     def test_unit_interval(self):
         r = Rng(3)
-        draws = [r.next_float() for _ in range(10000)]
+        draws = [next_float(r) for _ in range(10000)]
         assert all(0.0 <= d < 1.0 for d in draws)
 
     def test_uniform_moments(self):
         r = Rng(5)
-        draws = np.array([r.uniform(-2.0, 6.0) for _ in range(50000)])
+        draws = np.array([uniform(r, -2.0, 6.0) for _ in range(50000)])
         assert draws.min() >= -2.0 and draws.max() < 6.0
         # mean 2, var (8^2)/12 = 5.333; loose 4-sigma style bounds
         assert abs(draws.mean() - 2.0) < 0.05
@@ -139,17 +141,17 @@ class TestFloats:
 
     def test_fill_uniform_matches_scalar_stream(self):
         a, b = Rng(11), Rng(11)
-        a.normal()
-        b.normal()
+        normal(a)
+        normal(b)
         # consecutive fills on either side of the block size, with a normal
         # spare pending that they leave alone
         for n in (64, _FILL_BLOCK - 1, _FILL_BLOCK, _FILL_BLOCK + 1,
                   2 * _FILL_BLOCK + 1):
             buf = np.empty(n)
             a.fill_uniform(buf, -1.0, 1.0)
-            want = [b.uniform(-1.0, 1.0) for _ in range(n)]
+            want = [uniform(b, -1.0, 1.0) for _ in range(n)]
             np.testing.assert_array_equal(buf, want)
-        assert [a.normal(), a.next_u64()] == [b.normal(), b.next_u64()]
+        assert [normal(a), a.next_u64()] == [normal(b), b.next_u64()]
 
     def test_frozen_conv_init(self):
         net = build_conv_net((1, 28, 28), 30, 1, seed=7)
@@ -163,29 +165,29 @@ class TestFloats:
 class TestRandbelow:
     def test_bounds_and_coverage(self):
         r = Rng(9)
-        draws = [r.randbelow(6) for _ in range(6000)]
+        draws = [randbelow(r, 6) for _ in range(6000)]
         assert set(draws) == {0, 1, 2, 3, 4, 5}
 
     def test_uniformity_chi_square(self):
         r = Rng(13)
         n, k = 40000, 8
-        counts = np.bincount([r.randbelow(k) for _ in range(n)], minlength=k)
+        counts = np.bincount([randbelow(r, k) for _ in range(n)], minlength=k)
         chi2 = (((counts - n / k) ** 2) / (n / k)).sum()
         assert chi2 < 30.0  # df=7, p~1e-4 cutoff
 
     def test_n_one_is_always_zero(self):
         r = Rng(1)
-        assert all(r.randbelow(1) == 0 for _ in range(10))
+        assert all(randbelow(r, 1) == 0 for _ in range(10))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            Rng(0).randbelow(0)
+            randbelow(Rng(0), 0)
 
 
 class TestNormal:
     def test_moments(self):
         r = Rng(21)
-        draws = np.array([r.normal() for _ in range(100000)])
+        draws = np.array([normal(r) for _ in range(100000)])
         assert abs(draws.mean()) < 0.02
         assert abs(draws.std() - 1.0) < 0.02
         # fraction within 1 sigma of a standard normal
@@ -193,13 +195,13 @@ class TestNormal:
 
     def test_mean_std_applied(self):
         r = Rng(22)
-        draws = np.array([r.normal(10.0, 0.5) for _ in range(20000)])
+        draws = np.array([normal(r, 10.0, 0.5) for _ in range(20000)])
         assert abs(draws.mean() - 10.0) < 0.02
         assert abs(draws.std() - 0.5) < 0.02
 
     def test_pair_cache_keeps_stream_deterministic(self):
         a, b = Rng(23), Rng(23)
-        assert [a.normal() for _ in range(9)] == [b.normal() for _ in range(9)]
+        assert [normal(a) for _ in range(9)] == [normal(b) for _ in range(9)]
 
     @pytest.mark.parametrize(
         "n",
@@ -213,12 +215,12 @@ class TestNormal:
     def test_box_muller_pair_identity(self):
         # first two normals must come from one (u1, u2) pair
         r = Rng(31)
-        u1, u2 = r.next_float(), r.next_float()
+        u1, u2 = next_float(r), next_float(r)
         want0 = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         want1 = math.sqrt(-2.0 * math.log(u1)) * math.sin(2.0 * math.pi * u2)
         r2 = Rng(31)
-        assert r2.normal() == want0
-        assert r2.normal() == want1
+        assert normal(r2) == want0
+        assert normal(r2) == want1
 
 
 class TestShuffle:
@@ -340,20 +342,20 @@ def test_consumers_hand_the_stream_on(seed, consumers):
         elif kind == "fill_uniform":
             out = np.empty(arg)
             got.fill_uniform(out, -2.0, 3.0)
-            assert out.tolist() == [ref.uniform(-2.0, 3.0) for _ in range(arg)]
+            assert out.tolist() == [uniform(ref, -2.0, 3.0) for _ in range(arg)]
         elif kind == "fill_normal":
             n, spare = arg
             if (got._spare_normal is not None) != spare:
-                assert got.normal() == ref.normal()
+                assert normal(got) == normal(ref)
             out = np.empty(n)
             got.fill_normal(out, 0.5, 2.0)
-            assert out.tolist() == [ref.normal(0.5, 2.0) for _ in range(n)]
+            assert out.tolist() == [normal(ref, 0.5, 2.0) for _ in range(n)]
         elif kind == "normal":
-            assert got.normal() == ref.normal()
+            assert normal(got) == normal(ref)
         else:
-            assert got.randbelow(arg) == ref.randbelow(arg)
+            assert randbelow(got, arg) == randbelow(ref, arg)
         assert len(got._buf) < LANE_BLOCK
-    assert [got.normal(), got.next_u64()] == [ref.normal(), ref.next_u64()]
+    assert [normal(got), got.next_u64()] == [normal(ref), ref.next_u64()]
 
 
 class OneStepRng(Rng):
@@ -399,7 +401,7 @@ def test_kept_lane_starts_follow_the_reference(seed, ops):
             getattr(got, kind)(a, -1.0, 2.0)
             getattr(ref, kind)(b, -1.0, 2.0)
             assert a.tobytes() == b.tobytes()
-    assert [got.normal(), got.next_u64()] == [ref.normal(), ref.next_u64()]
+    assert [normal(got), got.next_u64()] == [normal(ref), ref.next_u64()]
 
 
 class TestLanes:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tinynn import training
-from tinynn.datasets import SyntheticSpec, generate_synthetic
+from tinynn.datasets import LabeledDataset, SyntheticSpec, generate_synthetic
 from tinynn.errors import ConfigError, DataError, DivergenceError
 from tinynn.experiments import build_config
 from tinynn.layers import build_conv_net, build_mlp, forward
@@ -162,13 +162,28 @@ class TestFusedLogitLosses:
 
 
 class TestSgdStep:
-    def test_updates_and_clears(self):
+    def test_applies_the_given_gradients(self):
         net = build_mlp(3, 2, seed=0)
-        w0 = net.params[0]["w"].copy()
-        net.grads[0]["w"][:] = 1.0
-        sgd_step(net, 0.1)
+        w0, b0 = net.params[0]["w"].copy(), net.params[0]["b"].copy()
+        grads = [{"w": np.ones_like(w0)}, {}]
+        sgd_step(net, grads, 0.1)
         np.testing.assert_allclose(net.params[0]["w"], w0 - 0.1, atol=1e-15)
-        assert not net.grads[0]["w"].any()
+        np.testing.assert_array_equal(net.params[0]["b"], b0)
+        np.testing.assert_array_equal(grads[0]["w"], 1.0)
+
+    @pytest.mark.parametrize("given", ["none", "positive-zero"])
+    def test_no_gradient_keeps_every_bit(self, given):
+        # a layer below a stopped backward pass gets no gradient; skipping
+        # it must equal applying +0.0, on signed zeros and NaNs of both signs
+        net = build_mlp(3, 2, seed=0)
+        edges = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+        net.params[0] = {"w": edges.reshape(3, 2).copy(), "b": edges[1:3].copy()}
+        before = [v.tobytes() for v in net.params[0].values()]
+        zeros = {k: np.zeros_like(v) for k, v in net.params[0].items()}
+        head = {k: np.ones_like(v) for k, v in net.params[1].items()}
+        sgd_step(net, [{} if given == "none" else zeros, head], 0.1)
+        assert [v.tobytes() for v in net.params[0].values()] == before
+        assert (net.params[1]["b"] == -0.1).all()
 
 
 def synth(seed=0, n=2000, std=1.0):
@@ -384,6 +399,21 @@ class TestRepeatTrials:
         want = repeat_trials_one_by_one(build, gen, cfg, 5)
         assert got.trials == want.trials
         assert (got.means, got.stds) == (want.means, want.stds)
+
+    def test_a_stacked_cell_checks_each_partition_once(self, monkeypatch):
+        # each trial's dataset checks its partition when it is generated;
+        # evaluating the trial from the stack builds no second dataset
+        made = []
+        real_init = LabeledDataset.__init__
+
+        def counting(self, *args):
+            made.append(len(args[0].array))
+            real_init(self, *args)
+
+        monkeypatch.setattr(LabeledDataset, "__init__", counting)
+        summ = repeat_trials(lambda s: build_mlp(3, 2, s), lambda s: synth(s, n=250),
+                             TrainConfig(learning_rate=0.05, epochs=1, seed=3), 3)
+        assert (len(summ.trials), made) == (3, [250] * 3)
 
     def test_trials_must_stack(self):
         cfg = TrainConfig(learning_rate=0.05, epochs=1)
