@@ -391,11 +391,8 @@ class RunContext:
         self.divergences = []
         self.seeds = {"base": config.seed}
         self._progress_path = os.path.join(run_dir, "progress.jsonl")
-        config_path = os.path.join(run_dir, "config.json")
-        if not os.path.exists(config_path):
-            with open(config_path, "w") as f:
-                json.dump(config.resolved(), f, indent=2, sort_keys=True)
-                f.write("\n")
+        if not os.path.exists(self.path("config.json")):
+            self._write_json("config.json", config.resolved())
 
     def path(self, name):
         return os.path.join(self.run_dir, name)
@@ -506,12 +503,17 @@ class RunContext:
             "outputs": self.outputs,
             "divergences": self.divergences,
         }
-        tmp = self.path("manifest.json.tmp")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, self.path("manifest.json"))
+        self._write_json("manifest.json", manifest)
         return manifest
+
+    def _write_json(self, name, obj):
+        """Write obj as the named JSON file through a temporary file renamed
+        over it, so that a stop leaves the whole file or none."""
+        tmp = self.path(name + ".tmp")
+        with open(tmp, "w") as f:
+            json.dump(obj, f, indent=2, sort_keys=True)
+            f.write("\n")
+        os.replace(tmp, self.path(name))
 
 
 @dataclass

@@ -4,8 +4,16 @@ Two builders cover every architecture in scope: a fixed two-conv stack with a
 swept hidden width, and a one-hidden-layer MLP. Both end in a probability
 head (softmax for multi-class, a single sigmoid unit for binary tasks).
 NetworkSpec's one walk over the layers makes every check, and gives the
-shapes the initializer and the checkpoint reader use. Evaluation runs the
-image layers (conv, pool and flatten over [C,H,W] input) one image at a time.
+shapes the initializer and the checkpoint reader use.
+
+The image layers (conv, pool and flatten over [C,H,W] input) run one image
+at a time, forward and backward, in training as in evaluation, through
+buffers made once per pass; only the dense layers take the whole batch. A
+training step's batch-sized arrays are the cache backward reads: the conv
+inputs, the pool winners and the ReLU masks. The per-image gradients
+continue the sums a whole-batch pass would take, so every value equals
+that pass's, bit for bit (but for the bias gradient of a conv with a
+single filter; see _backward_images).
 
 A Network holds its spec and parameters only. backward() returns each
 step's gradients as new arrays, which training.sgd_step applies, so a
@@ -23,7 +31,6 @@ all T; a network without that axis runs the same lines.
 import math
 import struct
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -31,16 +38,18 @@ from .errors import CheckpointError, DimensionError, StateError
 from .rng import Rng
 from .tensor import (
     Tensor,
-    _ImageConv,
+    _Columns,
     _conv2d,
     _conv2d_input_grad,
     _conv2d_kernel_grad,
-    _image_pool,
+    _conv_taps,
     _maxpool2d,
     _maxpool2d_grad,
+    _nhwc,
     _relu,
     _sigmoid,
     _softmax_rows,
+    _weight_matrix,
     check_dims,
 )
 
@@ -234,37 +243,133 @@ def _dense(x, p):
     return x @ p["w"] + p["b"][..., None, :]
 
 
-def _forward_images(net, x):
-    """The image layers (NetworkSpec.image_layers) in evaluation, one image
-    at a time; returns their output for x [N,C,H,W] as a C-contiguous array.
+def _forward_images(net, x, cache=None):
+    """The image layers (NetworkSpec.image_layers) one image at a time;
+    returns their output for x [N,C,H,W] as a C-contiguous array, each
+    image's row in [C,H,W] order.
 
-    Each conv or pool layer is one stage, allocated once per call: an
-    _ImageConv with its padded input, column and output buffers, or a pool
-    with its [H,W,C] output buffer. A stage takes the previous stage's
-    output (a conv copies it into its padded input), and the last stage's
-    output is copied into the image's [C,H,W]-ordered row of the result.
-    Each image takes the batch kernels' GEMM, bias, ReLU and pool order, so
-    every value equals theirs.
+    Each conv or pool layer runs its kernel on a one-image batch through
+    buffers made once per call: a conv's columns, weight matrix and output,
+    its ReLU applied in place, and a pool's output. A training pass (cache,
+    a list, given) appends one dict per layer with what backward reads (see
+    forward), batch-sized, each image writing its own slot: a conv's input,
+    a pool's winners and a ReLU's live mask. Every value equals the
+    kernels' on the whole batch.
     """
     spec = net.spec
     shapes = [spec.input_shape] + spec.layer_shapes
-    stages = [
-        _ImageConv(net.params[i]["w"], net.params[i]["b"], shapes[i][1:],
-                   layer.activation == "relu")
-        if isinstance(layer, Conv2DSpec)
-        else partial(_image_pool, out=np.empty(shapes[i + 1][1:] + shapes[i + 1][:1]))
-        for i, layer in enumerate(spec.layers[:spec.image_layers])
-        if not isinstance(layer, FlattenSpec)
-    ]
-    # a flatten only ever follows the conv and pool layers
-    c, h, w = shapes[len(stages)]
-    out = np.empty((len(x),) + shapes[spec.image_layers])
-    for img, row in zip(x, out):
-        src = img.transpose(1, 2, 0)
-        for stage in stages:
-            src = stage(src)
-        row.reshape(c, h, w).transpose(1, 2, 0)[...] = src
+    n = len(x)
+    train = cache is not None
+    stages = []
+    for i, layer in enumerate(spec.layers[:spec.image_layers]):
+        c = {}
+        if train:
+            cache.append(c)
+        if isinstance(layer, FlattenSpec):  # only ever after the conv and pool layers
+            continue
+        shape = (n,) + shapes[i + 1]
+        bufs = {"out": _nhwc((1,) + shape[1:])}
+        if isinstance(layer, Conv2DSpec):
+            k = layer.kernel_size
+            bufs.update(cols=_Columns(*shapes[i], k, k), wmat=_weight_matrix(net.params[i]["w"]))
+            gate = layer.activation == "relu" and not _pool_takes_relu(spec.layers, i + 1)
+            if train:
+                c["x"] = x if i == 0 else _nhwc((n,) + shapes[i])
+        else:
+            bufs["winners"] = train
+            gate = _pool_takes_relu(spec.layers, i)
+            if train:
+                c["idx"] = _nhwc(shape, np.uint8)
+        if train and gate:
+            c["live"] = _nhwc(shape, bool)
+        stages.append((i, layer, c, bufs))
+    out = np.empty((n,) + shapes[spec.image_layers])
+    for j in range(n):
+        src = x[j:j + 1]
+        for i, layer, c, bufs in stages:
+            if isinstance(layer, Conv2DSpec):
+                if train and i:
+                    c["x"][j:j + 1] = src
+                p = net.params[i]
+                src = _conv2d(src, p["w"], p["b"], **bufs)
+                if layer.activation == "relu":
+                    np.maximum(src, 0.0, out=src)
+            else:
+                src, _ = _maxpool2d(src, idx=c["idx"][j:j + 1] if train else None, **bufs)
+            if "live" in c:
+                np.greater(src, 0.0, out=c["live"][j:j + 1])
+        out[j].reshape(src.shape[1:])[...] = src[0]
     return out
+
+
+def _backward_images(net, d, cache, grads):
+    """backward through the image layers, one image at a time, from d
+    [N, ...], the gradient at their output; sets each conv's gradients in
+    grads.
+
+    Buffers are made once per call, and only the layers down to the lowest
+    conv run. An image whose d row is all zero is skipped. Each conv's
+    kernel and bias gradients continue one sum over the images, in the
+    order numpy sums the whole batch: from +0.0, so a skipped image's +-0.0
+    terms would leave it unchanged. Below the top, a conv's output gradient
+    is NHWC memory, summed over (image, row, column) in turn: row 0 of its
+    buffer holds the running sums, the other rows the image's gradient. At
+    the top it arrives as [C,H,W] rows, summed pairwise per image and
+    filter. (A one-filter conv's whole-batch gradient is one contiguous
+    block that numpy sums pairwise, which no per-image order matches.)
+    """
+    spec = net.spec
+    shapes = [spec.input_shape] + spec.layer_shapes
+    convs = [i for i in range(spec.image_layers) if spec.param_shapes[i]]
+    top = spec.image_layers - isinstance(spec.layers[spec.image_layers - 1], FlattenSpec)
+    low = convs[0] if convs else top
+    state = {}
+    for i in range(low, top):
+        if i in convs:
+            f, c, k, _ = spec.param_shapes[i]["w"]
+            h, w = shapes[i + 1][1:]
+            acc, rows = np.zeros((f, k * k * c)), np.zeros((1 + h * w * (i < top - 1), f))
+            grads[i] = {"w": acc.reshape(f, k, k, c).transpose(0, 3, 1, 2), "b": rows[0]}
+            s = {"cols": _Columns(c, h, w, k, k), "prod": np.empty(acc.shape),
+                 "acc": acc, "rows": rows,
+                 "gate": np.empty((1,) + shapes[i + 1]) if i == top - 1
+                 else rows[1:].reshape(1, h, w, f).transpose(0, 3, 1, 2)}
+            if i > low:
+                s["in"] = {"taps": _conv_taps(net.params[i]["w"]),
+                           "prod": np.empty((h, w, c)),
+                           "out": np.empty((1, h + k - 1, w + k - 1, c))}
+        else:
+            # a pool scatters straight into the gradient buffer of a conv
+            # below it, which has no ReLU gate of its own
+            s = {"gate": np.empty((1,) + shapes[i + 1]),
+                 "out": state[i - 1]["gate"] if i - 1 in convs else _nhwc((1,) + shapes[i])}
+        state[i] = s
+    for j in range(len(d)):
+        dj = d[j:j + 1]
+        if not dj.any():
+            continue
+        dj = dj.reshape((1,) + shapes[top])
+        for i in range(top - 1, low - 1, -1):
+            layer, c, s = spec.layers[i], cache[i], state[i]
+            if "live" in c:
+                # the ReLU gate: d * False keeps a negative d's sign, as the
+                # unfused d * (z > 0) does
+                dj = np.multiply(dj, c["live"][j:j + 1], out=s["gate"])
+            if isinstance(layer, MaxPool2DSpec):
+                dj = _maxpool2d_grad(dj, c["idx"][j:j + 1], *shapes[i][1:], out=s["out"])
+                continue
+            g, rows = s["gate"], s["rows"]
+            if dj is not g:
+                g[...] = dj
+            if i < top - 1:
+                rows[0] = np.add.reduce(rows, axis=0)
+            else:
+                rows[0] += np.add.reduce(g[0], axis=(1, 2))
+            k = layer.kernel_size
+            _conv2d_kernel_grad(g, c["x"][j:j + 1], k, k, cols=s["cols"], prod=s["prod"],
+                                acc=s["acc"])
+            if i > low:
+                dj = _conv2d_input_grad(g, net.params[i]["w"], **s["in"])
 
 
 def _pool_takes_relu(layers, i):
@@ -283,17 +388,17 @@ def forward(net, batch, train=False):
     """Run the stack; returns (output probabilities, cache for backward).
 
     Pure in (parameters, input): repeated calls give bit-identical outputs.
-    With train=False no cache is kept: the image layers run per image
-    through buffers allocated once per call (_forward_images), and only the
-    layers after them see the whole batch. A trial stack takes a
+    The image layers run one image at a time (_forward_images), in training
+    as in evaluation, and only the layers after them see the whole batch.
+    With train=False no cache is kept. A trial stack takes a
     [T, batch, ...] array, trial t's rows forwarded through trial t.
 
-    The cache keeps only what backward reads. A conv keeps its input x and
-    applies its ReLU in place; a pool keeps its uint8 winners and input
-    size. A ReLU's mask, "live", sits with the layer whose output gradient
-    it gates: at pooled size with the pool that follows the conv
-    (_pool_takes_relu), else at full size with the conv. A dense layer
-    keeps its input, pre-activation and activation.
+    The cache keeps only what backward reads, one dict per layer. A conv
+    keeps its input x; a pool keeps its uint8 winners. A ReLU's mask,
+    "live", sits with the layer whose output gradient it gates: at pooled
+    size with the pool that follows the conv (_pool_takes_relu), else at
+    full size with the conv. A flatten over flat rows keeps their shape,
+    and a dense layer its input, pre-activation and activation.
     """
     x = np.asarray(batch, dtype=np.float64)
     expect = net.spec.input_shape
@@ -303,30 +408,11 @@ def forward(net, batch, train=False):
             "batch shape %r does not match input shape %r" % (x.shape, expect)
         )
     cache = [] if train else None
-    layers = net.spec.layers
-    start = 0 if train else net.spec.image_layers
+    start = net.spec.image_layers
     if start:
-        x = _forward_images(net, x)
-    # an evaluation pass has run every conv and pool layer per image, so
-    # only a training pass meets them here
-    for i, layer in enumerate(layers[start:], start):
-        if isinstance(layer, Conv2DSpec):
-            p = net.params[i]
-            c = {"x": x}
-            x = _conv2d(x, p["w"], p["b"])
-            if layer.activation == "relu":
-                np.maximum(x, 0.0, out=x)
-                if not _pool_takes_relu(layers, i + 1):
-                    c["live"] = x > 0.0
-            cache.append(c)
-        elif isinstance(layer, MaxPool2DSpec):
-            pooled, idx = _maxpool2d(x)
-            c = {"idx": idx, "in_hw": x.shape[2:]}
-            if _pool_takes_relu(layers, i):
-                c["live"] = pooled > 0.0
-            cache.append(c)
-            x = pooled
-        elif isinstance(layer, FlattenSpec):
+        x = _forward_images(net, x, cache)
+    for i, layer in enumerate(net.spec.layers[start:], start):
+        if isinstance(layer, FlattenSpec):  # over rows that are flat already
             if train:
                 cache.append({"in_shape": x.shape})
             x = x.reshape(x.shape[0], -1)
@@ -347,14 +433,17 @@ def backward(net, loss_grad, cache):
 
     The final layer's activation is fused into loss_grad; hidden activations
     are differentiated here, a conv's ReLU through its cached mask (see
-    forward). The input gradient of the first layer is never needed and is
-    not computed.
+    forward). The dense layers take the whole batch; the image layers take
+    it one image at a time (_backward_images), and their per-image
+    gradients continue the sums the whole batch's would take, bit for bit.
+    No layer below the lowest conv gets an input gradient.
 
     When the gradient entering a layer below the head is all zero (a zero
     head, or a hidden unit silent on every row), the pass stops and that
     layer and all below it get no gradients, which sgd_step skips. The full
     pass would give them +0.0 (sums of +-0.0 products added into +0.0
-    starts), and p - lr * (+0.0) is p, bit for bit.
+    starts), and p - lr * (+0.0) is p, bit for bit. The image pass skips,
+    in the same way, each image whose own gradient is all zero.
     """
     if cache is None:
         raise StateError("backward called without a forward cache (train=True)")
@@ -366,28 +455,18 @@ def backward(net, loss_grad, cache):
     for i in range(last, -1, -1):
         if i < last and not d.any():
             break
+        if i < net.spec.image_layers:
+            _backward_images(net, d, cache, grads)
+            break
         layer = net.spec.layers[i]
         c = cache[i]
-        if "live" in c:
-            # the ReLU gate: d * False keeps a negative d's sign, as the
-            # unfused d * (z > 0) does, and a pool's non-winners stay +0.0
-            d = d * c["live"]
         if isinstance(layer, DenseSpec):
             dz = d if i == last else _activation_grad(layer.activation, d, c)
             grads[i] = {"w": c["x"].swapaxes(-1, -2) @ dz, "b": dz.sum(axis=-2)}
             if i > 0:
                 wt = net.params[i]["w"].swapaxes(-1, -2)
                 d = _outer(dz, wt) if wt.shape[-2] == 1 else dz @ wt
-        elif isinstance(layer, Conv2DSpec):
-            k = layer.kernel_size
-            grads[i] = {"w": _conv2d_kernel_grad(d, c["x"], k, k),
-                        "b": d.sum(axis=(0, 2, 3))}
-            if i > 0:
-                d = _conv2d_input_grad(d, net.params[i]["w"])
-        elif isinstance(layer, MaxPool2DSpec):
-            h, w = c["in_hw"]
-            d = _maxpool2d_grad(d, c["idx"], h, w)
-        else:  # Flatten
+        else:  # a flatten over flat rows
             d = d.reshape(c["in_shape"])
     return grads
 

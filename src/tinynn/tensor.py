@@ -9,25 +9,22 @@ never passed on.
 
 The raw ndarray kernels (_conv2d, _maxpool2d, ...) run on unwrapped arrays
 for speed and rely on the training loop's divergence check instead of
-per-op validation. Conv forward and its kernel gradient read tap-major
-columns, [H,W,kh,kw,C] per image, that _Columns copies from a window view of
-a zero-padded NHWC buffer one image at a time, so no whole-batch column
-matrix is built or kept; the kernel gradient recomputes them from the layer
-input. The input gradient is one stacked GEMM per image, its [HW,F] output
-gradient times all kh*kw taps at once, whose per-tap products are
-scatter-added in tap order into a padded buffer. Both gradient kernels skip
-an image whose output gradient is all zero, as a silent hidden unit leaves
-it: its terms are +-0.0 and would leave their +0.0 buffers unchanged. The
-conv kernels return [N,C,H,W] views of NHWC memory, and the pool kernels
-keep that layout, so the reshapes to [NHW, C] between them are free. A pool
-records its winners as a uint8 map of window positions, one byte per
-window.
-
-Evaluation keeps no whole-batch arrays: _ImageConv and _image_pool run one
-[H,W,C] image at a time through buffers made once per forward call. They
-share the columns, the weight matrix (_weight_matrix) and the window max
-(_window_max) with the batch kernels, so both paths give the same values
-bit for bit.
+per-op validation. Each takes an [N,...] batch and loops over its images,
+so the layers call them with a one-image batch (N = 1), once per image, and
+hand in the buffers they reuse across those calls as keyword-only
+arguments; a kernel makes whatever buffer it is not given. Conv forward and
+its kernel gradient read tap-major columns, [H,W,kh,kw,C] per image, that
+_Columns copies from a window view of a zero-padded NHWC buffer; the kernel
+gradient recomputes them from the layer input and adds each image's term
+into an accumulator that successive calls continue. The input gradient is
+one GEMM per image and tap, its [HW,F] output gradient times the tap's
+[F,C] weights, scatter-added in tap order into a padded buffer. Both
+gradient kernels skip an image whose output gradient is all zero, as a
+silent hidden unit leaves it: its terms are +-0.0 and would leave their
++0.0 buffers unchanged. The conv kernels return [N,C,H,W] views of NHWC
+memory (_nhwc), and the pool kernels keep that layout, so the reshapes to
+[NHW, C] between them are free. A pool records its winners as a uint8 map
+of window positions, one byte per window.
 """
 
 import numpy as np
@@ -110,122 +107,104 @@ def _weight_matrix(w):
     return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
 
 
-def _conv2d(x, w, b):
+def _conv_taps(w):
+    """w [F,C,kh,kw] as the [kh*kw, F, C] taps the input gradient multiplies."""
+    f, c, kh, kw = w.shape
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, f, c)
+
+
+def _nhwc(shape, dtype=np.float64):
+    """An empty array of shape [N,C,H,W], a view of NHWC memory."""
+    n, c, h, w = shape
+    return np.empty((n, h, w, c), dtype).transpose(0, 3, 1, 2)
+
+
+def _conv2d(x, w, b, *, cols=None, wmat=None, out=None):
     """Stride-1 same-padding cross-correlation.
 
     x [N,C,H,W], w [F,C,kh,kw] with odd kh,kw, b [F] -> [N,F,H,W], a view
     of NHWC memory. Each image's tap-major columns are multiplied by the
-    kernel as [kh*kw*C, F].
+    kernel as [kh*kw*C, F]. The buffers, made here when not given, are the
+    columns (a _Columns for x's image shape and w's taps), the weight matrix
+    (_weight_matrix(w)) and the output (an _nhwc array).
     """
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
-    cols = _Columns(c, h, wd, kh, kw)
-    wmat = _weight_matrix(w)
-    out = np.empty((n, h, wd, f))
-    for img, o in zip(x, out):
+    cols = _Columns(c, h, wd, kh, kw) if cols is None else cols
+    wmat = _weight_matrix(w) if wmat is None else wmat
+    out = _nhwc((n, f, h, wd)) if out is None else out
+    nhwc = out.transpose(0, 2, 3, 1)
+    for img, o in zip(x, nhwc):
         cols.inp[...] = img.transpose(1, 2, 0)
         np.matmul(cols(), wmat, out=o.reshape(h * wd, f))
-    out += b
-    return out.transpose(0, 3, 1, 2)
+    nhwc += b
+    return out
 
 
-class _ImageConv:
-    """Same-padding conv of one image at a time through buffers made once.
-
-    Call with an [H,W,C] image: it is copied into the padded input, one GEMM
-    of its tap-major columns writes the [H*W, F] output, and the bias and
-    (with relu) the ReLU are applied in place. Returns the output as
-    [H,W,F]; the next call overwrites it.
-    """
-
-    def __init__(self, w, b, hw, relu):
-        f, c, kh, kw = w.shape
-        self.cols = _Columns(c, *hw, kh, kw)
-        self.wmat = _weight_matrix(w)
-        self.b = b
-        self.relu = relu
-        self.z = np.empty((hw[0] * hw[1], f))
-        self.out = self.z.reshape(hw + (f,))
-
-    def __call__(self, img):
-        self.cols.inp[...] = img
-        z = self.z
-        np.matmul(self.cols(), self.wmat, out=z)
-        z += self.b
-        if self.relu:
-            np.maximum(z, 0.0, out=z)
-        return self.out
-
-
-def _conv2d_kernel_grad(dz, x, kh, kw):
+def _conv2d_kernel_grad(dz, x, kh, kw, *, cols=None, prod=None, acc=None):
     """Gradient of same-padding conv w.r.t. its kh x kw kernel.
 
     dz [N,F,H,W] and the layer input x [N,C,H,W] give [F,C,kh,kw]: the sum
-    over images of dz_n[HW,F]^T @ the image's tap-major columns. An image
-    whose dz_n is all zero adds nothing to the +0.0 start and is skipped:
-    no columns, no GEMM.
+    over images of dz_n[HW,F]^T @ the image's tap-major columns, each
+    product written into prod [F, kh*kw*C] and added in image order into
+    acc (a +0.0 start when not given), so calls on successive images
+    continue one sum. An image whose dz_n is all zero adds nothing and is
+    skipped: no columns, no GEMM. Buffers not given are made here.
     """
     _, f, h, wd = dz.shape
     c = x.shape[1]
-    cols = _Columns(c, h, wd, kh, kw)
-    acc = np.zeros((f, kh * kw * c))
+    cols = _Columns(c, h, wd, kh, kw) if cols is None else cols
+    prod = np.empty((f, kh * kw * c)) if prod is None else prod
+    acc = np.zeros((f, kh * kw * c)) if acc is None else acc
     for img, d in zip(x, dz.transpose(0, 2, 3, 1)):
         if not d.any():
             continue
         cols.inp[...] = img.transpose(1, 2, 0)
-        acc += d.reshape(h * wd, f).T @ cols()
+        acc += np.matmul(d.reshape(h * wd, f).T, cols(), out=prod)
     return acc.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
 
 
-def _conv2d_input_grad(dz, w):
+def _conv2d_input_grad(dz, w, *, taps=None, prod=None, out=None):
     """Gradient of same-padding conv w.r.t. its input.
 
-    dz [N,F,H,W], w [F,C,kh,kw] -> [N,C,H,W]. For each image one stacked
-    GEMM, dz_n[HW,F] @ the taps [kh*kw,F,C], gives every tap's [HW,C]
-    product; tap (i, j)'s is added, in row-major tap order, into the image's
-    zero-padded NHWC buffer at offset (i, j). The gradient is the buffers'
-    interior. An image whose dz_n is all zero keeps its +0.0 buffer and is
-    skipped: no GEMM, no scatter.
+    dz [N,F,H,W], w [F,C,kh,kw] -> [N,C,H,W]. For each image and each tap
+    (i, j) in row-major order, the GEMM dz_n[HW,F] @ w[:,:,i,j] writes its
+    [HW,C] product into prod [H,W,C], which is added into the image's
+    zero-padded NHWC buffer in out [N,H+kh-1,W+kw-1,C] at offset (i, j). The
+    gradient is the buffers' interior. The taps are read from
+    _conv_taps(w). An image whose dz_n is all zero keeps its +0.0 buffer and
+    is skipped: no GEMM, no scatter. Buffers not given are made here.
     """
     n, f, h, wd = dz.shape
     _, c, kh, kw = w.shape
     ph, pw = kh // 2, kw // 2
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, f, c)
-    prods = np.empty((kh * kw, h, wd, c))
-    grad = np.zeros((n, h + 2 * ph, wd + 2 * pw, c))
-    for g, d in zip(grad, dz.transpose(0, 2, 3, 1)):
+    taps = _conv_taps(w) if taps is None else taps
+    prod = np.empty((h, wd, c)) if prod is None else prod
+    out = np.empty((n, h + 2 * ph, wd + 2 * pw, c)) if out is None else out
+    out[...] = 0.0
+    for g, d in zip(out, dz.transpose(0, 2, 3, 1)):
         if not d.any():
             continue
-        np.matmul(d.reshape(h * wd, f), taps, out=prods.reshape(kh * kw, h * wd, c))
-        for (i, j), p in zip(np.ndindex(kh, kw), prods):
-            g[i:i + h, j:j + wd] += p
-    return grad[:, ph:ph + h, pw:pw + wd].transpose(0, 3, 1, 2)
+        d = d.reshape(h * wd, f)
+        for (i, j), t in zip(np.ndindex(kh, kw), taps):
+            np.matmul(d, t, out=prod.reshape(h * wd, c))
+            g[i:i + h, j:j + wd] += prod
+    return out[:, ph:ph + h, pw:pw + wd].transpose(0, 3, 1, 2)
 
 
 # window positions in row-major scan order, the order winner indices use
 _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _window_max(v0, v1, v2, v3, out=None):
-    """max(max(v0, v1), max(v2, v3)) of the four window positions' views:
-    the one order both pool paths take, so ties and signed zeros resolve
-    alike. Written into out when given."""
-    out = np.maximum(v0, v1, out=out)
-    return np.maximum(out, np.maximum(v2, v3), out=out)
-
-
-def _image_pool(x, out):
-    """2x2/stride-2 max pool of one [H,W,C] image into out [H/2,W/2,C];
-    returns out."""
-    return _window_max(*(x[a::2, b::2] for a, b in _WINDOW), out=out)
-
-
-def _maxpool2d(x):
+def _maxpool2d(x, *, out=None, idx=None, winners=True):
     """Non-overlapping 2x2/stride-2 max pool.
 
     Returns (pooled [N,C,H/2,W/2], winner), winner a uint8 [N,C,H/2,W/2]
     map of the window position 0..3 in row-major scan order, ties taking
-    the first position as argmax would.
+    the first position as argmax would. The maximum is max(max(v0, v1),
+    max(v2, v3)) of the four positions' views. out and idx are the buffers
+    the two are written into, made here when not given; with winners=False
+    the winner map is not computed and None is returned for it.
     """
     h, w = x.shape[2:]
     if h % 2 or w % 2:
@@ -233,24 +212,29 @@ def _maxpool2d(x):
             "max pool needs even spatial dims, got %dx%d" % (h, w)
         )
     v0, v1, v2, v3 = (x[:, :, a::2, b::2] for a, b in _WINDOW)
-    pooled = _window_max(v0, v1, v2, v3)
+    pooled = np.maximum(v0, v1, out=out)
+    np.maximum(pooled, np.maximum(v2, v3), out=pooled)
+    if not winners:
+        return pooled, None
     # the winner is the count of leading positions that miss the max, so the
     # first maximum in scan order wins
     miss = v0 != pooled
-    idx = miss.astype(np.uint8)
+    idx = np.empty_like(pooled, np.uint8) if idx is None else idx
+    np.copyto(idx, miss)
     for v in (v1, v2):
         miss &= v != pooled
         idx += miss
     return pooled, idx
 
 
-def _maxpool2d_grad(dz, idx, h, w):
+def _maxpool2d_grad(dz, idx, h, w, *, out=None):
     """Scatter dz back through the recorded winner positions.
 
-    The result is an [N,C,H,W] view of NHWC memory, the conv output layout.
+    The result is an [N,C,H,W] view of NHWC memory, the conv output layout,
+    written into out when given.
     """
     n, c = dz.shape[:2]
-    grad = np.empty((n, h, w, c)).transpose(0, 3, 1, 2)
+    grad = _nhwc((n, c, h, w)) if out is None else out
     for k, (a, b) in enumerate(_WINDOW):
         grad[:, :, a::2, b::2] = np.where(idx == k, dz, 0.0)
     return grad

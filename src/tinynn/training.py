@@ -259,6 +259,7 @@ def train(net, data, cfg):
                     for t in np.flatnonzero(bad):
                         diverged.setdefault(int(t), error)
                 sgd_step(net, backward(net, dz, cache), cfg.learning_rate)
+                cache = None  # freed before the next step's forward builds its own
                 if bad.any():
                     for p in net.params:
                         for v in p.values():

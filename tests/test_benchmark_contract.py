@@ -204,7 +204,8 @@ def test_stacked_trials_call_the_patched_names(monkeypatch):
 def test_tracer_reads_the_kernel_arguments(monkeypatch):
     # the tracer tags conv and pool spans and counts conv FLOPs from the
     # positional arguments of the kernels it patches, so a reordered
-    # signature would silently corrupt the per-layer numbers
+    # signature would silently corrupt the per-layer numbers. The image
+    # layers call each kernel once per image, on a one-image batch
     calls = collections.defaultdict(list)
     for name in ("_conv2d", "_conv2d_input_grad", "_maxpool2d", "_maxpool2d_grad"):
         def recording(*args, _name=name, _real=getattr(layers, name), **kwargs):
@@ -214,22 +215,23 @@ def test_tracer_reads_the_kernel_arguments(monkeypatch):
         monkeypatch.setattr(layers, name, recording)
     n = 3
     net = build_conv_net((1, 8, 8), 2, 1, seed=0)
-    # a zero head would stop backward above the image layers
+    # a zero head would stop backward above the image layers, and a row
+    # whose hidden units are all silent would skip its image
     randomize_head(net, Rng(1))
+    net.params[5]["b"][...] = 10.0
     out, cache = forward(net, np.random.default_rng(0).random((n, 1, 8, 8)), train=True)
     layers.backward(net, out.array - 1.0, cache)
 
     def tags(name, tag):
         return [tag(*call).split(".")[1] for call in calls[name]]
 
-    assert tags("_conv2d", TRACING._conv_tag) == ["conv1", "conv2"]
-    assert tags("_maxpool2d", TRACING._pool_tag("fwd")) == ["pool1", "pool2"]
-    assert tags("_maxpool2d_grad", TRACING._pool_tag("bwd")) == ["pool2", "pool1"]
-    # 2 N H W F C kh kw for the fixed stack's 5x5 convs on 8x8, then 4x4
+    assert tags("_conv2d", TRACING._conv_tag) == ["conv1", "conv2"] * n
+    assert tags("_maxpool2d", TRACING._pool_tag("fwd")) == ["pool1", "pool2"] * n
+    assert tags("_maxpool2d_grad", TRACING._pool_tag("bwd")) == ["pool2", "pool1"] * n
+    # 2 N H W F C kh kw for the fixed stack's 5x5 convs on 8x8, then 4x4,
+    # summed over the per-image calls
     conv1, conv2 = 2 * n * 8 * 8 * 32 * 1 * 25, 2 * n * 4 * 4 * 64 * 32 * 25
-    assert [TRACING._conv_flops(args) for args, _ in calls["_conv2d"]] == [
-        {"flop": conv1}, {"flop": conv2},
-    ]
-    assert [TRACING._dgrad_flops(args) for args, _ in calls["_conv2d_input_grad"]] == [
-        {"flop": conv2},
-    ]
+    fwd = [TRACING._conv_flops(args)["flop"] for args, _ in calls["_conv2d"]]
+    assert fwd == [conv1 // n, conv2 // n] * n and sum(fwd) == conv1 + conv2
+    dgrad = [TRACING._dgrad_flops(args)["flop"] for args, _ in calls["_conv2d_input_grad"]]
+    assert dgrad == [conv2 // n] * n and sum(dgrad) == conv2

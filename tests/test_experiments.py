@@ -72,6 +72,32 @@ def tiny_sweep_ini(directory):
     return path
 
 
+class Stop(BaseException):
+    """The process stopping (a kill or a ^C) at a chosen write."""
+
+
+def stop_at_write(monkeypatch, name, limit):
+    """Make the files experiments.py opens for writing whose names start
+    with name (a temporary file's too) take limit bytes, then Stop."""
+    def stopping_open(path, mode="r", *args, **kwargs):
+        f = open(path, mode, *args, **kwargs)
+        if not ("w" in mode or "a" in mode) or not os.path.basename(path).startswith(name):
+            return f
+        write, room = f.write, [limit]
+
+        def partial_write(text):
+            write(text[:room[0]])
+            if len(text) > room[0]:
+                raise Stop
+            room[0] -= len(text)
+            return len(text)
+
+        f.write = partial_write
+        return f
+
+    monkeypatch.setattr(experiments, "open", stopping_open, raising=False)
+
+
 def interrupt_after_first_cell(src, run):
     """Copy a finished sweep's config and first cell into run, as a run cut
     after that cell; returns the cell's name."""
@@ -613,6 +639,30 @@ class TestResume:
     def test_resume_without_config_is_an_error(self, tmp_path):
         with pytest.raises(ConfigError, match="config.json"):
             resume_run(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "name,limit", [("config.json", 0), ("config.json", 64), ("progress.jsonl", 0)]
+    )
+    def test_a_stop_at_a_write_resumes_or_exits_1(
+        self, name, limit, tmp_path, monkeypatch, capsys
+    ):
+        # a stop partway through the config snapshot leaves no config.json,
+        # so --resume is a configuration error, not a traceback; a stop after
+        # it resumes to the clean run's outputs
+        run = tmp_path / "run"
+        with monkeypatch.context() as m:
+            stop_at_write(m, name, limit)
+            with pytest.raises(Stop):
+                run_experiment(tiny_sweep_config(tmp_path), str(run))
+        has_config = (run / "config.json").exists()
+        code = main(["--resume", str(run)])
+        if name == "config.json":
+            assert not has_config and code == 1
+            assert "no config.json" in capsys.readouterr().err
+        else:
+            assert has_config and code == 0
+            with open(run / "manifest.json") as f:
+                assert json.load(f)["outputs"] == SWEEP_OUTPUTS
 
     def test_resume_reruns_a_torn_last_record(self, sweep_run, tmp_path):
         # a stop mid-append leaves the next cell's record unterminated: it

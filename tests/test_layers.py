@@ -256,13 +256,16 @@ class TestForward:
 
     def test_eval_memory_does_not_grow_with_the_conv_stack(self):
         # 64 MNIST-shaped rows: the batch kernels' whole-chunk arrays took
-        # about 40 MB; per-image buffers take a few
+        # about 40 MB; per-image buffers and the [64, 3136] output take
+        # about 4 MB, and evaluation keeps no training cache (conv2's input
+        # alone would be 3.2 MB more)
         net = build_conv_net((1, 28, 28), 4, 1, seed=3)
-        assert peak_bytes(forward, net, rand((64, 1, 28, 28), 4)) < 8 << 20
+        assert peak_bytes(forward, net, rand((64, 1, 28, 28), 4)) < 5 << 20
 
     def test_training_step_memory(self):
-        # a batch-32 MNIST-shaped step caches ReLU masks, not each conv's
-        # pre-activation beside a second ReLU output (about 30 MB)
+        # a batch-32 MNIST-shaped step holds its cache (about 3 MB: the conv
+        # inputs, pool winners and ReLU masks) and one image's buffers (about
+        # 4 MB); one whole-batch conv1 output (6.4 MB) more exceeds the bound
         net = build_conv_net((1, 28, 28), 1, 1, seed=3)
         randomize_head(net, Rng(2))  # a zero head would stop backward early
         x = rand((32, 1, 28, 28), 4)
@@ -271,7 +274,10 @@ class TestForward:
             out, cache = forward(net, x, train=True)
             backward(net, out.array - 1.0, cache)
 
-        assert peak_bytes(step) < 20 << 20
+        _, cache = forward(net, x, train=True)
+        held = sum(a.nbytes for c in cache for a in c.values() if isinstance(a, np.ndarray))
+        assert held + 32 * 32 * 28 * 28 * 8 > 8 << 20
+        assert peak_bytes(step) < 8 << 20
 
     def test_softmax_head_rows_normalized(self):
         net = build_conv_net((1, 8, 8), 3, 10, seed=13)
@@ -360,6 +366,38 @@ class TestGradients:
         assert_grads_equal(got, unfused_grads(net, x, d))
         if pattern == "dead":
             assert got[-1] and not any(got[:-1])
+
+    @pytest.mark.parametrize(
+        "make_net,n", IMAGE_NETS[:1] + IMAGE_NETS[5:7] + ONE_UNIT_NETS[:1],
+        ids=IMAGE_NET_IDS[:1] + IMAGE_NET_IDS[5:7] + ONE_UNIT_IDS[:1],
+    )
+    def test_zero_images_first_equal_the_unfused_reference(self, make_net, n):
+        # image 0 is blank and every conv bias negative, so each ReLU gate
+        # shuts the image off: its conv gradients are +-0.0, -0.0 wherever
+        # the gradient above was negative. Image 1's loss gradient is -0.0,
+        # so the image pass skips it. Live images follow; the conv bias
+        # sums, continued image by image, must equal the whole batch's bit
+        # for bit, signed zeros included
+        net, x = prepared(make_net, n)
+        spec = net.spec
+        for layer, p in zip(spec.layers, net.params):
+            if isinstance(layer, Conv2DSpec):
+                p["b"][...] = -np.abs(p["b"]) - 0.05
+            elif isinstance(layer, DenseSpec) and layer is not spec.layers[-1]:
+                p["b"] += 1.0  # hidden units fire on the blank image too
+        x[0] = 0.0
+        out, cache = forward(net, x, train=True)
+        d = rand(out.array.shape, 13)
+        d[1] = -0.0
+        # the gradient reaching the image layers: image 0's has negative
+        # entries, image 1's is zero
+        g = d
+        for i in range(len(spec.layers) - 1, spec.image_layers - 1, -1):
+            if i < len(spec.layers) - 1 and spec.layers[i].activation == "relu":
+                g = g * (cache[i]["z"] > 0.0)
+            g = g @ net.params[i]["w"].T
+        assert (g[0] < 0.0).any() and not g[1].any()
+        assert_grads_equal(backward(net, d, cache), unfused_grads(net, x, d))
 
     @pytest.mark.parametrize("pattern", ["live", "silent", "dead"])
     def test_backward_takes_columns_for_live_images_only(self, monkeypatch, pattern):
