@@ -1,18 +1,25 @@
 """Layer stack: declarative specs, parameter init, forward/backward, checkpoints.
 
-Two builders cover every architecture in scope: a fixed two-conv stack with a
-swept hidden width, and a one-hidden-layer MLP. Both end in a probability
-head (softmax for multi-class, a single sigmoid unit for binary tasks).
-NetworkSpec's one walk over the layers makes every check, and gives the
-shapes the initializer and the checkpoint reader use.
+NetworkSpec accepts exactly the two architectures the experiments use, and
+its one walk over the layers makes every check and gives the shapes the
+initializer and the checkpoint reader use:
 
-The image layers (conv, pool and flatten over [C,H,W] input) run one image
-at a time, forward and backward, in training as in evaluation, through
-buffers made once per pass; only the dense layers take the whole batch. A
-training step's batch-sized arrays are the cache backward reads: the conv
-inputs, the pool winners and the ReLU masks. The per-image gradients
-continue the sums a whole-batch pass would take, so every value equals
-that pass's, bit for bit (but for the bias gradient of a conv with a
+- over flat [D] input, Dense(h, relu) then Dense(k, head) (build_mlp);
+- over [C,H,W] input, Conv(f1, k1, relu), MaxPool(2, 2), Conv(f2, k2,
+  relu), MaxPool(2, 2), Flatten, Dense(h, relu), Dense(k, head)
+  (build_conv_net).
+
+The head is a single sigmoid unit for k = 1 and a softmax for k > 1, since
+train picks its loss from output_units alone. Input sizes, filter counts,
+odd kernel sizes and the hidden width are free.
+
+The image layers (the two conv and pool pairs and the flatten) run one
+image at a time, forward and backward, in training as in evaluation,
+through buffers made once per pass; only the dense layers take the whole
+batch. A training step's batch-sized arrays are the cache backward reads:
+the conv inputs, the pool winners and the ReLU masks. The per-image
+gradients continue the sums a whole-batch pass would take, so every value
+equals that pass's, bit for bit (but for the bias gradient of a conv with a
 single filter; see _backward_images).
 
 A Network holds its spec and parameters only. backward() returns each
@@ -60,7 +67,7 @@ ACTIVATIONS = ("none", "relu", "sigmoid", "softmax")
 class Conv2DSpec:
     filters: int
     kernel_size: int
-    activation: str = "none"
+    activation: str
 
 
 @dataclass(frozen=True)
@@ -77,29 +84,42 @@ class FlattenSpec:
 @dataclass(frozen=True)
 class DenseSpec:
     units: int
-    activation: str = "none"
+    activation: str
+
+
+# the layer kinds of the two architectures, by input rank
+_ARCHITECTURES = {
+    1: (DenseSpec, DenseSpec),
+    3: (Conv2DSpec, MaxPool2DSpec, Conv2DSpec, MaxPool2DSpec, FlattenSpec, DenseSpec,
+        DenseSpec),
+}
 
 
 class NetworkSpec:
-    """Input shape plus an ordered layer list, checked in one walk.
+    """Input shape plus one of the two layer lists (see the module
+    docstring), checked in one walk.
 
-    Layer by layer, so the first faulty layer raises, the walk checks the
-    layer's own fields, then its input shape, and records its output shape
-    (layer_shapes, no batch axis) and its parameters' {name: shape} in
-    storage order (param_shapes).
+    The layer kinds must match the input's rank first. Then, layer by layer,
+    so the first faulty layer raises, the walk checks the layer's own fields
+    and its input shape, and records its output shape (layer_shapes, no
+    batch axis) and its parameters' {name: shape} in storage order
+    (param_shapes).
     """
 
     def __init__(self, input_shape, layers, seed):
         self.input_shape = check_dims(input_shape)
         self.layers = list(layers)
         self.seed = int(seed)
-        if not self.layers:
-            raise DimensionError("network needs at least one layer")
+        kinds = _ARCHITECTURES.get(len(self.input_shape), ())
+        if tuple(map(type, self.layers)) != kinds:
+            raise DimensionError(
+                "layers must be Dense, Dense over [D] input or Conv2D, MaxPool2D, "
+                "Conv2D, MaxPool2D, Flatten, Dense, Dense over [C,H,W] input; got %s "
+                "over %r" % ([type(x).__name__ for x in self.layers], self.input_shape)
+            )
+        # the conv, pool and flatten layers, which run one image at a time
+        self.image_layers = len(kinds) - 2
         self.layer_shapes, self.param_shapes = [], []
-        # the conv, pool and flatten layers over [C,H,W] input before the
-        # first dense layer, which evaluation runs one image at a time
-        self.image_layers = 0
-        image = len(self.input_shape) == 3
         cur = self.input_shape
         for i, spec in enumerate(self.layers):
             params = {}
@@ -108,21 +128,16 @@ class NetworkSpec:
                     raise DimensionError("conv filters and kernel size must be >= 1")
                 if spec.kernel_size % 2 == 0:
                     raise DimensionError("conv kernel size must be odd for same padding")
-                # backward differentiates a conv layer from its input and ReLU mask only
-                if spec.activation not in ("relu", "none"):
+                if spec.activation != "relu":
                     raise DimensionError(
-                        "conv activation must be relu or none, got %r" % (spec.activation,)
+                        "conv activation must be relu, got %r" % (spec.activation,)
                     )
-                if len(cur) != 3:
-                    raise DimensionError("conv needs [C,H,W] input, got %r" % (cur,))
                 k = spec.kernel_size
                 params = {"w": (spec.filters, cur[0], k, k), "b": (spec.filters,)}
                 cur = (spec.filters, cur[1], cur[2])
             elif isinstance(spec, MaxPool2DSpec):
                 if spec.window != 2 or spec.stride != 2:
                     raise DimensionError("only 2x2/stride-2 pooling is supported")
-                if len(cur) != 3:
-                    raise DimensionError("pool needs [C,H,W] input, got %r" % (cur,))
                 if cur[1] % 2 or cur[2] % 2:
                     raise DimensionError(
                         "pool input %dx%d has an odd dimension" % (cur[1], cur[2])
@@ -130,25 +145,19 @@ class NetworkSpec:
                 cur = (cur[0], cur[1] // 2, cur[2] // 2)
             elif isinstance(spec, FlattenSpec):
                 cur = (math.prod(cur),)
-            elif isinstance(spec, DenseSpec):
+            else:  # Dense: the hidden layer, then the head
                 if spec.units < 1:
                     raise DimensionError("dense units must be >= 1")
-                if spec.activation not in ACTIVATIONS:
-                    raise DimensionError("unknown activation %r" % (spec.activation,))
-                if spec.activation == "softmax" and i != len(self.layers) - 1:
-                    raise DimensionError("softmax is only valid on the final dense layer")
-                if len(cur) != 1:
-                    raise DimensionError(
-                        "dense needs flat input, got %r (missing Flatten?)" % (cur,)
-                    )
+                head = i == len(self.layers) - 1
+                want = "relu" if not head else "sigmoid" if spec.units == 1 else "softmax"
+                if spec.activation != want:
+                    raise DimensionError("%s activation must be %s, got %r" % (
+                        "a %d-unit head's" % spec.units if head else "hidden",
+                        want, spec.activation))
                 params = {"w": (cur[0], spec.units), "b": (spec.units,)}
                 cur = (spec.units,)
-                image = False
-            else:
-                raise DimensionError("unknown layer spec %r" % (spec,))
             self.layer_shapes.append(cur)
             self.param_shapes.append(params)
-            self.image_layers += image
 
     @property
     def output_units(self):
@@ -187,10 +196,9 @@ def _init_params(spec):
     """
     rng = Rng(spec.seed)
     params = []
-    last = len(spec.layers) - 1
     for i, shapes in enumerate(spec.param_shapes):
         p = {name: np.zeros(shape) for name, shape in shapes.items()}
-        if p and not (i == last and isinstance(spec.layers[i], DenseSpec)):
+        if p and i < len(spec.layers) - 1:
             # fan-in: weights per output unit
             bound = np.sqrt(6.0 / (p["w"].size // p["b"].size))
             rng.fill_uniform(p["w"].reshape(-1), -bound, bound)
@@ -233,9 +241,7 @@ def _apply_activation(act, z):
         return _relu(z)
     if act == "sigmoid":
         return _sigmoid(z)
-    if act == "softmax":
-        return _softmax_rows(z)
-    return z
+    return _softmax_rows(z)
 
 
 def _dense(x, p):
@@ -253,7 +259,7 @@ def _forward_images(net, x, cache=None):
     its ReLU applied in place, and a pool's output. A training pass (cache,
     a list, given) appends one dict per layer with what backward reads (see
     forward), batch-sized, each image writing its own slot: a conv's input,
-    a pool's winners and a ReLU's live mask. Every value equals the
+    and a pool's winners and its conv's ReLU mask. Every value equals the
     kernels' on the whole batch.
     """
     spec = net.spec
@@ -261,29 +267,23 @@ def _forward_images(net, x, cache=None):
     n = len(x)
     train = cache is not None
     stages = []
-    for i, layer in enumerate(spec.layers[:spec.image_layers]):
+    for i, layer in enumerate(spec.layers[:4]):  # conv, pool, conv, pool
         c = {}
-        if train:
-            cache.append(c)
-        if isinstance(layer, FlattenSpec):  # only ever after the conv and pool layers
-            continue
         shape = (n,) + shapes[i + 1]
         bufs = {"out": _nhwc((1,) + shape[1:])}
         if isinstance(layer, Conv2DSpec):
             k = layer.kernel_size
             bufs.update(cols=_Columns(*shapes[i], k, k), wmat=_weight_matrix(net.params[i]["w"]))
-            gate = layer.activation == "relu" and not _pool_takes_relu(spec.layers, i + 1)
             if train:
                 c["x"] = x if i == 0 else _nhwc((n,) + shapes[i])
         else:
             bufs["winners"] = train
-            gate = _pool_takes_relu(spec.layers, i)
             if train:
-                c["idx"] = _nhwc(shape, np.uint8)
-        if train and gate:
-            c["live"] = _nhwc(shape, bool)
+                c.update(idx=_nhwc(shape, np.uint8), live=_nhwc(shape, bool))
         stages.append((i, layer, c, bufs))
-    out = np.empty((n,) + shapes[spec.image_layers])
+    if train:
+        cache += [c for _, _, c, _ in stages] + [{}]  # the flatten keeps nothing
+    out = np.empty((n,) + shapes[5])
     for j in range(n):
         src = x[j:j + 1]
         for i, layer, c, bufs in stages:
@@ -292,96 +292,66 @@ def _forward_images(net, x, cache=None):
                     c["x"][j:j + 1] = src
                 p = net.params[i]
                 src = _conv2d(src, p["w"], p["b"], **bufs)
-                if layer.activation == "relu":
-                    np.maximum(src, 0.0, out=src)
+                np.maximum(src, 0.0, out=src)
             else:
                 src, _ = _maxpool2d(src, idx=c["idx"][j:j + 1] if train else None, **bufs)
-            if "live" in c:
-                np.greater(src, 0.0, out=c["live"][j:j + 1])
+                if train:
+                    np.greater(src, 0.0, out=c["live"][j:j + 1])
         out[j].reshape(src.shape[1:])[...] = src[0]
     return out
 
 
 def _backward_images(net, d, cache, grads):
     """backward through the image layers, one image at a time, from d
-    [N, ...], the gradient at their output; sets each conv's gradients in
+    [N, ...], the gradient at the flatten; sets each conv's gradients in
     grads.
 
-    Buffers are made once per call, and only the layers down to the lowest
-    conv run. An image whose d row is all zero is skipped. Each conv's
-    kernel and bias gradients continue one sum over the images, in the
-    order numpy sums the whole batch: from +0.0, so a skipped image's +-0.0
-    terms would leave it unchanged. Below the top, a conv's output gradient
-    is NHWC memory, summed over (image, row, column) in turn: row 0 of its
-    buffer holds the running sums, the other rows the image's gradient. At
-    the top it arrives as [C,H,W] rows, summed pairwise per image and
-    filter. (A one-filter conv's whole-batch gradient is one contiguous
+    Buffers are made once per call. An image whose d row is all zero is
+    skipped. A pool gates its gradient with its conv's ReLU mask, then
+    scatters it into the conv's output-gradient buffer: NHWC memory, rows
+    1.. of a [1 + H*W, F] array whose row 0 holds the running bias sums.
+    Each conv's kernel and bias gradients continue one sum over the images,
+    in the order numpy sums the whole batch: from +0.0, so a skipped
+    image's +-0.0 terms would leave it unchanged, over (image, row, column)
+    in turn. (A one-filter conv's whole-batch gradient is one contiguous
     block that numpy sums pairwise, which no per-image order matches.)
     """
     spec = net.spec
     shapes = [spec.input_shape] + spec.layer_shapes
-    convs = [i for i in range(spec.image_layers) if spec.param_shapes[i]]
-    top = spec.image_layers - isinstance(spec.layers[spec.image_layers - 1], FlattenSpec)
-    low = convs[0] if convs else top
     state = {}
-    for i in range(low, top):
-        if i in convs:
-            f, c, k, _ = spec.param_shapes[i]["w"]
-            h, w = shapes[i + 1][1:]
-            acc, rows = np.zeros((f, k * k * c)), np.zeros((1 + h * w * (i < top - 1), f))
-            grads[i] = {"w": acc.reshape(f, k, k, c).transpose(0, 3, 1, 2), "b": rows[0]}
-            s = {"cols": _Columns(c, h, w, k, k), "prod": np.empty(acc.shape),
-                 "acc": acc, "rows": rows,
-                 "gate": np.empty((1,) + shapes[i + 1]) if i == top - 1
-                 else rows[1:].reshape(1, h, w, f).transpose(0, 3, 1, 2)}
-            if i > low:
-                s["in"] = {"taps": _conv_taps(net.params[i]["w"]),
-                           "prod": np.empty((h, w, c)),
-                           "out": np.empty((1, h + k - 1, w + k - 1, c))}
-        else:
-            # a pool scatters straight into the gradient buffer of a conv
-            # below it, which has no ReLU gate of its own
-            s = {"gate": np.empty((1,) + shapes[i + 1]),
-                 "out": state[i - 1]["gate"] if i - 1 in convs else _nhwc((1,) + shapes[i])}
-        state[i] = s
+    for i in (0, 2):
+        f, c, k, _ = spec.param_shapes[i]["w"]
+        h, w = shapes[i + 1][1:]
+        acc, rows = np.zeros((f, k * k * c)), np.zeros((1 + h * w, f))
+        grads[i] = {"w": acc.reshape(f, k, k, c).transpose(0, 3, 1, 2), "b": rows[0]}
+        state[i] = {"cols": _Columns(c, h, w, k, k), "prod": np.empty(acc.shape),
+                    "acc": acc, "rows": rows}
+        if i:
+            state[i]["in"] = {"taps": _conv_taps(net.params[i]["w"]),
+                              "prod": np.empty((h, w, c)),
+                              "out": np.empty((1, h + k - 1, w + k - 1, c))}
+        state[i + 1] = {"gate": np.empty((1,) + shapes[i + 2]),
+                        "out": rows[1:].reshape(1, h, w, f).transpose(0, 3, 1, 2)}
     for j in range(len(d)):
         dj = d[j:j + 1]
         if not dj.any():
             continue
-        dj = dj.reshape((1,) + shapes[top])
-        for i in range(top - 1, low - 1, -1):
+        dj = dj.reshape((1,) + shapes[4])
+        for i in (3, 2, 1, 0):
             layer, c, s = spec.layers[i], cache[i], state[i]
-            if "live" in c:
+            if isinstance(layer, MaxPool2DSpec):
                 # the ReLU gate: d * False keeps a negative d's sign, as the
                 # unfused d * (z > 0) does
                 dj = np.multiply(dj, c["live"][j:j + 1], out=s["gate"])
-            if isinstance(layer, MaxPool2DSpec):
                 dj = _maxpool2d_grad(dj, c["idx"][j:j + 1], *shapes[i][1:], out=s["out"])
                 continue
-            g, rows = s["gate"], s["rows"]
-            if dj is not g:
-                g[...] = dj
-            if i < top - 1:
-                rows[0] = np.add.reduce(rows, axis=0)
-            else:
-                rows[0] += np.add.reduce(g[0], axis=(1, 2))
+            rows = s["rows"]
+            rows[0] = np.add.reduce(rows, axis=0)
             k = layer.kernel_size
-            _conv2d_kernel_grad(g, c["x"][j:j + 1], k, k, cols=s["cols"], prod=s["prod"],
+            _conv2d_kernel_grad(dj, c["x"][j:j + 1], k, k, cols=s["cols"], prod=s["prod"],
                                 acc=s["acc"])
-            if i > low:
-                dj = _conv2d_input_grad(g, net.params[i]["w"], **s["in"])
-
-
-def _pool_takes_relu(layers, i):
-    """Whether layer i is a max pool right after a ReLU conv. Such a pool
-    carries the conv's ReLU mask, at pooled size: a window's winner passes
-    its gradient through the ReLU exactly when the pooled value is > 0."""
-    return (
-        0 < i < len(layers)
-        and isinstance(layers[i], MaxPool2DSpec)
-        and isinstance(layers[i - 1], Conv2DSpec)
-        and layers[i - 1].activation == "relu"
-    )
+            if i:
+                dj = _conv2d_input_grad(dj, net.params[i]["w"], **s["in"])
 
 
 def forward(net, batch, train=False):
@@ -389,16 +359,15 @@ def forward(net, batch, train=False):
 
     Pure in (parameters, input): repeated calls give bit-identical outputs.
     The image layers run one image at a time (_forward_images), in training
-    as in evaluation, and only the layers after them see the whole batch.
-    With train=False no cache is kept. A trial stack takes a
-    [T, batch, ...] array, trial t's rows forwarded through trial t.
+    as in evaluation, and only the dense layers see the whole batch. With
+    train=False no cache is kept. A trial stack takes a [T, batch, ...]
+    array, trial t's rows forwarded through trial t.
 
     The cache keeps only what backward reads, one dict per layer. A conv
-    keeps its input x; a pool keeps its uint8 winners. A ReLU's mask,
-    "live", sits with the layer whose output gradient it gates: at pooled
-    size with the pool that follows the conv (_pool_takes_relu), else at
-    full size with the conv. A flatten over flat rows keeps their shape,
-    and a dense layer its input, pre-activation and activation.
+    keeps its input x. A pool keeps its uint8 winners and its conv's ReLU
+    mask, "live", at pooled size: a window's winner passes its gradient
+    through the ReLU exactly when the pooled value is > 0. The flatten
+    keeps nothing, and a dense layer its input and pre-activation.
     """
     x = np.asarray(batch, dtype=np.float64)
     expect = net.spec.input_shape
@@ -412,16 +381,10 @@ def forward(net, batch, train=False):
     if start:
         x = _forward_images(net, x, cache)
     for i, layer in enumerate(net.spec.layers[start:], start):
-        if isinstance(layer, FlattenSpec):  # over rows that are flat already
-            if train:
-                cache.append({"in_shape": x.shape})
-            x = x.reshape(x.shape[0], -1)
-        else:  # Dense
-            z = _dense(x, net.params[i])
-            a = _apply_activation(layer.activation, z)
-            if train:
-                cache.append({"x": x, "z": z, "a": a})
-            x = a
+        z = _dense(x, net.params[i])
+        if train:
+            cache.append({"x": x, "z": z})
+        x = _apply_activation(layer.activation, z)
     out = np.ascontiguousarray(x)
     return Tensor._wrap(out), cache
 
@@ -431,12 +394,12 @@ def backward(net, loss_grad, cache):
     output logits: a new list with one {name: array} dict per layer, empty
     for a layer without parameters.
 
-    The final layer's activation is fused into loss_grad; hidden activations
-    are differentiated here, a conv's ReLU through its cached mask (see
-    forward). The dense layers take the whole batch; the image layers take
-    it one image at a time (_backward_images), and their per-image
+    The head's activation is fused into loss_grad; the hidden layer's ReLU
+    is differentiated here, and each conv's through its pool's cached mask
+    (see forward). The dense layers take the whole batch; the image layers
+    take it one image at a time (_backward_images), and their per-image
     gradients continue the sums the whole batch's would take, bit for bit.
-    No layer below the lowest conv gets an input gradient.
+    The lowest conv, or the hidden layer of an MLP, gets no input gradient.
 
     When the gradient entering a layer below the head is all zero (a zero
     head, or a hidden unit silent on every row), the pass stops and that
@@ -458,16 +421,12 @@ def backward(net, loss_grad, cache):
         if i < net.spec.image_layers:
             _backward_images(net, d, cache, grads)
             break
-        layer = net.spec.layers[i]
         c = cache[i]
-        if isinstance(layer, DenseSpec):
-            dz = d if i == last else _activation_grad(layer.activation, d, c)
-            grads[i] = {"w": c["x"].swapaxes(-1, -2) @ dz, "b": dz.sum(axis=-2)}
-            if i > 0:
-                wt = net.params[i]["w"].swapaxes(-1, -2)
-                d = _outer(dz, wt) if wt.shape[-2] == 1 else dz @ wt
-        else:  # a flatten over flat rows
-            d = d.reshape(c["in_shape"])
+        dz = d if i == last else d * (c["z"] > 0.0)
+        grads[i] = {"w": c["x"].swapaxes(-1, -2) @ dz, "b": dz.sum(axis=-2)}
+        if i > 0:
+            wt = net.params[i]["w"].swapaxes(-1, -2)
+            d = _outer(dz, wt) if wt.shape[-2] == 1 else dz @ wt
     return grads
 
 
@@ -479,17 +438,6 @@ def _outer(a, b):
     d += 0.0
     nan = np.isnan(a)
     return np.where(nan, a, d) if nan.any() else d
-
-
-def _activation_grad(act, d_out, c):
-    if act == "relu":
-        return d_out * (c["z"] > 0.0)
-    if act == "sigmoid":
-        a = c["a"]
-        return d_out * a * (1.0 - a)
-    if act == "none":
-        return d_out
-    raise StateError("softmax gradient is only available fused with the loss")
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError
-from .layers import (
-    DenseSpec,
-    Network,
-    _apply_activation,
-    _dense,
-    _forward_images,
-    backward,
-    forward,
-)
+from .layers import Network, _dense, _forward_images, backward, forward
 from .rng import LANE_BLOCK, Rng, derive_seed
 
 # rows per forward pass over flat input, in evaluation and in the dead-unit
@@ -140,7 +132,7 @@ def sgd_step(net, grads, learning_rate):
 
 
 def _orient_dead_relu_units(net, probe):
-    """Sign-flip hidden dense ReLU units that never fire on a probe batch.
+    """Sign-flip hidden ReLU units that never fire on a probe batch.
 
     Label-free and deterministic: with sign-symmetric init, a unit whose
     active half-space faces away from the data is unreachable by gradient
@@ -148,43 +140,30 @@ def _orient_dead_relu_units(net, probe):
     the first step; a stack's trials each judge their units on their own
     probe rows.
 
-    Forward-only and cache-free: the layers before the first dense layer run
-    per image as in evaluation (_probe_features, which may stop early with
-    no unit to flip), then each hidden dense layer's pre-activations come
-    from its input rows as forward computes them.
+    Forward-only and cache-free: a conv net's image layers run per image as
+    in evaluation (_probe_features, which may stop early with no unit to
+    flip), then the hidden layer's pre-activations come from its input rows
+    as forward computes them.
     """
-    spec = net.spec
-    x = _probe_features(net, probe) if spec.image_layers else probe
+    x = _probe_features(net, probe) if net.spec.image_layers else probe
     if x is None:
         return
-    for i in range(spec.image_layers, len(spec.layers) - 1):
-        layer = spec.layers[i]
-        if not isinstance(layer, DenseSpec):
-            continue  # a flatten of rows that are flat already
-        z = _dense(x, net.params[i])
-        if layer.activation == "relu":
-            dead = ~(z > 0.0).any(axis=-2)
-            if dead.any():
-                flip = np.where(dead, -1.0, 1.0)
-                net.params[i]["w"] *= flip[..., None, :]
-                net.params[i]["b"] *= flip
-        x = _apply_activation(layer.activation, z)
+    p = net.params[-2]
+    dead = ~(_dense(x, p) > 0.0).any(axis=-2)
+    if dead.any():
+        flip = np.where(dead, -1.0, 1.0)
+        p["w"] *= flip[..., None, :]
+        p["b"] *= flip
 
 
 def _probe_features(net, probe):
-    """The image probe's rows after the image layers, or None once every
-    unit of the network's one hidden ReLU layer has fired. If that is the
-    first dense layer, the rows run in chunks of 1, 2, 4, ... rows, and a
-    unit has fired once z > 4 K 2**-53 (|x| @ |w| + |b|), K its fan-in:
+    """A conv net's probe rows after the image layers, or None once every
+    hidden unit has fired. The rows run in chunks of 1, 2, 4, ... rows, and
+    a unit has fired once z > 4 K 2**-53 (|x| @ |w| + |b|), K its fan-in:
     above the rounding of any summation order, so one GEMM over every row
     gives z > 0 too. Each image runs alone, so the chunks, concatenated,
     are the bytes of one call over every row."""
-    spec = net.spec
-    relu = [i for i in range(spec.image_layers, len(spec.layers) - 1)
-            if getattr(spec.layers[i], "activation", "") == "relu"]
-    if relu != [spec.image_layers]:
-        return _forward_images(net, probe)
-    p = net.params[relu[0]]
+    p = net.params[-2]
     fired, chunks = False, []
     for k in range(len(probe).bit_length()):
         x = _forward_images(net, probe[2 ** k - 1:2 ** (k + 1) - 1])
@@ -368,7 +347,7 @@ class _TrialStack:
     trial's own dataset or network outlives its generation."""
 
     def __init__(self, data, net, n_trials):
-        if not all(isinstance(layer, DenseSpec) for layer in net.spec.layers):
+        if net.spec.image_layers:
             raise ConfigError("only dense networks train as a trial stack")
         stacked = lambda a: np.empty((n_trials,) + a.shape, a.dtype)
         self.net = Network(

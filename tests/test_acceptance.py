@@ -274,11 +274,28 @@ def test_criterion_7_cifar_subset_gate(cifar_subset_run, cifar_paths):
 # criterion 8: byte-exact replay
 
 
-def test_criterion_8_replay_reproduces_runs_bit_exactly(
-    synth_run, mnist_paths, data_root, tmp_path
-):
-    """Replaying a manifest reproduces every CSV and checkpoint byte for
-    byte, for both a trial sweep and a run that writes checkpoints."""
+def assert_replay_matches(source, out):
+    """Replay source's manifest into out; every output byte must match."""
+    manifest_path = os.path.join(source.run_dir, "manifest.json")
+    replayed = replay_manifest(manifest_path, out=out)
+    assert replayed.manifest["outputs"] == source.manifest["outputs"]
+    for name in source.manifest["outputs"]:
+        assert file_bytes(os.path.join(replayed.run_dir, name)) == file_bytes(
+            os.path.join(source.run_dir, name)
+        ), name
+    print("replayed %s: %d outputs identical"
+          % (source.manifest["experiment"], len(source.manifest["outputs"])))
+
+
+def test_criterion_8_replay_reproduces_the_synthetic_sweep(synth_run, tmp_path):
+    """Replaying the criterion-2 manifest reproduces every CSV byte for
+    byte."""
+    assert_replay_matches(synth_run, str(tmp_path / "replay"))
+
+
+def test_criterion_8_replay_reproduces_the_layer_sweep(mnist_paths, data_root, tmp_path):
+    """Replaying a run that writes checkpoints reproduces every CSV and
+    checkpoint byte for byte."""
     sweep_cfg = mnist_config(
         data_root,
         kind="layer-size-sweep",
@@ -289,14 +306,4 @@ def test_criterion_8_replay_reproduces_runs_bit_exactly(
     )
     first = run_experiment(sweep_cfg)
     assert any(n.endswith(".ckpt") for n in first.manifest["outputs"])
-
-    for source in (first, synth_run):
-        manifest_path = os.path.join(source.run_dir, "manifest.json")
-        replayed = replay_manifest(manifest_path, out=str(tmp_path / "replay"))
-        assert replayed.manifest["outputs"] == source.manifest["outputs"]
-        for name in source.manifest["outputs"]:
-            assert file_bytes(os.path.join(replayed.run_dir, name)) == file_bytes(
-                os.path.join(source.run_dir, name)
-            ), name
-        print("replayed %s: %d outputs identical"
-              % (source.manifest["experiment"], len(source.manifest["outputs"])))
+    assert_replay_matches(first, str(tmp_path / "replay"))

@@ -52,32 +52,70 @@ def peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def conv_spec(input_shape=(1, 8, 8), **swap):
+    """A small spec of the fixed conv stack over input_shape, with the
+    layers named in swap replaced (None drops a layer)."""
+    layers = dict(
+        conv1=Conv2DSpec(2, 3, "relu"), pool1=MaxPool2DSpec(), conv2=Conv2DSpec(3, 3, "relu"),
+        pool2=MaxPool2DSpec(), flatten=FlattenSpec(), hidden=DenseSpec(3, "relu"),
+        head=DenseSpec(1, "sigmoid"),
+    )
+    layers.update(swap)
+    return NetworkSpec(input_shape, [x for x in layers.values() if x is not None], seed=0)
+
+
+# the message NetworkSpec names for any layer list but the two architectures
+OTHER_ARCHITECTURE = r"over \[D\] input or .* over \[C,H,W\] input"
+
 # specs every builder or NetworkSpec must refuse, and the message each names
 REJECTED_SPECS = [
-    ("odd-pool-dim", "even|odd", lambda: NetworkSpec(
-        (1, 6, 6),
-        [Conv2DSpec(4, 3, "relu"), MaxPool2DSpec(), MaxPool2DSpec(), MaxPool2DSpec()],
-        seed=0)),
+    ("odd-pool-dim", "even|odd", lambda: conv_spec((1, 5, 5))),
     ("conv-builder-indivisible", None, lambda: build_conv_net((1, 30, 30), 4, 10, seed=0)),
     ("conv-builder-rank-2", r"\[C,H,W\]", lambda: build_conv_net((28, 28), 4, 10, seed=0)),
     ("mlp-builder-no-input", ">= 1", lambda: build_mlp(0, 4, seed=0)),
-    ("dense-on-unflattened", None, lambda: NetworkSpec(
-        (1, 8, 8), [Conv2DSpec(2, 3), DenseSpec(4)], seed=0)),
+    ("dense-on-unflattened", OTHER_ARCHITECTURE, lambda: conv_spec(flatten=None)),
     ("softmax-not-final", "softmax", lambda: NetworkSpec(
         (5,), [DenseSpec(4, "softmax"), DenseSpec(2, "softmax")], seed=0)),
     *[("conv-" + act, "conv activation",
-       lambda act=act: NetworkSpec((1, 8, 8), [Conv2DSpec(2, 3, act)], seed=0))
+       lambda act=act: conv_spec(conv1=Conv2DSpec(2, 3, act)))
       for act in ("sigmoid", "softmax", "tanh")],
-    ("even-kernel", None, lambda: NetworkSpec((1, 8, 8), [Conv2DSpec(4, 6)], seed=0)),
-    ("even-kernel-relu", None, lambda: NetworkSpec(
-        (1, 8, 8), [Conv2DSpec(4, 4, "relu")], seed=0)),
-    ("conv-no-filters", ">= 1", lambda: NetworkSpec((1, 8, 8), [Conv2DSpec(0, 3)], seed=0)),
-    ("dense-no-units", ">= 1", lambda: NetworkSpec((5,), [DenseSpec(0)], seed=0)),
-    ("unknown-kind", "unknown layer", lambda: NetworkSpec((5,), ["dense"], seed=0)),
-    ("dense-tanh", "unknown activation", lambda: NetworkSpec(
-        (5,), [DenseSpec(2, "tanh")], seed=0)),
-    ("conv-on-flat", r"\[C,H,W\]", lambda: NetworkSpec((5,), [Conv2DSpec(2, 3)], seed=0)),
+    ("even-kernel", "odd", lambda: conv_spec(conv1=Conv2DSpec(4, 6, "relu"))),
+    ("even-kernel-relu", "odd", lambda: conv_spec(conv2=Conv2DSpec(4, 4, "relu"))),
+    ("conv-no-filters", ">= 1", lambda: conv_spec(conv1=Conv2DSpec(0, 3, "relu"))),
+    ("dense-no-units", ">= 1", lambda: NetworkSpec(
+        (5,), [DenseSpec(0, "relu"), DenseSpec(1, "sigmoid")], seed=0)),
+    ("unknown-kind", OTHER_ARCHITECTURE, lambda: NetworkSpec((5,), ["dense"], seed=0)),
+    ("dense-tanh", "hidden activation", lambda: NetworkSpec(
+        (5,), [DenseSpec(2, "tanh"), DenseSpec(1, "sigmoid")], seed=0)),
+    ("conv-on-flat", r"\[C,H,W\]", lambda: NetworkSpec(
+        (5,), [Conv2DSpec(2, 3, "relu")], seed=0)),
     ("pool-on-flat", r"\[C,H,W\]", lambda: NetworkSpec((4,), [MaxPool2DSpec()], seed=0)),
+    # train fits a one-unit head with sigmoid cross-entropy and a wider one
+    # with softmax cross-entropy, so each head must be the one its loss fits
+    ("softmax-one-unit-head", "1-unit head's activation must be sigmoid", lambda: NetworkSpec(
+        (3,), [DenseSpec(2, "relu"), DenseSpec(1, "softmax")], seed=0)),
+    ("sigmoid-three-unit-head", "3-unit head's activation must be softmax", lambda: NetworkSpec(
+        (3,), [DenseSpec(2, "relu"), DenseSpec(3, "sigmoid")], seed=0)),
+]
+
+# a spec of each layer list NetworkSpec once took beside the two
+# architectures, and the message each names
+OTHER_ARCHITECTURES = [
+    ("missing-pool", OTHER_ARCHITECTURE, lambda: conv_spec(pool1=None)),
+    ("pool-first", OTHER_ARCHITECTURE, lambda: NetworkSpec((2, 8, 8), [
+        MaxPool2DSpec(), Conv2DSpec(3, 3, "relu"), FlattenSpec(), DenseSpec(3, "relu"),
+        DenseSpec(10, "softmax")], seed=0)),
+    ("conv-without-relu", "conv activation", lambda: conv_spec(
+        conv2=Conv2DSpec(4, 5, "none"))),
+    ("hidden-sigmoid", "hidden activation", lambda: NetworkSpec(
+        (5,), [DenseSpec(2, "sigmoid"), DenseSpec(1, "sigmoid")], seed=0)),
+    ("hidden-none", "hidden activation", lambda: conv_spec(hidden=DenseSpec(3, "none"))),
+    ("two-hidden-layers", OTHER_ARCHITECTURE, lambda: NetworkSpec(
+        (5,), [DenseSpec(4, "relu"), DenseSpec(3, "relu"), DenseSpec(1, "sigmoid")], seed=0)),
+    ("lone-dense", OTHER_ARCHITECTURE, lambda: NetworkSpec(
+        (5,), [DenseSpec(4, "softmax")], seed=0)),
+    ("flatten-over-flat", OTHER_ARCHITECTURE, lambda: NetworkSpec(
+        (5,), [FlattenSpec(), DenseSpec(2, "relu"), DenseSpec(1, "sigmoid")], seed=0)),
 ]
 
 
@@ -99,6 +137,14 @@ class TestShapeInference:
         ids=[case[0] for case in REJECTED_SPECS],
     )
     def test_rejected(self, match, build):
+        with pytest.raises(DimensionError, match=match):
+            build()
+
+    @pytest.mark.parametrize(
+        "match,build", [case[1:] for case in OTHER_ARCHITECTURES],
+        ids=[case[0] for case in OTHER_ARCHITECTURES],
+    )
+    def test_other_architectures_rejected(self, match, build):
         with pytest.raises(DimensionError, match=match):
             build()
 
@@ -162,31 +208,19 @@ class TestInitialization:
 
 
 # networks over image input, each with its batch size: the fixed stack at
-# several shapes and hand-built specs that order the layers differently
+# several shapes, and smaller filter counts and kernel sizes
 IMAGE_NETS = [
     (lambda: build_conv_net((1, 8, 8), 3, 10, seed=11), 5),
     (lambda: build_conv_net((1, 28, 28), 3, 10, seed=11), 1),
     (lambda: build_conv_net((1, 28, 28), 3, 10, seed=11), 65),
     (lambda: build_conv_net((3, 32, 32), 3, 10, seed=11), 1),
     (lambda: build_conv_net((3, 32, 32), 3, 10, seed=11), 65),
-    # a ReLU conv not followed by a pool, and a pool followed by a pool
-    (lambda: Network(NetworkSpec((1, 8, 8), [
-        Conv2DSpec(3, 3, "relu"), Conv2DSpec(4, 5, "none"), MaxPool2DSpec(),
-        MaxPool2DSpec(), FlattenSpec(), DenseSpec(3, "relu"),
-        DenseSpec(10, "softmax"),
-    ], seed=11)), 5),
-    # a pool first, writing into a conv whose signed output is the row
     (lambda: Network(NetworkSpec((2, 8, 8), [
-        MaxPool2DSpec(), Conv2DSpec(3, 3, "none"), FlattenSpec(),
-        DenseSpec(10, "softmax"),
-    ], seed=11)), 7),
-    # a flatten over input that is flat already: no image layers
-    (lambda: Network(NetworkSpec((5,), [
-        FlattenSpec(), DenseSpec(2, "relu"), DenseSpec(1, "sigmoid"),
-    ], seed=11)), 6),
+        Conv2DSpec(3, 3, "relu"), MaxPool2DSpec(), Conv2DSpec(4, 5, "relu"), MaxPool2DSpec(),
+        FlattenSpec(), DenseSpec(3, "relu"), DenseSpec(10, "softmax"),
+    ], seed=11)), 5),
 ]
-IMAGE_NET_IDS = ["stack8-5", "mnist-1", "mnist-65", "cifar-1", "cifar-65",
-                 "conv-conv-pool-pool-5", "pool-conv-7", "flatten-flat-6"]
+IMAGE_NET_IDS = ["stack8-5", "mnist-1", "mnist-65", "cifar-1", "cifar-65", "conv3-conv5-5"]
 
 
 def prepared(make_net, n):
@@ -368,8 +402,8 @@ class TestGradients:
             assert got[-1] and not any(got[:-1])
 
     @pytest.mark.parametrize(
-        "make_net,n", IMAGE_NETS[:1] + IMAGE_NETS[5:7] + ONE_UNIT_NETS[:1],
-        ids=IMAGE_NET_IDS[:1] + IMAGE_NET_IDS[5:7] + ONE_UNIT_IDS[:1],
+        "make_net,n", IMAGE_NETS[:1] + IMAGE_NETS[5:] + ONE_UNIT_NETS[:1],
+        ids=IMAGE_NET_IDS[:1] + IMAGE_NET_IDS[5:] + ONE_UNIT_IDS[:1],
     )
     def test_zero_images_first_equal_the_unfused_reference(self, make_net, n):
         # image 0 is blank and every conv bias negative, so each ReLU gate
@@ -538,13 +572,10 @@ class TestOrientation:
         # has a certified positive; its flips and every parameter bit must
         # equal those of the probe over every row
         net, x = prepared(make_net, n)
-        relu = [i for i, layer in enumerate(net.spec.layers[:-1])
-                if isinstance(layer, DenseSpec) and layer.activation == "relu"]
-        if relu:
-            _, cache = forward(net, x, train=True)
-            z, b = cache[relu[0]]["z"], net.params[relu[0]]["b"]
-            b -= {"live": z.min(axis=0) - 1.0, "silent": np.median(z, axis=0),
-                  "dead": z.max(axis=0) + 1.0}[pattern]
+        _, cache = forward(net, x, train=True)
+        z, b = cache[-2]["z"], net.params[-2]["b"]
+        b -= {"live": z.min(axis=0) - 1.0, "silent": np.median(z, axis=0),
+              "dead": z.max(axis=0) + 1.0}[pattern]
         want = Network(net.spec, [{k: v.copy() for k, v in p.items()} for p in net.params])
         orient_on_every_row(want, x)
         from tinynn.training import _orient_dead_relu_units
@@ -574,24 +605,6 @@ class TestOrientation:
         training._orient_dead_relu_units(net, probe)
         assert sum(seen) == rows
         assert net.params[5]["b"][0] == (-b if pattern == "dead" else b)
-
-    def test_flatten_over_flat_input_trains_as_the_mlp(self):
-        # the flatten is the identity on flat rows and holds no parameters,
-        # so the probe and every step match the plain MLP's
-        from tinynn.datasets import SyntheticSpec, generate_synthetic
-        from tinynn.training import TrainConfig, train
-
-        data = generate_synthetic(SyntheticSpec(std=1.0, n_samples=200, seed=37))
-        cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=38)
-        spec = NetworkSpec(
-            (3,), [FlattenSpec(), DenseSpec(2, "relu"), DenseSpec(1, "sigmoid")], seed=39
-        )
-        got, report = train(Network(spec), data, cfg)
-        want, want_report = train(build_mlp(3, 2, seed=39), data, cfg)
-        assert report == want_report
-        for p, q in zip([p for p in got.params if p], want.params):
-            for k in q:
-                np.testing.assert_array_equal(p[k], q[k])
 
 
 class TestCheckpoint:
@@ -725,6 +738,20 @@ class TestCheckpoint:
         save_network(build_mlp(3, 2, seed=2), path)
         raw = bytearray(open(path, "rb").read())
         struct.pack_into("<I", raw, off, 0)
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(CheckpointError, match="not instantiable"):
+            load_network(path)
+
+    @pytest.mark.parametrize("off,was,code", [(33, 1, 0), (45, 2, 3)],
+                             ids=["hidden-none", "head-softmax"])
+    def test_mismatched_activation_rejected(self, tmp_path, off, was, code):
+        # an MLP's hidden relu set to none, or its one-unit sigmoid head set
+        # to softmax, which would output 1.0 on every row
+        path = str(tmp_path / "act.ckpt")
+        save_network(build_mlp(3, 2, seed=2), path)
+        raw = bytearray(open(path, "rb").read())
+        assert struct.unpack_from("<I", raw, off)[0] == was
+        struct.pack_into("<I", raw, off, code)
         open(path, "wb").write(bytes(raw))
         with pytest.raises(CheckpointError, match="not instantiable"):
             load_network(path)

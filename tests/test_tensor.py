@@ -10,15 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from tinynn import tensor
+from tinynn import layers, tensor
 from tinynn.errors import DimensionError, NonFiniteError
 from tinynn.layers import (
+    Conv2DSpec,
     DenseSpec,
     FlattenSpec,
     MaxPool2DSpec,
-    Network,
     NetworkSpec,
-    _activation_grad,
+    backward,
+    build_conv_net,
+    build_mlp,
     forward,
 )
 from tinynn.tensor import Tensor, check_dims
@@ -37,14 +39,20 @@ class TestShape:
         assert dims == (2, 3, 4) and type(dims) is tuple
         assert all(type(d) is int for d in dims)
         assert Tensor(np.zeros((2, 3))).shape == (2, 3)
-        assert NetworkSpec(np.array([5]), [DenseSpec(4)], seed=0).input_shape == (5,)
+        shape = build_conv_net(np.array([1, 8, 8]), 2, 1, seed=0).spec.input_shape
+        assert shape == (1, 8, 8) and all(type(d) is int for d in shape)
+        assert build_mlp(np.int64(5), 4, seed=0).spec.input_shape == (5,)
 
     @pytest.mark.parametrize("dims", [(), (1, 2, 3, 4, 5), (0,), (3, -1)])
     def test_rejects_bad_dims(self, dims):
-        with pytest.raises(DimensionError):
+        message = "rank must be" if not 1 <= len(dims) <= 4 else "extents must be"
+        with pytest.raises(DimensionError, match=message):
             check_dims(dims)
-        with pytest.raises(DimensionError):
-            NetworkSpec(dims, [FlattenSpec()], seed=0)
+        with pytest.raises(DimensionError, match=message):
+            build_conv_net(dims, 2, 1, seed=0)
+        if len(dims) == 1:
+            with pytest.raises(DimensionError, match=message):
+                build_mlp(dims[0], 2, seed=0)
 
 
 class TestTensor:
@@ -78,9 +86,7 @@ class TestMatmul:
             for j in range(4):
                 for k in range(5):
                     want[i, j] += a[i, k] * b[k, j]
-        net = Network(NetworkSpec((5,), [DenseSpec(4)], seed=0))
-        net.params[0]["w"][...] = b
-        got = forward(net, a)[0].array
+        got = layers._dense(a, {"w": b, "b": np.zeros(4)})
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -269,7 +275,10 @@ class TestMaxPool:
 
     def test_only_2x2_stride_2(self):
         with pytest.raises(DimensionError, match="2x2"):
-            NetworkSpec((1, 6, 6), [MaxPool2DSpec(3, 3)], seed=0)
+            NetworkSpec((1, 6, 6), [
+                Conv2DSpec(2, 3, "relu"), MaxPool2DSpec(3, 3), Conv2DSpec(2, 3, "relu"),
+                MaxPool2DSpec(), FlattenSpec(), DenseSpec(2, "relu"), DenseSpec(1, "sigmoid"),
+            ], seed=0)
 
     def test_scatter_grad_inverts_pool(self):
         for make in POOL_INPUTS:
@@ -291,10 +300,16 @@ class TestPointwise:
         np.testing.assert_array_equal(tensor._relu(x), [[0.0, 0.0, 3.5]])
 
     def test_relu_grad_zero_at_zero(self):
-        z = np.array([[-1.0, 0.0, 2.0]])
-        np.testing.assert_array_equal(
-            _activation_grad("relu", np.ones_like(z), {"z": z}), [[0.0, 0.0, 1.0]]
-        )
+        # hidden pre-activations -1, 0 and 2 behind a head of ones: backward
+        # passes the gradient through the third unit only
+        net = build_mlp(1, 3, seed=0)
+        net.params[0]["w"][...] = 0.0
+        net.params[0]["b"][...] = [-1.0, 0.0, 2.0]
+        net.params[1]["w"][...] = 1.0
+        _, cache = forward(net, np.ones((1, 1)), train=True)
+        np.testing.assert_array_equal(cache[0]["z"], [[-1.0, 0.0, 2.0]])
+        grads = backward(net, np.ones((1, 1)), cache)
+        np.testing.assert_array_equal(grads[0]["b"], [0.0, 0.0, 1.0])
 
     def test_sigmoid_known_values(self):
         got = tensor._sigmoid(np.array([0.0, 2.0, -2.0]))
