@@ -5,14 +5,16 @@ value, a config file the INI parser rejects and an output path that cannot
 be created included), 2 unreadable or malformed data (a manifest that is
 not an object holding a config object included), 3 training diverged: a
 sweep cell, a one-vs-all member or the comparison net, recorded in the
-manifest. A run that exits 1 or 2 removes the directories it created.
+manifest, 4 an output could not be written (a full disk, say). A run that
+exits 1 or 2 removes the directories it created; one that exits 4 keeps
+its directory, which --resume finishes.
 """
 
 import argparse
 import json
 import sys
 
-from .errors import ConfigError, DataError, DataFormatError, DivergenceError
+from .errors import ConfigError, DataError, DataFormatError, DivergenceError, WriteError
 from .experiments import (
     DATASETS,
     KINDS,
@@ -82,9 +84,9 @@ def _report(result):
             "single width-%d accuracy: %.4f"
             % (details["comparison_width"], details["comparison_accuracy"])
         )
-    elif "reports" in details:
-        for i, rep in enumerate(details["reports"]):
-            print("class %d: accuracy %.4f" % (i, rep.accuracy))
+    elif "per_class" in details:
+        for i, row in enumerate(details["per_class"]):
+            print("class %d: accuracy %.4f" % (i, row["accuracy"]))
     elif "rows" in details and details["rows"] and "width" in details["rows"][0]:
         for row in sorted(details["rows"], key=lambda r: r["width"]):
             acc = "diverged" if row["diverged"] else "%.4f" % row["accuracy"]
@@ -113,6 +115,9 @@ def main(argv=None):
     except DivergenceError as e:
         print("divergence: %s" % e, file=sys.stderr)
         return 3
+    except WriteError as e:
+        print("write error: %s" % e, file=sys.stderr)
+        return 4
     _report(result)
     return 3 if result.diverged else 0
 

@@ -9,17 +9,17 @@ aggregation policies exist purely as diagnostics and are off by default.
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datasets import make_ova_views
 from .errors import DataError, DivergenceError
 from .layers import build_conv_net, build_mlp, load_network, save_network
 from .rng import _MASK64
-from .training import fork_map, predict_scores, train, write_csv
+from .training import predict_scores, train, write_csv
 
 POLICIES = ("redundant-error", "priority", "argmax")
+THRESHOLD = 0.5  # a member fires on a score above it
 VERDICT_KINDS = ("correct", "redundant", "no_positive", "wrong_single")
 
 
@@ -124,9 +124,8 @@ class OvaEnsemble:
     """K trained binary members, one per class, sharing an input shape."""
 
     members: list
-    threshold: float = 0.5
+    threshold: float = THRESHOLD
     class_names: list = None
-    member_reports: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.class_names is None:
@@ -151,7 +150,13 @@ def _build_member(data, hidden_units, seed):
     raise DataError("features must be [N,C,H,W] or [N,D], got %r" % (shape,))
 
 
-def _train_member(view, hidden_units, cfg, seed):
+def train_member(view, hidden_units, cfg, seed):
+    """Train the member for view's class; returns (net, report).
+
+    seed, _member_seed(cfg.seed, class), is used for init and for its
+    training stream, so members are independent and train in any order
+    with the same bytes. A divergence is re-raised naming the class.
+    """
     net = _build_member(view.source, hidden_units, seed)
     try:
         return train(net, view, replace(cfg, seed=seed))
@@ -159,28 +164,6 @@ def _train_member(view, hidden_units, cfg, seed):
         raise DivergenceError(
             "member for class %d diverged: %s" % (view.target_class, e)
         )
-
-
-def train_ensemble(data, hidden_units, cfg, jobs=1):
-    """Train one binary network per class on its balanced view.
-
-    Member i's seed is cfg.seed XOR i, used for init and for its training
-    stream, so members are independent and can be trained in any order (or
-    in parallel) with bit-identical results. Any member divergence aborts
-    the ensemble, naming the class.
-    """
-    k = data.class_count
-    if k < 2:
-        raise DataError("need at least 2 classes, got %d" % k)
-    views = make_ova_views(data, k, cfg.seed)
-
-    def member(i):
-        return _train_member(views[i], hidden_units, cfg, _member_seed(cfg.seed, i))
-
-    results = list(fork_map(member, k, jobs))
-    members = [net for net, _ in results]
-    reports = [rep for _, rep in results]
-    return OvaEnsemble(members=members, member_reports=reports)
 
 
 def member_scores(ensemble, features, indices):
@@ -193,13 +176,16 @@ def member_scores(ensemble, features, indices):
 
 def evaluate(ensemble, data, policy="redundant-error", scores=None):
     """Verdict tally over the dataset's full (unbalanced) test split; scores,
-    each member's outputs on it, spare their forwards when already at hand."""
+    each member's outputs on it, spare their forwards when already at hand.
+    Given scores, ensemble is read only for its threshold, and None stands
+    for an ensemble at the default one."""
     idx = data.test_indices
     if len(idx) == 0:
         raise DataError("test split is empty")
     scores = (member_scores(ensemble, data.feature_array, idx) if scores is None
               else np.column_stack(scores))
-    pos_sets = [tuple(np.flatnonzero(row)) for row in scores > ensemble.threshold]
+    threshold = THRESHOLD if ensemble is None else ensemble.threshold
+    pos_sets = [tuple(np.flatnonzero(row)) for row in scores > threshold]
     argmax = scores.argmax(axis=1) if policy == "argmax" else None
     return outcome_from_positive_sets(pos_sets, data.labels_at(idx), policy, argmax)
 
@@ -208,22 +194,40 @@ def evaluate(ensemble, data, policy="redundant-error", scores=None):
 # persistence: a directory of member checkpoints plus a manifest
 
 
+def member_name(i):
+    """Member i's checkpoint file in an ensemble directory."""
+    return "member_%d.ckpt" % i
+
+
+def write_ensemble_json(path, seeds, class_names=None, threshold=THRESHOLD):
+    """The ensemble directory's manifest for members seeded seeds, by class;
+    class names default to the class indices."""
+    if class_names is None:
+        class_names = [str(i) for i in range(len(seeds))]
+    manifest = {
+        "class_names": class_names,
+        "threshold": threshold,
+        "seeds": seeds,
+        "members": [member_name(i) for i in range(len(seeds))],
+    }
+    with open(path, "w") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def save_ensemble(ensemble, dirpath):
     """Write one checkpoint per member plus ensemble.json; returns the names
     of the files written, relative to dirpath."""
     os.makedirs(dirpath, exist_ok=True)
-    names = ["member_%d.ckpt" % i for i in range(len(ensemble.members))]
+    names = [member_name(i) for i in range(len(ensemble.members))]
     for net, name in zip(ensemble.members, names):
         save_network(net, os.path.join(dirpath, name))
-    manifest = {
-        "class_names": ensemble.class_names,
-        "threshold": ensemble.threshold,
-        "seeds": [net.spec.seed for net in ensemble.members],
-        "members": names,
-    }
-    with open(os.path.join(dirpath, "ensemble.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_ensemble_json(
+        os.path.join(dirpath, "ensemble.json"),
+        [net.spec.seed for net in ensemble.members],
+        ensemble.class_names,
+        ensemble.threshold,
+    )
     return names + ["ensemble.json"]
 
 

@@ -1,8 +1,9 @@
 """Exception types shared across the library.
 
 The CLI maps these onto exit codes, so keep the hierarchy flat and the
-categories disjoint: configuration problems, data/file problems, and
-numerical divergence are the three failure classes a run can end with.
+categories disjoint: configuration problems, data/file problems,
+numerical divergence and failed output writes are the four failure classes
+a run can end with.
 """
 
 
@@ -36,3 +37,8 @@ class DivergenceError(RuntimeError):
 
 class ConfigError(ValueError):
     """Experiment configuration is invalid or incomplete."""
+
+
+class WriteError(RuntimeError):
+    """A run's output could not be written (a full disk, say); message names
+    the file."""

@@ -7,9 +7,10 @@ reruns the recorded config and reproduces every CSV and checkpoint
 bit-exactly; resuming a directory skips cells whose outputs already exist
 and hash-match. A run that fails on its data or its configuration leaves
 no directory behind.
-Both sweeps run their cells through RunContext.run_cells, which forks them
-over the config's jobs and writes their outputs in cell order; the
-one-vs-all runners fork their members through train_ensemble.
+All four kinds run their units as cells through RunContext.run_cells,
+which forks them over the config's jobs and writes their outputs and
+progress records in cell order: a sweep's cells, a layer sweep's widths,
+and the one-vs-all members and ova-ensemble's comparison net.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime
+from functools import partial
 
 from . import __version__
 from .datasets import (
@@ -27,23 +29,26 @@ from .datasets import (
     generate_synthetic,
     load_cifar10,
     load_mnist,
+    make_ova_views,
     stratified_subset,
 )
 from .ensemble import (
     POLICIES,
     _member_seed,
     evaluate as evaluate_ensemble,
-    save_ensemble,
-    train_ensemble,
+    member_name,
+    train_member,
+    write_ensemble_json,
     write_outcome_summary_csv,
     write_verdicts_csv,
 )
-from .errors import ConfigError, DataError, DataFormatError, DivergenceError
-from .layers import build_conv_net, build_mlp, save_network
+from .errors import ConfigError, DataError, DataFormatError, DivergenceError, WriteError
+from .layers import build_conv_net, build_mlp, load_network, save_network
 from .rng import derive_seed
 from .training import (
     TrainConfig,
     fork_map,
+    predict_scores,
     repeat_trials,
     train,
     write_csv,
@@ -410,9 +415,21 @@ class RunContext:
         for name in names:
             self.outputs[name] = _sha256_file(self.path(name))
 
+    @contextmanager
+    def _writing(self, name):
+        """Raise an OSError from writing the named file (a full disk, say) as
+        a WriteError; the directory stays resumable."""
+        try:
+            yield self.path(name)
+        except OSError as e:
+            raise WriteError("cannot write %s: %s" % (self.path(name), e)) from e
+
     def write(self, name, writer, *args):
-        """writer(path, *args) writes the named output; it is then hashed."""
-        writer(self.path(name), *args)
+        """writer(path, *args) writes the named output, in a subdirectory
+        of the run directory if the name has one; it is then hashed."""
+        with self._writing(name) as path:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            writer(path, *args)
         self.register(name)
 
     def mark_cell(self, cell, names, row=None, divergence=None):
@@ -422,7 +439,7 @@ class RunContext:
             entry["row"] = row
         if divergence is not None:
             entry["divergence"] = divergence
-        with open(self._progress_path, "a") as f:
+        with self._writing("progress.jsonl") as path, open(path, "a") as f:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
         return entry
 
@@ -436,7 +453,7 @@ class RunContext:
         done = {}
         if not os.path.exists(self._progress_path):
             return done
-        with open(self._progress_path, "rb+") as f:
+        with self._writing("progress.jsonl") as path, open(path, "rb+") as f:
             data = f.read()
             end = data.rfind(b"\n") + 1
             if end < len(data):
@@ -467,8 +484,9 @@ class RunContext:
         run as work(cell) through fork_map over config.jobs, each timed where
         it runs. Then, in the parent and in cell order, each gets its stage,
         write(name, result) writes its outputs and returns (output names,
-        row, divergence or None), and its progress record is appended, so a
-        serial run writes each cell before the next starts.
+        row, divergence or None), its progress record is appended and its
+        result is dropped, so a serial run writes each cell before the next
+        starts and holds one cell's result at a time.
         """
         done = self.completed_cells()
         for name in cells:
@@ -487,10 +505,11 @@ class RunContext:
         for name, seconds, result in fork_map(timed, len(todo), self.config.jobs):
             self._add_stage(name, seconds)
             done[name] = self.mark_cell(name, *write(name, result))
+            del result  # a serial run's next cell runs before the loop rebinds it
         self.divergences += [
             done[c]["divergence"] for c in cells if "divergence" in done[c]
         ]
-        return [done[c]["row"] for c in cells]
+        return [done[c].get("row") for c in cells]
 
     def finish(self):
         manifest = {
@@ -509,11 +528,11 @@ class RunContext:
     def _write_json(self, name, obj):
         """Write obj as the named JSON file through a temporary file renamed
         over it, so that a stop leaves the whole file or none."""
-        tmp = self.path(name + ".tmp")
-        with open(tmp, "w") as f:
-            json.dump(obj, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, self.path(name))
+        with self._writing(name) as path:
+            with open(path + ".tmp", "w") as f:
+                json.dump(obj, f, indent=2, sort_keys=True)
+                f.write("\n")
+            os.replace(path + ".tmp", path)
 
 
 @dataclass
@@ -659,39 +678,98 @@ def run_layer_size_sweep(config, run_dir):
     return RunResult(ctx.run_dir, manifest, {"rows": rows})
 
 
-def _train_ova(ctx, config):
-    """Train and store the K members; returns the loaded dataset, the
-    (possibly subsetted) training dataset and the ensemble. If a member
-    diverges, the divergence is recorded and the ensemble is None."""
+_MEMBER_METRICS = ("accuracy", "sensitivity", "specificity")
+
+
+def _run_ova_cells(ctx, config):
+    """Train the K one-vs-all members as cells member-0 ... member-K-1 and,
+    for ova-ensemble, the comparison net as one more cell, comparison.
+
+    Returns the training dataset, the members' rows, the comparison net's
+    row and the members' test scores. A member's write saves its checkpoint
+    and loss curve and keeps its test scores, None for a skipped member; its
+    row is its per-class metrics. The comparison net writes nothing; its row
+    holds its width and accuracy. The row of a unit that diverged, or of a
+    comparison net that ova-binary does not train, is None. Only the network
+    in training is alive: each is dropped once written.
+    """
     with ctx.stage("load-data"):
         full = load_dataset(config)
         data = _apply_subset(full, config.budget().subset)
-    h = config.hidden[0]
-    cfg = config.train_config()
-    for i in range(data.class_count):
-        ctx.seeds["member-%d" % i] = _member_seed(config.seed, i)
-    with ctx.stage("train-members"):
+    k = data.class_count
+    views = make_ova_views(data, k, config.seed)
+    h, cfg = config.hidden[0], config.train_config()
+    members = {"member-%d" % i: i for i in range(k)}
+    cells = {}
+    for name, i in members.items():
+        ctx.seeds[name] = seed = _member_seed(config.seed, i)
+        cells[name] = partial(train_member, views[i], h, cfg, seed)
+    if config.kind == "ova-ensemble":
+        # equal-width single network: K members of width h have K*h hidden
+        # units; compare against the next power of two, trained exactly like
+        # a sweep cell of that width so the two desks' numbers are
+        # commensurable
+        width = 1 << (k * h - 1).bit_length()
+        comp_seed = derive_seed(config.seed, _SEED_COMPARISON)
+        ctx.seeds["comparison"] = comp_seed
+        budget = BUDGETS["layer-sweep"]
+        comp_data = _apply_subset(full, budget.subset)
+        comp_cfg = replace(config.train_config(comp_seed),
+                           learning_rate=budget.learning_rate, epochs=budget.epochs)
+        cells["comparison"] = lambda: train(
+            build_conv_net(tuple(comp_data.feature_array.shape[1:]), width, k, comp_seed),
+            comp_data, comp_cfg,
+        )
+    scores = [None] * k
+
+    def work(cell):
+        """The trained net and its report, or a divergence's message."""
         try:
-            ens = train_ensemble(data, h, cfg, jobs=config.jobs)
+            return cell()
         except DivergenceError as e:
-            ctx.divergences.append({"error": str(e)})
-            return full, data, None
-    reports = ens.member_reports
+            return str(e)
+
+    def write(name, result):
+        diverged = isinstance(result, str)
+        if name == "comparison":
+            if diverged:
+                return [], None, {"comparison": width, "error": result}
+            return [], {"width": width, "accuracy": result[1].accuracy}, None
+        i = members[name]
+        if diverged:
+            return [], None, {"class": i, "error": result}
+        net, report = result
+        names = ["loss_class_%d.csv" % i, "ensemble/" + member_name(i)]
+        ctx.write(names[0], write_loss_curve_csv, report.loss_curve)
+        ctx.write(names[1], lambda path: save_network(net, path))
+        scores[i] = report.scores
+        return names, {m: getattr(report, m) for m in _MEMBER_METRICS}, None
+
+    shapes = [type(None), {m: float for m in _MEMBER_METRICS},
+              {"width": int, "accuracy": float}]
+    rows = ctx.run_cells(cells, work, write, shapes) + [None]
+    return data, rows[:k], rows[k], scores
+
+
+def _write_members(ctx, per_class):
+    """Write per_class.csv and ensemble/ensemble.json from the members'
+    rows and seeds; returns the rows, or None if a member diverged."""
+    if None in per_class:
+        return None
     ctx.write("per_class.csv", write_csv, "class,accuracy,sensitivity,specificity", (
-        (i, r.accuracy, r.sensitivity, r.specificity) for i, r in enumerate(reports)
+        (i, *(row[m] for m in _MEMBER_METRICS)) for i, row in enumerate(per_class)
     ))
-    for i, rep in enumerate(reports):
-        ctx.write("loss_class_%d.csv" % i, write_loss_curve_csv, rep.loss_curve)
-    saved = save_ensemble(ens, ctx.path("ensemble"))
-    ctx.register(*("ensemble/" + name for name in saved))
-    return full, data, ens
+    seeds = [ctx.seeds["member-%d" % i] for i in range(len(per_class))]
+    ctx.write("ensemble/ensemble.json", write_ensemble_json, seeds)
+    return per_class
 
 
 def run_ova_binary(config, run_dir):
     """Per-class binary metrics for the K one-vs-all members."""
     ctx = RunContext(config, run_dir)
-    _, _, ens = _train_ova(ctx, config)
-    details = {} if ens is None else {"reports": ens.member_reports, "ensemble": ens}
+    _, per_class, _, _ = _run_ova_cells(ctx, config)
+    per_class = _write_members(ctx, per_class)
+    details = {} if per_class is None else {"per_class": per_class}
     return RunResult(ctx.run_dir, ctx.finish(), details)
 
 
@@ -699,52 +777,30 @@ def run_ova_ensemble(config, run_dir):
     """Train the ensemble, judge the full test split, and compare against a
     single multi-class network of matching width."""
     ctx = RunContext(config, run_dir)
-    full, data, ens = _train_ova(ctx, config)
-    if ens is None:
+    data, per_class, comparison, scores = _run_ova_cells(ctx, config)
+    per_class = _write_members(ctx, per_class)
+    if per_class is None:
         return RunResult(ctx.run_dir, ctx.finish())
-    details = {"reports": ens.member_reports, "ensemble": ens}
-    # the members' reports hold their scores on the split the ensemble is judged on
-    scores = [rep.scores for rep in ens.member_reports]
-    with ctx.stage("evaluate"):
-        outcome = evaluate_ensemble(ens, data, config.aggregation, scores)
+    details = {"per_class": per_class}
     idx = data.test_indices
+    with ctx.stage("evaluate"):
+        # a fresh member's report holds its scores on the split the ensemble
+        # is judged on; a skipped member's checkpoint is loaded and scored
+        for i, member in enumerate(scores):
+            if member is None:
+                path = ctx.path("ensemble/" + member_name(i))
+                scores[i] = predict_scores(load_network(path), data.feature_array, idx)[:, 0]
+        outcome = evaluate_ensemble(None, data, config.aggregation, scores)
     ctx.write("verdicts.csv", write_verdicts_csv, outcome, idx, data.labels_at(idx))
     ctx.write("summary.csv", write_outcome_summary_csv, outcome)
-
-    # equal-width single network: K members of width h have K*h hidden units;
-    # compare against the next power of two, trained exactly like a sweep
-    # cell of that width so the two desks' numbers are commensurable
-    k = data.class_count
-    width = 1
-    while width < k * config.hidden[0]:
-        width *= 2
-    comp_seed = derive_seed(config.seed, _SEED_COMPARISON)
-    ctx.seeds["comparison"] = comp_seed
-    budget = BUDGETS["layer-sweep"]
-    with ctx.stage("train-comparison"):
-        comp_data = _apply_subset(full, budget.subset)
-        comp_net = build_conv_net(
-            tuple(comp_data.feature_array.shape[1:]), width, k, comp_seed
-        )
-        comp_cfg = TrainConfig(
-            learning_rate=budget.learning_rate,
-            epochs=budget.epochs,
-            batch_size=config.batch_size,
-            seed=comp_seed,
-        )
-        try:
-            comp_net, comp_report = train(comp_net, comp_data, comp_cfg)
-        except DivergenceError as e:
-            ctx.divergences.append({"comparison": width, "error": str(e)})
-    if ctx.divergences:
-        return RunResult(ctx.run_dir, ctx.finish(), details)
-    ctx.write("comparison.csv", write_csv, "key,value", [
-        ("ensemble_correct", outcome.fraction_correct),
-        ("single_width", width),
-        ("single_accuracy", comp_report.accuracy),
-    ])
-    details.update(outcome=outcome, comparison_width=width,
-                   comparison_accuracy=comp_report.accuracy)
+    if comparison is not None:
+        ctx.write("comparison.csv", write_csv, "key,value", [
+            ("ensemble_correct", outcome.fraction_correct),
+            ("single_width", comparison["width"]),
+            ("single_accuracy", comparison["accuracy"]),
+        ])
+        details.update(outcome=outcome, comparison_width=comparison["width"],
+                       comparison_accuracy=comparison["accuracy"])
     return RunResult(ctx.run_dir, ctx.finish(), details)
 
 

@@ -147,7 +147,7 @@ def mnist_sweep_run(mnist_paths, data_root, tmp_path_factory):
 def test_criterion_3_per_digit_accuracy_bands(mnist_ensemble_run):
     """All ten single-neuron one-vs-all networks reach 0.92 on the full
     test split; at least five reach 0.97."""
-    accs = [rep.accuracy for rep in mnist_ensemble_run.details["reports"]]
+    accs = [row["accuracy"] for row in mnist_ensemble_run.details["per_class"]]
     print("per-digit:", " ".join("%.4f" % a for a in accs))
     for c, acc in enumerate(accs):
         assert acc >= 0.92, "class %d accuracy %.4f < 0.92" % (c, acc)
@@ -158,7 +158,7 @@ def test_criterion_3_per_digit_accuracy_bands(mnist_ensemble_run):
 
 def test_criterion_3_subset_variant_holds_090(mnist_subset_run):
     """The 12,000-sample training variant still clears 0.90 per class."""
-    accs = [rep.accuracy for rep in mnist_subset_run.details["reports"]]
+    accs = [row["accuracy"] for row in mnist_subset_run.details["per_class"]]
     print("per-digit (subset 12000):", " ".join("%.4f" % a for a in accs))
     for c, acc in enumerate(accs):
         assert acc >= 0.90, "class %d accuracy %.4f < 0.90" % (c, acc)
@@ -254,7 +254,7 @@ def cifar_subset_run(cifar_paths, data_root, tmp_path_factory):
 def test_criterion_7_cifar_subset_gate(cifar_subset_run, cifar_paths):
     """Width-128 members on a 10,000-sample subset each clear 0.80; the
     loaded dataset satisfies the format invariants."""
-    accs = [rep.accuracy for rep in cifar_subset_run.details["reports"]]
+    accs = [row["accuracy"] for row in cifar_subset_run.details["per_class"]]
     print("per-class (cifar subset):", " ".join("%.4f" % a for a in accs))
     for c, acc in enumerate(accs):
         assert acc >= 0.80, "class %d accuracy %.4f < 0.80" % (c, acc)

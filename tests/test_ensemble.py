@@ -1,6 +1,8 @@
-"""One-vs-all aggregation rule, ensemble training, and persistence."""
+"""One-vs-all aggregation rule, member training, and persistence."""
 
 import itertools
+import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinynn.datasets import SyntheticSpec, generate_synthetic
+from tinynn import experiments
+from tinynn.datasets import SyntheticSpec, generate_synthetic, make_ova_views
 from tinynn.ensemble import (
     POLICIES,
     VERDICT_KINDS,
@@ -21,12 +24,13 @@ from tinynn.ensemble import (
     outcome_from_positive_sets,
     resolve_verdict,
     save_ensemble,
-    train_ensemble,
+    train_member,
     write_outcome_summary_csv,
     write_verdicts_csv,
     _member_seed,
 )
-from tinynn.errors import DataError, DivergenceError
+from tinynn.errors import DataError
+from tinynn.experiments import ExperimentConfig, run_experiment
 from tinynn.layers import build_mlp
 from tinynn.training import TrainConfig
 
@@ -175,59 +179,96 @@ def synth_multi(seed=0, n=1200, k=3, std=0.4):
     )
 
 
+def train_members(data, hidden_units, cfg):
+    """Every class's member, trained as the one-vs-all runs train it:
+    returns the ensemble and the members' reports."""
+    trained = [
+        train_member(view, hidden_units, cfg, _member_seed(cfg.seed, i))
+        for i, view in enumerate(make_ova_views(data, data.class_count, cfg.seed))
+    ]
+    return OvaEnsemble(members=[net for net, _ in trained]), [rep for _, rep in trained]
+
+
+def ova_binary_run(out, monkeypatch, data, hidden=2, **settings):
+    """An ova-binary run on data through the runner the CLI calls; settings
+    are config fields."""
+    monkeypatch.setattr(experiments, "load_dataset", lambda config: data)
+    return run_experiment(ExperimentConfig(
+        kind="ova-binary", dataset="synthetic", hidden=(hidden,), out=str(out),
+        **settings,
+    ).validate())
+
+
 class TestTrainEnsemble:
+    """The K members: train_member, and the one-vs-all runs that train them
+    as cells."""
+
     def test_one_member_per_class_and_reports(self):
         data = synth_multi()
         # The middle class needs an interval response on the first
         # coordinate, which trains slowly at the default rate.
         cfg = TrainConfig(learning_rate=0.2, epochs=12, seed=5)
-        ens = train_ensemble(data, 4, cfg)
+        ens, reports = train_members(data, 4, cfg)
         assert len(ens.members) == 3
-        assert len(ens.member_reports) == 3
-        for rep in ens.member_reports:
+        assert len(reports) == 3
+        for rep in reports:
             assert rep.accuracy > 0.85
             assert len(rep.loss_curve) == 12
 
-    def test_member_seeds_follow_xor(self):
-        data = synth_multi()
-        ens = train_ensemble(data, 2, TrainConfig(learning_rate=0.05, epochs=1, seed=12))
-        assert [m.spec.seed for m in ens.members] == [12 ^ 0, 12 ^ 1, 12 ^ 2]
+    def test_member_seeds_follow_xor(self, tmp_path, monkeypatch):
+        result = ova_binary_run(
+            tmp_path, monkeypatch, synth_multi(), seed=12, learning_rate=0.05, epochs=1
+        )
+        seeds = [12 ^ 0, 12 ^ 1, 12 ^ 2]
+        assert [result.manifest["seeds"]["member-%d" % i] for i in range(3)] == seeds
+        loaded = load_ensemble(os.path.join(result.run_dir, "ensemble"))
+        assert [m.spec.seed for m in loaded.members] == seeds
+        with open(os.path.join(result.run_dir, "ensemble", "ensemble.json")) as f:
+            assert json.load(f)["seeds"] == seeds
 
     def test_deterministic(self):
         data = synth_multi()
         cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=7)
-        a = train_ensemble(data, 3, cfg)
-        b = train_ensemble(data, 3, cfg)
+        a, _ = train_members(data, 3, cfg)
+        b, _ = train_members(data, 3, cfg)
         for ma, mb in zip(a.members, b.members):
             for pa, pb in zip(ma.params, mb.params):
                 for key in pa:
                     np.testing.assert_array_equal(pa[key], pb[key])
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_parallel_jobs_match_sequential(self):
+    def test_parallel_jobs_match_sequential(self, tmp_path, monkeypatch):
         data = synth_multi(n=600)
-        cfg = TrainConfig(learning_rate=0.05, epochs=1, seed=3)
-        seq = train_ensemble(data, 2, cfg, jobs=1)
-        par = train_ensemble(data, 2, cfg, jobs=2)
-        for ma, mb in zip(seq.members, par.members):
-            for pa, pb in zip(ma.params, mb.params):
-                for key in pa:
-                    np.testing.assert_array_equal(pa[key], pb[key])
+        settings = dict(seed=3, learning_rate=0.05, epochs=1)
+        seq = ova_binary_run(tmp_path / "seq", monkeypatch, data, jobs=1, **settings)
+        par = ova_binary_run(tmp_path / "par", monkeypatch, data, jobs=2, **settings)
+        assert multiprocessing.active_children() == []
+        assert len(seq.manifest["outputs"]) == 3 * 2 + 2
+        assert par.manifest["outputs"] == seq.manifest["outputs"]
+        assert [s["name"] for s in par.manifest["stages"]] == [
+            "load-data", "member-0", "member-1", "member-2"
+        ]
 
     @pytest.mark.parametrize(
         "jobs",
         [1, pytest.param(2, marks=pytest.mark.skipif(
             not hasattr(os, "fork"), reason="needs fork"))],
     )
-    def test_divergence_names_the_class(self, jobs):
+    def test_divergence_names_the_class(self, jobs, tmp_path, monkeypatch):
         data = synth_multi(n=600, std=1e200)  # the first step overflows the head
-        cfg = TrainConfig(learning_rate=1.0, epochs=2, seed=3)
-        with pytest.raises(
-            DivergenceError, match=r"member for class [0-2] diverged: loss diverged"
-        ):
-            train_ensemble(data, 2, cfg, jobs=jobs)
+        result = ova_binary_run(
+            tmp_path, monkeypatch, data, jobs=jobs, seed=3, learning_rate=1.0, epochs=2
+        )
+        divergences = result.manifest["divergences"]
+        assert [d["class"] for d in divergences] == [0, 1, 2]
+        for d in divergences:
+            assert d["error"].startswith(
+                "member for class %d diverged: loss diverged" % d["class"]
+            )
+        assert result.manifest["outputs"] == {}
+        assert result.details == {}
 
-    def test_needs_two_classes(self):
+    def test_needs_two_classes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
         from tinynn.datasets import LabeledDataset
         from tinynn.tensor import Tensor
@@ -236,8 +277,9 @@ class TestTrainEnsemble:
             Tensor(rng.normal(size=(40, 2))), np.zeros(40, np.int64), 1,
             np.arange(30), np.arange(30, 40),
         )
-        with pytest.raises(DataError):
-            train_ensemble(one, 2, TrainConfig(learning_rate=0.05, epochs=1))
+        with pytest.raises(DataError, match="cannot balance class 0"):
+            ova_binary_run(tmp_path, monkeypatch, one, learning_rate=0.05, epochs=1)
+        assert os.listdir(tmp_path) == []  # the failed run left nothing
 
 
 class TestPredictEvaluate:
@@ -245,7 +287,7 @@ class TestPredictEvaluate:
         # Narrow members tend to learn only one edge of the middle
         # class's interval; 16 units is enough to get both.
         data = synth_multi(std=0.3)
-        ens = train_ensemble(data, 16, TrainConfig(learning_rate=0.2, epochs=20, seed=1))
+        ens, _ = train_members(data, 16, TrainConfig(learning_rate=0.2, epochs=20, seed=1))
         return data, ens
 
     def test_positive_sets_respect_threshold_strictness(self):
@@ -286,7 +328,7 @@ class TestPredictEvaluate:
 class TestPersistence:
     def test_round_trip_identical_predictions(self, tmp_path):
         data = synth_multi(n=600)
-        ens = train_ensemble(data, 3, TrainConfig(learning_rate=0.05, epochs=2, seed=9))
+        ens, _ = train_members(data, 3, TrainConfig(learning_rate=0.05, epochs=2, seed=9))
         d = str(tmp_path / "ens")
         save_ensemble(ens, d)
         assert sorted(os.listdir(d)) == [

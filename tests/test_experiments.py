@@ -1,6 +1,7 @@
 """Config handling, run directories, resume/replay, and the CLI."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tinynn
-from tinynn import ensemble, experiments, training
+from tinynn import ensemble, experiments, layers, training
 from tinynn.cli import main
 from tinynn.errors import ConfigError, DataError, DivergenceError
 from tinynn.experiments import (
@@ -76,12 +78,18 @@ class Stop(BaseException):
     """The process stopping (a kill or a ^C) at a chosen write."""
 
 
-def stop_at_write(monkeypatch, name, limit):
-    """Make the files experiments.py opens for writing whose names start
-    with name (a temporary file's too) take limit bytes, then Stop."""
+def stop_at_write(monkeypatch, name, limit, skip=0):
+    """Make the files the library opens for writing whose names start with
+    name (a temporary file's too) take limit bytes, then Stop, from the
+    (skip + 1)-th such file on."""
+    opened = [0]
+
     def stopping_open(path, mode="r", *args, **kwargs):
         f = open(path, mode, *args, **kwargs)
         if not ("w" in mode or "a" in mode) or not os.path.basename(path).startswith(name):
+            return f
+        opened[0] += 1
+        if opened[0] <= skip:
             return f
         write, room = f.write, [limit]
 
@@ -95,7 +103,26 @@ def stop_at_write(monkeypatch, name, limit):
         f.write = partial_write
         return f
 
-    monkeypatch.setattr(experiments, "open", stopping_open, raising=False)
+    # runs write through these modules: config, progress records and the
+    # manifest; CSVs; checkpoints; ensemble.json
+    for module in (experiments, training, layers, ensemble):
+        monkeypatch.setattr(module, "open", stopping_open, raising=False)
+
+
+def member_trains(monkeypatch, stop_at=None):
+    """The classes of the members that start training, in order; with
+    stop_at, the member of that class Stops as it starts."""
+    started = []
+    real_train = ensemble.train
+
+    def recording_train(net, view, cfg):
+        started.append(view.target_class)
+        if view.target_class == stop_at:
+            raise Stop
+        return real_train(net, view, cfg)
+
+    monkeypatch.setattr(ensemble, "train", recording_train)
+    return started
 
 
 def interrupt_after_first_cell(src, run):
@@ -640,29 +667,50 @@ class TestResume:
         with pytest.raises(ConfigError, match="config.json"):
             resume_run(str(tmp_path))
 
-    @pytest.mark.parametrize(
-        "name,limit", [("config.json", 0), ("config.json", 64), ("progress.jsonl", 0)]
-    )
+    @pytest.mark.parametrize("kind,name,limit,skip,first_retrained", [
+        pytest.param("synthetic-sweep", "config.json", 0, 0, None, id="config.json-0"),
+        pytest.param("synthetic-sweep", "config.json", 64, 0, None, id="config.json-64"),
+        pytest.param("synthetic-sweep", "progress.jsonl", 0, 0, None,
+                     id="progress.jsonl-0"),
+        # member 3's checkpoint half written: its header and part of its body
+        pytest.param("ova-binary", "member_3.ckpt", 100, 0, 3,
+                     id="ova-binary-member_3.ckpt-100"),
+        # member 6's progress record torn
+        pytest.param("ova-binary", "progress.jsonl", 40, 6, 6,
+                     id="ova-binary-progress.jsonl-40-member-6"),
+        pytest.param("ova-binary", "ensemble.json", 30, 0, 10,
+                     id="ova-binary-ensemble.json-30"),
+    ])
     def test_a_stop_at_a_write_resumes_or_exits_1(
-        self, name, limit, tmp_path, monkeypatch, capsys
+        self, kind, name, limit, skip, first_retrained, tiny_mnist_dir, tmp_path,
+        monkeypatch, capsys,
     ):
         # a stop partway through the config snapshot leaves no config.json,
         # so --resume is a configuration error, not a traceback; a stop after
-        # it resumes to the clean run's outputs
+        # it resumes to the clean run's outputs, and a one-vs-all run trains
+        # again only the members it had not recorded
         run = tmp_path / "run"
+        if kind == "synthetic-sweep":
+            config, pins = tiny_sweep_config(tmp_path), SWEEP_OUTPUTS
+        else:
+            config = tiny_image_config(kind, tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
+            pins = OVA_MEMBER_OUTPUTS
         with monkeypatch.context() as m:
-            stop_at_write(m, name, limit)
+            stop_at_write(m, name, limit, skip)
             with pytest.raises(Stop):
-                run_experiment(tiny_sweep_config(tmp_path), str(run))
+                run_experiment(config, str(run))
         has_config = (run / "config.json").exists()
+        started = member_trains(monkeypatch)
         code = main(["--resume", str(run)])
         if name == "config.json":
             assert not has_config and code == 1
             assert "no config.json" in capsys.readouterr().err
-        else:
-            assert has_config and code == 0
-            with open(run / "manifest.json") as f:
-                assert json.load(f)["outputs"] == SWEEP_OUTPUTS
+            return
+        assert has_config and code == 0
+        with open(run / "manifest.json") as f:
+            assert json.load(f)["outputs"] == pins
+        if first_retrained is not None:
+            assert started == list(range(first_retrained, 10))
 
     def test_resume_reruns_a_torn_last_record(self, sweep_run, tmp_path):
         # a stop mid-append leaves the next cell's record unterminated: it
@@ -929,7 +977,8 @@ class TestOvaRuns:
     def test_binary_layout(self, tiny_mnist_dir, tmp_path):
         cfg = tiny_image_config("ova-binary", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
         result = run_experiment(cfg)
-        assert len(result.details["reports"]) == 10
+        assert len(result.details["per_class"]) == 10
+        assert stage_names(result) == ["load-data"] + ["member-%d" % i for i in range(10)]
         rows = read_csv_rows(os.path.join(result.run_dir, "per_class.csv"))
         assert [r["class"] for r in rows] == [str(i) for i in range(10)]
         for i in range(10):
@@ -1008,7 +1057,10 @@ class TestOvaRuns:
         assert total == pytest.approx(1.0)
         assert result.manifest["outputs"] == OVA_ENSEMBLE_OUTPUTS
 
-    def test_member_divergence_is_recorded(self, tmp_path, monkeypatch, capsys):
+    def test_member_divergence_is_recorded(self, tiny_mnist_dir, tmp_path, monkeypatch,
+                                           capsys):
+        # the other members still train and are recorded; the files that
+        # need every member are not written, and the run exits 3
         real_train = ensemble.train
 
         def diverge_on_class_1(net, view, cfg):
@@ -1017,18 +1069,133 @@ class TestOvaRuns:
             return real_train(net, view, cfg)
 
         monkeypatch.setattr(ensemble, "train", diverge_on_class_1)
-        ini = tmp_path / "run.ini"
-        ini.write_text(
-            "[experiment]\nkind = ova-binary\ndataset = synthetic\nhidden = 1\n"
-            "synth_n = 200\n[training]\nepochs = 1\n[output]\nout = %s\n"
-            % (tmp_path / "runs")
-        )
-        assert main(["--config", str(ini)]) == 3
-        (run_dir,) = (tmp_path / "runs" / "ova-binary").iterdir()
+        out = tmp_path / "runs"
+        assert main(image_argv("ova-binary", tiny_mnist_dir, str(out), "1", "8")) == 3
+        assert "divergence" in capsys.readouterr().err
+        (run_dir,) = (out / "ova-binary").iterdir()
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        (divergence,) = manifest["divergences"]
-        assert "class 1" in divergence["error"]
-        assert manifest["outputs"] == {}
+        assert manifest["divergences"] == [{
+            "class": 1,
+            "error": "member for class 1 diverged: loss diverged at epoch 1, batch 1",
+        }]
+        assert manifest["outputs"] == {
+            name: digest for name, digest in OVA_MEMBER_OUTPUTS.items()
+            if name not in ("ensemble/ensemble.json", "per_class.csv",
+                            "ensemble/member_1.ckpt", "loss_class_1.csv")
+        }
+        assert len(manifest["outputs"]) == 18
+
+    def test_only_the_member_in_training_is_alive(self, tiny_mnist_dir, tmp_path,
+                                                  monkeypatch):
+        # a run holds one trained member at a time: each is written and
+        # dropped before the next starts
+        members = []
+        alive = []
+        real_train = ensemble.train
+
+        def tracking_train(net, view, cfg):
+            alive.append([i for i, ref in enumerate(members) if ref() is not None])
+            members.append(weakref.ref(net))
+            return real_train(net, view, cfg)
+
+        monkeypatch.setattr(ensemble, "train", tracking_train)
+        cfg = tiny_image_config("ova-binary", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
+        result = run_experiment(cfg)
+        assert alive == [[]] * 10
+        assert result.manifest["outputs"] == OVA_MEMBER_OUTPUTS
+
+    def test_resume_trains_only_the_unfinished_members(self, tiny_mnist_dir, tmp_path,
+                                                       monkeypatch):
+        run = tmp_path / "run"
+        cfg = tiny_image_config("ova-binary", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
+        with monkeypatch.context() as m:
+            member_trains(m, stop_at=4)
+            with pytest.raises(Stop):
+                run_experiment(cfg, str(run))
+        kept = {n: os.stat(run / "ensemble" / n).st_mtime_ns
+                for n in os.listdir(run / "ensemble")}
+        assert sorted(kept) == ["member_%d.ckpt" % i for i in range(4)]
+        started = member_trains(monkeypatch)
+        resumed = resume_run(str(run))
+        assert started == list(range(4, 10))
+        assert stage_names(resumed) == ["load-data"] + ["member-%d" % i for i in range(4, 10)]
+        for name, mtime in kept.items():
+            assert os.stat(run / "ensemble" / name).st_mtime_ns == mtime, name
+        assert resumed.manifest["outputs"] == OVA_MEMBER_OUTPUTS
+        assert [row["accuracy"] for row in resumed.details["per_class"]] == [
+            float(r["accuracy"]) for r in read_csv_rows(run / "per_class.csv")
+        ]
+
+    @pytest.mark.parametrize("stop", ["comparison", "verdicts.csv"])
+    def test_ensemble_resume_trains_only_what_is_not_recorded(
+        self, stop, tiny_mnist_dir, tmp_path, monkeypatch
+    ):
+        # stopped as the comparison net starts, the run resumes to train it
+        # alone; stopped after its cell is recorded, it trains nothing. The
+        # skipped members are scored from their checkpoints, one at a time.
+        monkeypatch.setitem(experiments.BUDGETS, "layer-sweep", Budget(0.04, 2, 40))
+        run = tmp_path / "run"
+        cfg = tiny_image_config("ova-ensemble", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
+        comparisons, stopping = [], [stop == "comparison"]
+        real_train = experiments.train
+
+        def comparison_train(net, data, cfg):
+            comparisons.append(cfg.seed)
+            if stopping[0]:
+                raise Stop
+            return real_train(net, data, cfg)
+
+        monkeypatch.setattr(experiments, "train", comparison_train)
+        with monkeypatch.context() as m:
+            if stop == "verdicts.csv":
+                stop_at_write(m, stop, 0)
+            with pytest.raises(Stop):
+                run_experiment(cfg, str(run))
+        assert comparisons == [derive_seed(0, _SEED_COMPARISON)]
+        comparisons.clear()
+        stopping[0] = False
+        started = member_trains(monkeypatch)
+        loaded = []
+        real_load = experiments.load_network
+
+        def counting_load(path):
+            loaded.append(os.path.basename(path))
+            return real_load(path)
+
+        monkeypatch.setattr(experiments, "load_network", counting_load)
+        resumed = resume_run(str(run))
+        assert started == []
+        assert len(comparisons) == (1 if stop == "comparison" else 0)
+        assert loaded == ["member_%d.ckpt" % i for i in range(10)]
+        assert resumed.manifest["outputs"] == OVA_ENSEMBLE_OUTPUTS
+        with open(run / "comparison.csv") as f:
+            assert f.read() == COMPARISON_CSV
+
+    def test_a_failed_write_exits_4_and_resumes(self, tiny_mnist_dir, tmp_path,
+                                                monkeypatch, capsys):
+        # a full disk at member 5's checkpoint: exit 4, no traceback, and the
+        # directory resumes from member 5 to the clean run's outputs
+        real_save = experiments.save_network
+
+        def full_disk_at_member_5(net, path):
+            if os.path.basename(path) == "member_5.ckpt":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            real_save(net, path)
+
+        out = str(tmp_path / "out")
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "save_network", full_disk_at_member_5)
+            assert main(image_argv("ova-binary", tiny_mnist_dir, out, "1", "8")) == 4
+        err = capsys.readouterr().err
+        assert "write error: cannot write" in err and "member_5.ckpt" in err
+        assert os.strerror(errno.ENOSPC) in err and "Traceback" not in err
+        (stamp,) = os.listdir(os.path.join(out, "ova-binary"))
+        run = os.path.join(out, "ova-binary", stamp)
+        started = member_trains(monkeypatch)
+        assert main(["--resume", run]) == 0
+        assert started == list(range(5, 10))
+        with open(os.path.join(run, "manifest.json")) as f:
+            assert json.load(f)["outputs"] == OVA_MEMBER_OUTPUTS
 
     def test_comparison_divergence_is_recorded(self, tiny_mnist_dir, tmp_path, monkeypatch):
         def diverge(net, data, cfg):
@@ -1453,7 +1620,7 @@ class TestExitCodeContract:
               suppress_health_check=[HealthCheck.too_slow])
     @given(case=cli_cases())
     def test_every_input_maps_to_a_documented_exit(self, case, mnist_dir):
-        """The exit is 0-3, stderr holds no traceback, and an exit of 1 or 2
+        """The exit is 0-4, stderr holds no traceback, and an exit of 1 or 2
         leaves the files as it found them, but for a resumed directory."""
         argv, files = case
         argv = [mnist_dir if a == "MNIST" else a for a in argv]
@@ -1479,7 +1646,7 @@ class TestExitCodeContract:
                 after = tree_state(root)
             finally:
                 os.chdir(cwd)
-        assert rc in (0, 1, 2, 3), (argv, stderr.getvalue())
+        assert rc in (0, 1, 2, 3, 4), (argv, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
         if rc in (1, 2):
             if "--resume" in argv:
