@@ -1,24 +1,24 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 bad configuration (an unknown flag, a bad flag
-value, a config file the INI parser rejects and an output path that cannot
-be created included), 2 unreadable or malformed data (a manifest that is
-not an object holding a config object included), 3 training diverged: a
-sweep cell, a one-vs-all member or the comparison net, recorded in the
-manifest, 4 an output could not be written (a full disk, say). A run that
-exits 1 or 2 removes the directories it created; one that exits 4 keeps
-its directory, which --resume finishes.
+value, a flag given with --resume, or one but --out with --replay, a
+config file the INI parser rejects and an output path that cannot be
+created included), 2 unreadable or malformed data (a manifest that is not an
+object holding a config object included), 3 training diverged: a sweep
+cell, a one-vs-all member or the comparison net, recorded in the manifest,
+4 an output could not be written (a full disk, say). A run that exits 1 or
+2 removes the directories it created; one that exits 4 keeps its
+directory, which --resume finishes.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import ConfigError, DataError, DataFormatError, DivergenceError, WriteError
 from .experiments import (
-    DATASETS,
-    KINDS,
-    POLICIES,
+    ExperimentConfig,
     build_config,
     load_config_file,
     replay_manifest,
@@ -41,31 +41,13 @@ def _parser():
         "writing reproducible run directories.",
     )
     p.add_argument("--config", help="sectioned key-value config file")
-    # every other option's dest is a config field (or data_dir), passed
-    # through to build_config as is
-    p.add_argument("--experiment", choices=KINDS, dest="kind", help="what to run")
-    p.add_argument("--dataset", choices=DATASETS)
-    p.add_argument("--hidden", help="comma-separated hidden sizes, e.g. 1 or 16,128")
-    p.add_argument("--trials", type=int, help="trial repetitions per sweep cell")
-    p.add_argument("--seed", type=int, help="base seed for the whole run")
-    p.add_argument("--out", help="output root directory (default runs)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--batch", type=int, dest="batch_size")
-    p.add_argument(
-        "--subset",
-        type=int,
-        help="per-run stratified cap on training rows; 0 means the full split",
-    )
-    p.add_argument("--jobs", type=int, help="forked workers for sweep cells and OVA members")
-    p.add_argument(
-        "--aggregation",
-        choices=POLICIES,
-        help="ensemble decision rule (non-default choices are diagnostics)",
-    )
-    p.add_argument("--data-dir", dest="data_dir", help="root holding mnist/ and cifar-10-batches-bin/")
-    p.add_argument("--mnist-dir", dest="mnist_dir")
-    p.add_argument("--cifar-dir", dest="cifar_dir")
+    # every other option's dest is a config field (or data_dir), its text
+    # passed through to build_config, whose field parsers coerce it
+    for f in fields(ExperimentConfig):
+        if f.metadata["flag"]:
+            p.add_argument(f.metadata["flag"], dest=f.name, choices=f.metadata["choices"],
+                           help=f.metadata["help"])
+    p.add_argument("--data-dir", help="root holding mnist/ and cifar-10-batches-bin/")
     p.add_argument("--resume", metavar="RUN_DIR", help="finish an interrupted run")
     p.add_argument("--replay", metavar="MANIFEST", help="re-run a recorded manifest")
     return p
@@ -76,14 +58,10 @@ def _report(result):
     details = result.details
     if "outcome" in details:
         o = details["outcome"]
-        print(
-            "ensemble: correct %.4f, redundant %.4f, misclassified %.4f"
-            % (o.fraction_correct, o.fraction_redundant, o.fraction_misclassified)
-        )
-        print(
-            "single width-%d accuracy: %.4f"
-            % (details["comparison_width"], details["comparison_accuracy"])
-        )
+        print("ensemble: correct %.4f, redundant %.4f, misclassified %.4f"
+              % (o.fraction_correct, o.fraction_redundant, o.fraction_misclassified))
+        print("single width-%d accuracy: %.4f"
+              % (details["comparison_width"], details["comparison_accuracy"]))
     elif "per_class" in details:
         for i, row in enumerate(details["per_class"]):
             print("class %d: accuracy %.4f" % (i, row["accuracy"]))
@@ -97,7 +75,15 @@ def _report(result):
 
 def main(argv=None):
     try:
-        flags = vars(_parser().parse_args(argv))
+        parser = _parser()
+        flags = vars(parser.parse_args(argv))
+        # a resumed or replayed run takes its recorded config, --replay a new
+        # --out too; any other flag is refused, not ignored
+        kept = ("replay", "out") if flags["replay"] else ("resume",) if flags["resume"] else ()
+        ignored = [a.option_strings[0] for a in parser._actions
+                   if kept and a.dest not in kept and flags.get(a.dest) is not None]
+        if ignored:
+            raise ConfigError("--%s takes no %s" % (kept[0], ", ".join(ignored)))
         config_path, resume, replay = (flags.pop(k) for k in ("config", "resume", "replay"))
         if replay:
             result = replay_manifest(replay, out=flags["out"])

@@ -107,8 +107,8 @@ CIFAR_FILES = tuple("data_batch_%d.bin" % i for i in range(1, 6)) + ("test_batch
 
 
 # ---------------------------------------------------------------------------
-# config fields: each carries its INI location and the parser that coerces
-# INI text and CLI flag values
+# config fields: each carries its INI location, the parser that coerces INI
+# text, CLI flag text and stored values, and its CLI flag, choices and help
 
 
 def _text(name, value):
@@ -155,8 +155,10 @@ _int, _float = _number(int, "an integer"), _number(float, "a number")
 _int_list, _float_list = _number_list(int, "integer"), _number_list(float, "float")
 
 
-def _setting(section, key, parse, default=MISSING):
-    return field(default=default, metadata={"ini": (section, key), "parse": parse})
+def _setting(section, key, parse, default=MISSING, flag=None, choices=None, help=None):
+    """A config field; flag is its CLI option, None for an INI-only key."""
+    return field(default=default, metadata=dict(
+        ini=(section, key), parse=parse, flag=flag, choices=choices, help=help))
 
 
 @dataclass
@@ -167,36 +169,42 @@ class ExperimentConfig:
     budget from BUDGETS.
     """
 
-    kind: str = _setting("experiment", "kind", _text)
-    dataset: str = _setting("experiment", "dataset", _text)
-    hidden: tuple = _setting("experiment", "hidden", _int_list)
-    trials: int = _setting("experiment", "trials", _int, 100)
-    seed: int = _setting("experiment", "seed", _int, 0)
-    out: str = _setting("output", "out", _text, "runs")
-    learning_rate: float = _setting("training", "lr", _float, None)
-    batch_size: int = _setting("training", "batch", _int, TrainConfig.batch_size)
-    epochs: int = _setting("training", "epochs", _int, None)
-    subset: int = _setting("experiment", "subset", _int, None)
-    jobs: int = _setting("experiment", "jobs", _int, 1)
-    aggregation: str = _setting("experiment", "aggregation", _text, "redundant-error")
+    kind: str = _setting("experiment", "kind", _text, flag="--experiment",
+                         choices=KINDS, help="what to run")
+    dataset: str = _setting("experiment", "dataset", _text, flag="--dataset",
+                            choices=DATASETS)
+    hidden: tuple = _setting("experiment", "hidden", _int_list, flag="--hidden",
+                             help="comma-separated hidden sizes, e.g. 1 or 16,128")
+    trials: int = _setting("experiment", "trials", _int, 100, "--trials",
+                           help="trial repetitions per sweep cell")
+    seed: int = _setting("experiment", "seed", _int, 0, "--seed",
+                         help="base seed for the whole run")
+    out: str = _setting("output", "out", _text, "runs", "--out",
+                        help="output root directory (default runs)")
+    learning_rate: float = _setting("training", "lr", _float, None, "--lr")
+    batch_size: int = _setting("training", "batch", _int, TrainConfig.batch_size, "--batch")
+    epochs: int = _setting("training", "epochs", _int, None, "--epochs")
+    subset: int = _setting(
+        "experiment", "subset", _int, None, "--subset",
+        help="per-run stratified cap on training rows; 0 means the full split")
+    jobs: int = _setting("experiment", "jobs", _int, 1, "--jobs",
+                         help="forked workers for sweep cells and OVA members")
+    aggregation: str = _setting(
+        "experiment", "aggregation", _text, "redundant-error", "--aggregation", POLICIES,
+        "ensemble decision rule (non-default choices are diagnostics)")
     stds: tuple = _setting("experiment", "stds", _float_list, DEFAULT_STDS)
     sizes: tuple = _setting("experiment", "sizes", _int_list, DEFAULT_SIZES)
     synth_std: float = _setting("experiment", "synth_std", _float, 1.0)
     synth_n: int = _setting("experiment", "synth_n", _int, 10000)
-    mnist_dir: str = _setting("data", "mnist_dir", _text, None)
-    cifar_dir: str = _setting("data", "cifar_dir", _text, None)
+    mnist_dir: str = _setting("data", "mnist_dir", _text, None, "--mnist-dir")
+    cifar_dir: str = _setting("data", "cifar_dir", _text, None, "--cifar-dir")
 
     def validate(self):
-        if self.kind not in KINDS:
-            raise ConfigError(
-                "unknown experiment %r (expected one of %s)"
-                % (self.kind, ", ".join(KINDS))
-            )
-        if self.dataset not in DATASETS:
-            raise ConfigError(
-                "unknown dataset %r (expected one of %s)"
-                % (self.dataset, ", ".join(DATASETS))
-            )
+        for f in fields(self):
+            choices, value = f.metadata["choices"], getattr(self, f.name)
+            if choices and value not in choices:
+                raise ConfigError("unknown %s %r (expected one of %s)"
+                                  % (f.metadata["flag"][2:], value, ", ".join(choices)))
         if self.kind == "synthetic-sweep" and self.dataset != "synthetic":
             raise ConfigError("synthetic-sweep runs on the synthetic dataset")
         # ova-ensemble's comparison net is the conv stack
@@ -215,11 +223,6 @@ class ExperimentConfig:
             raise ConfigError("subset must be >= 0, got %r" % (self.subset,))
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1, got %r" % (self.jobs,))
-        if self.aggregation not in POLICIES:
-            raise ConfigError(
-                "unknown aggregation %r (expected one of %s)"
-                % (self.aggregation, ", ".join(POLICIES))
-            )
         if self.learning_rate is not None and not (0.0 < self.learning_rate <= 1.0):
             raise ConfigError("lr must be in (0, 1], got %r" % (self.learning_rate,))
         if self.epochs is not None and self.epochs < 1:
@@ -474,27 +477,29 @@ class RunContext:
                 done[entry["cell"]] = entry
         return done
 
-    def run_cells(self, cells, work, write, row_shapes):
+    def run_cells(self, cells, work, write, row_shape):
         """Run independent cells; returns their rows in cell order.
 
         cells maps names to work's argument. A cell whose progress record
         still hash-verifies is skipped; its outputs, row and divergence come
-        from the record, and a row whose _shape is not among row_shapes is a
-        data error. A record of a cell not in cells adds nothing. The rest
-        run as work(cell) through fork_map over config.jobs, each timed where
-        it runs. Then, in the parent and in cell order, each gets its stage,
-        write(name, result) writes its outputs and returns (output names,
-        row, divergence or None), its progress record is appended and its
-        result is dropped, so a serial run writes each cell before the next
-        starts and holds one cell's result at a time.
+        from the record, and a row whose _shape is not row_shape(name,
+        whether the record holds a divergence) is a data error. A record of
+        a cell not in cells adds nothing. The rest run as work(cell) through
+        fork_map over config.jobs, each timed where it runs. Then, in the
+        parent and in cell order, each gets its stage, write(name, result)
+        writes its outputs and returns (output names, row, divergence or
+        None), its progress record is appended and its result is dropped, so
+        a serial run writes each cell before the next starts and holds one
+        cell's result at a time.
         """
         done = self.completed_cells()
         for name in cells:
             if name in done:
-                if _shape(done[name].get("row")) not in row_shapes:
+                record = done[name]
+                if _shape(record.get("row")) != row_shape(name, "divergence" in record):
                     raise DataError("%s: malformed row in the record of cell %s"
                                     % (self._progress_path, name))
-                self.outputs.update(done[name]["outputs"])
+                self.outputs.update(record["outputs"])
         todo = [name for name in cells if name not in done]
 
         def timed(i):
@@ -584,15 +589,10 @@ def _apply_subset(data, n):
 # runners
 
 
-def _cell_name(std, n, h):
-    return "std%s_n%d_h%d" % (("%g" % std), n, h)
-
-
-def run_synthetic_sweep(config, run_dir):
+def _run_synthetic_sweep(ctx, config):
     """The 3x3x3 grid: stds x sizes x hidden widths, trial-averaged."""
-    ctx = RunContext(config, run_dir)
     cells = {
-        _cell_name(std, n, h): (std, n, h, derive_seed(config.seed, si, ni, h))
+        "std%g_n%d_h%d" % (std, n, h): (std, n, h, derive_seed(config.seed, si, ni, h))
         for si, std in enumerate(config.stds)
         for ni, n in enumerate(config.sizes)
         for h in config.hidden
@@ -612,122 +612,116 @@ def run_synthetic_sweep(config, run_dir):
         names = ["%s_trials.csv" % name, "%s_summary.csv" % name]
         ctx.write(names[0], write_trials_csv, summary)
         ctx.write(names[1], write_summary_csv, summary)
-        row = {
-            "std": std,
-            "n_samples": n,
-            "hidden": h,
-            "metrics": {m: [v, summary.stds[m]] for m, v in summary.means.items()},
-            "n_ok": summary.n_trials - summary.divergences,
-        }
+        row = {"std": std, "n_samples": n, "hidden": h,
+               "metrics": {m: [v, summary.stds[m]] for m, v in summary.means.items()},
+               "n_ok": summary.n_trials - summary.divergences}
         diverged = {"cell": name, "count": summary.divergences}
         return names, row, diverged if summary.divergences else None
 
     metrics = ("accuracy", "sensitivity", "specificity")
-    grid_rows = ctx.run_cells(cells, work, write, [{
+    shape = {
         "std": float, "n_samples": int, "hidden": int, "n_ok": int,
         "metrics": {m: [float, float] for m in metrics},
-    }])
+    }
+    grid_rows = ctx.run_cells(cells, work, write, lambda name, diverged: shape)
     ctx.write("grid.csv", write_csv, "std,n_samples,hidden,metric,mean,stddev,n", (
         ("%g" % row["std"], row["n_samples"], row["hidden"], m, *row["metrics"][m],
          row["n_ok"])
         for row in grid_rows
         for m in metrics
     ))
-    manifest = ctx.finish()
-    return RunResult(ctx.run_dir, manifest, {"rows": grid_rows})
+    return {"rows": grid_rows}
 
 
-def run_layer_size_sweep(config, run_dir):
-    """One multi-class conv net per hidden width at the sweep budget."""
-    ctx = RunContext(config, run_dir)
+def _trained(train_cell):
+    """The work of a layer-sweep or one-vs-all cell: the trained net and its
+    report, or a divergence's message."""
+    try:
+        return train_cell()
+    except DivergenceError as e:
+        return str(e)
+
+
+def _train_conv(data, width, cfg):
+    """A multi-class conv net of width hidden units, seeded and trained at cfg."""
+    net = build_conv_net(tuple(data.feature_array.shape[1:]), width, data.class_count, cfg.seed)
+    return train(net, data, cfg)
+
+
+def _save_trained(ctx, names, result):
+    """Write a trained net's loss curve and checkpoint as names; returns names."""
+    net, report = result
+    ctx.write(names[0], write_loss_curve_csv, report.loss_curve)
+    ctx.write(names[1], lambda path: save_network(net, path))
+    return names
+
+
+def _run_layer_size_sweep(ctx, config):
+    """One multi-class conv net per hidden width at the sweep budget; cell
+    w<width> trains the net of that width."""
     with ctx.stage("load-data"):
         data = _apply_subset(load_dataset(config), config.budget().subset)
-    cells = {"w%d" % w: (w, derive_seed(config.seed, w)) for w in config.hidden}
-    ctx.seeds.update(("width-%d" % w, seed) for w, seed in cells.values())
-
-    def work(cell):
-        """The trained net and its report, or a divergence's message."""
-        width, seed = cell
-        net = build_conv_net(
-            tuple(data.feature_array.shape[1:]), width, data.class_count, seed
-        )
-        try:
-            return train(net, data, config.train_config(seed))
-        except DivergenceError as e:
-            return str(e)
+    cells = {}
+    for w in config.hidden:
+        ctx.seeds["width-%d" % w] = seed = derive_seed(config.seed, w)
+        cells["w%d" % w] = partial(_train_conv, data, w, config.train_config(seed))
 
     def write(name, result):
-        width, _ = cells[name]
+        width = int(name[1:])
         if isinstance(result, str):
             row = {"width": width, "accuracy": None, "diverged": 1}
             return [], row, {"width": width, "error": result}
-        net, report = result
-        names = ["loss_w%d.csv" % width, "width_%d.ckpt" % width]
-        ctx.write(names[0], write_loss_curve_csv, report.loss_curve)
-        ctx.write(names[1], lambda path: save_network(net, path))
-        return names, {"width": width, "accuracy": report.accuracy, "diverged": 0}, None
+        names = _save_trained(ctx, ["loss_w%d.csv" % width, "width_%d.ckpt" % width], result)
+        return names, {"width": width, "accuracy": result[1].accuracy, "diverged": 0}, None
 
-    shapes = [{"width": int, "accuracy": acc, "diverged": int}
-              for acc in (float, type(None))]
-    rows = sorted(ctx.run_cells(cells, work, write, shapes), key=lambda r: r["width"])
+    def row_shape(name, diverged):
+        return {"width": int, "accuracy": type(None) if diverged else float, "diverged": int}
+
+    rows = sorted(ctx.run_cells(cells, _trained, write, row_shape), key=lambda r: r["width"])
     ctx.write("accuracy_vs_width.csv", write_csv, "width,accuracy,diverged", (
         (r["width"], "" if r["accuracy"] is None else r["accuracy"], r["diverged"])
         for r in rows
     ))
-    manifest = ctx.finish()
-    return RunResult(ctx.run_dir, manifest, {"rows": rows})
+    return {"rows": rows}
 
 
 _MEMBER_METRICS = ("accuracy", "sensitivity", "specificity")
 
 
-def _run_ova_cells(ctx, config):
-    """Train the K one-vs-all members as cells member-0 ... member-K-1 and,
-    for ova-ensemble, the comparison net as one more cell, comparison.
+def _run_ova(ctx, config):
+    """Train the K one-vs-all members as cells member-0 ... member-K-1 and
+    write their per-class binary metrics; ova-ensemble then judges the test
+    split with them and compares against a single multi-class network of
+    matching width, trained as one more cell, comparison.
 
-    Returns the training dataset, the members' rows, the comparison net's
-    row and the members' test scores. A member's write saves its checkpoint
-    and loss curve and keeps its test scores, None for a skipped member; its
-    row is its per-class metrics. The comparison net writes nothing; its row
-    holds its width and accuracy. The row of a unit that diverged, or of a
-    comparison net that ova-binary does not train, is None. Only the network
-    in training is alive: each is dropped once written.
+    A member's write saves its checkpoint and loss curve and keeps its test
+    scores; its row is its per-class metrics. The comparison net's row is
+    its width and accuracy. A unit that diverged has no row, and what needs
+    it is not written. Each network is dropped once written.
     """
     with ctx.stage("load-data"):
         full = load_dataset(config)
         data = _apply_subset(full, config.budget().subset)
-    k = data.class_count
+    k, h, cfg = data.class_count, config.hidden[0], config.train_config()
     views = make_ova_views(data, k, config.seed)
-    h, cfg = config.hidden[0], config.train_config()
-    members = {"member-%d" % i: i for i in range(k)}
     cells = {}
-    for name, i in members.items():
-        ctx.seeds[name] = seed = _member_seed(config.seed, i)
-        cells[name] = partial(train_member, views[i], h, cfg, seed)
+    for i in range(k):
+        ctx.seeds["member-%d" % i] = seed = _member_seed(config.seed, i)
+        cells["member-%d" % i] = partial(train_member, views[i], h, cfg, seed)
     if config.kind == "ova-ensemble":
         # equal-width single network: K members of width h have K*h hidden
         # units; compare against the next power of two, trained exactly like
         # a sweep cell of that width so the two desks' numbers are
         # commensurable
         width = 1 << (k * h - 1).bit_length()
-        comp_seed = derive_seed(config.seed, _SEED_COMPARISON)
-        ctx.seeds["comparison"] = comp_seed
+        ctx.seeds["comparison"] = seed = derive_seed(config.seed, _SEED_COMPARISON)
         budget = BUDGETS["layer-sweep"]
-        comp_data = _apply_subset(full, budget.subset)
-        comp_cfg = replace(config.train_config(comp_seed),
-                           learning_rate=budget.learning_rate, epochs=budget.epochs)
-        cells["comparison"] = lambda: train(
-            build_conv_net(tuple(comp_data.feature_array.shape[1:]), width, k, comp_seed),
-            comp_data, comp_cfg,
+        cells["comparison"] = partial(
+            _train_conv, _apply_subset(full, budget.subset), width,
+            replace(config.train_config(seed), learning_rate=budget.learning_rate,
+                    epochs=budget.epochs),
         )
     scores = [None] * k
-
-    def work(cell):
-        """The trained net and its report, or a divergence's message."""
-        try:
-            return cell()
-        except DivergenceError as e:
-            return str(e)
 
     def write(name, result):
         diverged = isinstance(result, str)
@@ -735,53 +729,31 @@ def _run_ova_cells(ctx, config):
             if diverged:
                 return [], None, {"comparison": width, "error": result}
             return [], {"width": width, "accuracy": result[1].accuracy}, None
-        i = members[name]
+        i = int(name[len("member-"):])
         if diverged:
             return [], None, {"class": i, "error": result}
-        net, report = result
+        scores[i] = result[1].scores
         names = ["loss_class_%d.csv" % i, "ensemble/" + member_name(i)]
-        ctx.write(names[0], write_loss_curve_csv, report.loss_curve)
-        ctx.write(names[1], lambda path: save_network(net, path))
-        scores[i] = report.scores
-        return names, {m: getattr(report, m) for m in _MEMBER_METRICS}, None
+        row = {m: getattr(result[1], m) for m in _MEMBER_METRICS}
+        return _save_trained(ctx, names, result), row, None
 
-    shapes = [type(None), {m: float for m in _MEMBER_METRICS},
-              {"width": int, "accuracy": float}]
-    rows = ctx.run_cells(cells, work, write, shapes) + [None]
-    return data, rows[:k], rows[k], scores
+    def row_shape(name, diverged):
+        member_row = {m: float for m in _MEMBER_METRICS}
+        comparison_row = {"width": int, "accuracy": float}
+        return type(None) if diverged else comparison_row if name == "comparison" else member_row
 
-
-def _write_members(ctx, per_class):
-    """Write per_class.csv and ensemble/ensemble.json from the members'
-    rows and seeds; returns the rows, or None if a member diverged."""
+    rows = ctx.run_cells(cells, _trained, write, row_shape)
+    per_class = rows[:k]
     if None in per_class:
-        return None
+        return {}
     ctx.write("per_class.csv", write_csv, "class,accuracy,sensitivity,specificity", (
         (i, *(row[m] for m in _MEMBER_METRICS)) for i, row in enumerate(per_class)
     ))
-    seeds = [ctx.seeds["member-%d" % i] for i in range(len(per_class))]
+    seeds = [ctx.seeds["member-%d" % i] for i in range(k)]
     ctx.write("ensemble/ensemble.json", write_ensemble_json, seeds)
-    return per_class
-
-
-def run_ova_binary(config, run_dir):
-    """Per-class binary metrics for the K one-vs-all members."""
-    ctx = RunContext(config, run_dir)
-    _, per_class, _, _ = _run_ova_cells(ctx, config)
-    per_class = _write_members(ctx, per_class)
-    details = {} if per_class is None else {"per_class": per_class}
-    return RunResult(ctx.run_dir, ctx.finish(), details)
-
-
-def run_ova_ensemble(config, run_dir):
-    """Train the ensemble, judge the full test split, and compare against a
-    single multi-class network of matching width."""
-    ctx = RunContext(config, run_dir)
-    data, per_class, comparison, scores = _run_ova_cells(ctx, config)
-    per_class = _write_members(ctx, per_class)
-    if per_class is None:
-        return RunResult(ctx.run_dir, ctx.finish())
     details = {"per_class": per_class}
+    if config.kind == "ova-binary":
+        return details
     idx = data.test_indices
     with ctx.stage("evaluate"):
         # a fresh member's report holds its scores on the split the ensemble
@@ -793,6 +765,7 @@ def run_ova_ensemble(config, run_dir):
         outcome = evaluate_ensemble(None, data, config.aggregation, scores)
     ctx.write("verdicts.csv", write_verdicts_csv, outcome, idx, data.labels_at(idx))
     ctx.write("summary.csv", write_outcome_summary_csv, outcome)
+    comparison = rows[k]
     if comparison is not None:
         ctx.write("comparison.csv", write_csv, "key,value", [
             ("ensemble_correct", outcome.fraction_correct),
@@ -801,14 +774,15 @@ def run_ova_ensemble(config, run_dir):
         ])
         details.update(outcome=outcome, comparison_width=comparison["width"],
                        comparison_accuracy=comparison["accuracy"])
-    return RunResult(ctx.run_dir, ctx.finish(), details)
+    return details
 
 
+# each runner runs its kind in a RunContext and returns the result's details
 _RUNNERS = {
-    "synthetic-sweep": run_synthetic_sweep,
-    "layer-size-sweep": run_layer_size_sweep,
-    "ova-binary": run_ova_binary,
-    "ova-ensemble": run_ova_ensemble,
+    "synthetic-sweep": _run_synthetic_sweep,
+    "layer-size-sweep": _run_layer_size_sweep,
+    "ova-binary": _run_ova,
+    "ova-ensemble": _run_ova,
 }
 
 
@@ -832,7 +806,9 @@ def run_experiment(config, run_dir=None):
         run_dir = os.path.join(config.out, config.kind, stamp)
     created = _missing_dirs(run_dir)
     try:
-        return _RUNNERS[config.kind](config, run_dir)
+        ctx = RunContext(config, run_dir)
+        details = _RUNNERS[config.kind](ctx, config)
+        return RunResult(run_dir, ctx.finish(), details)
     except (ConfigError, DataError, DataFormatError):
         if created:
             shutil.rmtree(created[0], ignore_errors=True)

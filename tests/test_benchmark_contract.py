@@ -5,7 +5,8 @@ target that no longer resolves reads as an absent span with value 0. This
 checks every target still resolves, but for the retired ones, which must
 not, without installing the tracer, plus the
 calls the benchmark makes directly (perfbench/child.py, perfbench/inputs.py
-and perfbench/selftest.py), with the outputs it checks.
+and perfbench/selftest.py), with the outputs it checks, and the command
+line conv-train passes to the CLI.
 """
 
 import collections
@@ -16,7 +17,7 @@ import os
 import numpy as np
 import pytest
 
-from tinynn import ensemble, layers, training
+from tinynn import cli, ensemble, layers, training
 from tinynn.datasets import LabeledDataset, SyntheticSpec, generate_synthetic, make_ova_views
 from tinynn.experiments import build_config
 from tinynn.layers import build_conv_net, build_mlp, forward
@@ -26,15 +27,16 @@ from tinynn.tensor import Tensor
 from reference import randomize_head
 
 
-def load_tracing():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def load_perfbench(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACING = load_tracing()
+TRACING = load_perfbench("tracing")
+INPUTS = load_perfbench("inputs")
 
 
 # targets of code the library no longer has: the one-vs-all runs train and
@@ -153,6 +155,18 @@ def test_build_config_with_benchmark_keys():
     )
     assert (cfg.kind, cfg.dataset, cfg.mnist_dir, cfg.hidden) == (
         "ova-binary", "mnist", "/m", (3,)
+    )
+
+
+def test_conv_train_argv_config():
+    # conv-train's run is this command line through cli.main
+    argv = INPUTS.conv_train_argv("/bench/mnist", 7, "/bench/out")
+    cfg = build_config({}, vars(cli._parser().parse_args(argv)))
+    assert (cfg.kind, cfg.dataset, cfg.mnist_dir, cfg.hidden) == (
+        "ova-binary", "mnist", "/bench/mnist", (INPUTS.CONV_HIDDEN,)
+    )
+    assert (cfg.epochs, cfg.batch_size, cfg.seed, cfg.jobs, cfg.out) == (
+        INPUTS.CONV_EPOCHS, 32, 7, 1, "/bench/out"
     )
 
 

@@ -94,6 +94,31 @@ CHOICES = {
     "--aggregation": ["redundant-error", "priority", "argmax"],
 }
 
+# (dest, help) of each option, by its first option string: a flag that is
+# not --config, --data-dir, --resume or --replay passes its config field
+DESTS_AND_HELP = {
+    "-h": ("help", "show this help message and exit"),
+    "--config": ("config", "sectioned key-value config file"),
+    "--experiment": ("kind", "what to run"),
+    "--dataset": ("dataset", None),
+    "--hidden": ("hidden", "comma-separated hidden sizes, e.g. 1 or 16,128"),
+    "--trials": ("trials", "trial repetitions per sweep cell"),
+    "--seed": ("seed", "base seed for the whole run"),
+    "--out": ("out", "output root directory (default runs)"),
+    "--epochs": ("epochs", None),
+    "--lr": ("learning_rate", None),
+    "--batch": ("batch_size", None),
+    "--subset": ("subset", "per-run stratified cap on training rows; 0 means the full split"),
+    "--jobs": ("jobs", "forked workers for sweep cells and OVA members"),
+    "--aggregation": (
+        "aggregation", "ensemble decision rule (non-default choices are diagnostics)"),
+    "--data-dir": ("data_dir", "root holding mnist/ and cifar-10-batches-bin/"),
+    "--mnist-dir": ("mnist_dir", None),
+    "--cifar-dir": ("cifar_dir", None),
+    "--resume": ("resume", "finish an interrupted run"),
+    "--replay": ("replay", "re-run a recorded manifest"),
+}
+
 
 def config_text(config):
     return json.dumps(config.resolved(), sort_keys=True)
@@ -143,3 +168,4 @@ def test_cli_options_and_choices():
     assert sorted(s for a in actions for s in a.option_strings) == OPTION_STRINGS
     choices = {a.option_strings[0]: list(a.choices) for a in actions if a.choices}
     assert choices == CHOICES
+    assert {a.option_strings[0]: (a.dest, a.help) for a in actions} == DESTS_AND_HELP

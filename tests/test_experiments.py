@@ -125,6 +125,20 @@ def member_trains(monkeypatch, stop_at=None):
     return started
 
 
+def width_trains(monkeypatch, config):
+    """The widths of a layer sweep's nets that start training, in order."""
+    started = []
+    widths = {derive_seed(config.seed, w): w for w in config.hidden}
+    real_train = experiments.train
+
+    def recording_train(net, data, cfg):
+        started.append(widths[cfg.seed])
+        return real_train(net, data, cfg)
+
+    monkeypatch.setattr(experiments, "train", recording_train)
+    return started
+
+
 def interrupt_after_first_cell(src, run):
     """Copy a finished sweep's config and first cell into run, as a run cut
     after that cell; returns the cell's name."""
@@ -667,31 +681,41 @@ class TestResume:
         with pytest.raises(ConfigError, match="config.json"):
             resume_run(str(tmp_path))
 
-    @pytest.mark.parametrize("kind,name,limit,skip,first_retrained", [
+    @pytest.mark.parametrize("kind,name,limit,skip,retrained", [
         pytest.param("synthetic-sweep", "config.json", 0, 0, None, id="config.json-0"),
         pytest.param("synthetic-sweep", "config.json", 64, 0, None, id="config.json-64"),
         pytest.param("synthetic-sweep", "progress.jsonl", 0, 0, None,
                      id="progress.jsonl-0"),
+        # width 2's checkpoint half written
+        pytest.param("layer-size-sweep", "width_2.ckpt", 100, 0, [2],
+                     id="layer-size-sweep-width_2.ckpt-100"),
+        # width 2's progress record torn
+        pytest.param("layer-size-sweep", "progress.jsonl", 40, 1, [2],
+                     id="layer-size-sweep-progress.jsonl-40-w2"),
         # member 3's checkpoint half written: its header and part of its body
-        pytest.param("ova-binary", "member_3.ckpt", 100, 0, 3,
+        pytest.param("ova-binary", "member_3.ckpt", 100, 0, list(range(3, 10)),
                      id="ova-binary-member_3.ckpt-100"),
         # member 6's progress record torn
-        pytest.param("ova-binary", "progress.jsonl", 40, 6, 6,
+        pytest.param("ova-binary", "progress.jsonl", 40, 6, list(range(6, 10)),
                      id="ova-binary-progress.jsonl-40-member-6"),
-        pytest.param("ova-binary", "ensemble.json", 30, 0, 10,
+        pytest.param("ova-binary", "ensemble.json", 30, 0, [],
                      id="ova-binary-ensemble.json-30"),
     ])
     def test_a_stop_at_a_write_resumes_or_exits_1(
-        self, kind, name, limit, skip, first_retrained, tiny_mnist_dir, tmp_path,
+        self, kind, name, limit, skip, retrained, tiny_mnist_dir, tmp_path,
         monkeypatch, capsys,
     ):
         # a stop partway through the config snapshot leaves no config.json,
         # so --resume is a configuration error, not a traceback; a stop after
-        # it resumes to the clean run's outputs, and a one-vs-all run trains
-        # again only the members it had not recorded
+        # it resumes to the clean run's outputs, and a layer sweep or a
+        # one-vs-all run trains again only the widths or members it had not
+        # recorded
         run = tmp_path / "run"
         if kind == "synthetic-sweep":
             config, pins = tiny_sweep_config(tmp_path), SWEEP_OUTPUTS
+        elif kind == "layer-size-sweep":
+            config = tiny_image_config(kind, tmp_path, tiny_mnist_dir)
+            pins = LAYER_SWEEP_OUTPUTS
         else:
             config = tiny_image_config(kind, tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
             pins = OVA_MEMBER_OUTPUTS
@@ -700,7 +724,10 @@ class TestResume:
             with pytest.raises(Stop):
                 run_experiment(config, str(run))
         has_config = (run / "config.json").exists()
-        started = member_trains(monkeypatch)
+        if kind == "layer-size-sweep":
+            started = width_trains(monkeypatch, config)
+        else:
+            started = member_trains(monkeypatch)
         code = main(["--resume", str(run)])
         if name == "config.json":
             assert not has_config and code == 1
@@ -709,8 +736,8 @@ class TestResume:
         assert has_config and code == 0
         with open(run / "manifest.json") as f:
             assert json.load(f)["outputs"] == pins
-        if first_retrained is not None:
-            assert started == list(range(first_retrained, 10))
+        if retrained is not None:
+            assert started == retrained
 
     def test_resume_reruns_a_torn_last_record(self, sweep_run, tmp_path):
         # a stop mid-append leaves the next cell's record unterminated: it
@@ -1126,6 +1153,24 @@ class TestOvaRuns:
             float(r["accuracy"]) for r in read_csv_rows(run / "per_class.csv")
         ]
 
+    @pytest.mark.parametrize("record", [
+        {"cell": "member-3", "outputs": {}, "row": {"width": 1, "accuracy": 0.5}},
+        {"cell": "member-3", "outputs": {}},
+    ], ids=["comparison-row", "no-row-no-divergence"])
+    def test_resume_rejects_a_record_that_does_not_fit_its_cell(
+        self, record, tiny_mnist_dir, tmp_path, capsys
+    ):
+        # a member's row holds its metrics; only a record of a divergence
+        # may hold none
+        run = tmp_path / "run"
+        cfg = tiny_image_config("ova-binary", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
+        RunContext(cfg, str(run))
+        (run / "progress.jsonl").write_text(json.dumps(record) + "\n")
+        assert main(["--resume", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "record of cell member-3" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("stop", ["comparison", "verdicts.csv"])
     def test_ensemble_resume_trains_only_what_is_not_recorded(
         self, stop, tiny_mnist_dir, tmp_path, monkeypatch
@@ -1390,6 +1435,23 @@ class TestCli:
         assert "%s must be a string" % field in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["manifest.json"]
 
+    def test_resume_and_replay_take_no_run_flags(self, sweep_run, tmp_path, capsys):
+        # a flag that would change the run is refused, not ignored, before
+        # any file is touched; --replay still takes --out
+        run = tmp_path / "interrupted"
+        interrupt_after_first_cell(sweep_run.run_dir, run)
+        before = tree_state(tmp_path)
+        argv = ["--resume", str(run), "--epochs", "9", "--jobs", "2",
+                "--experiment", "ova-binary"]
+        assert main(argv) == 1
+        assert "--experiment, --epochs, --jobs" in capsys.readouterr().err
+        manifest = os.path.join(sweep_run.run_dir, "manifest.json")
+        argv = ["--replay", manifest, "--out", str(tmp_path / "replayed"), "--seed", "3"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "--seed" in err and "--out" not in err
+        assert tree_state(tmp_path) == before
+
     def test_resume_malformed_config_is_config_error(self, tmp_path, capsys):
         run = tmp_path / "run"
         run.mkdir()
@@ -1549,6 +1611,8 @@ _PROGRESS_LINES = _pool(
     [json.dumps({"cell": "std0.5_n240_h1", "outputs": {}}),
      json.dumps({"cell": "std0.5_n240_h1", "outputs": {}, "row": 5}),
      json.dumps({"cell": "w1", "outputs": {}, "row": {}}),
+     json.dumps({"cell": "member-3", "outputs": {}, "row": {"width": 1, "accuracy": 0.5}}),
+     json.dumps({"cell": "member-3", "outputs": {}}),
      json.dumps({"cell": 5, "outputs": {}}), "5", "not json",
      '{"cell": "std0.5_n240_h1", "outp'],
 )
