@@ -1,12 +1,16 @@
 """Dataset construction: synthetic Gaussians, IDX and binary-batch image
 parsers, stratified subsetting, and balanced one-vs-all views.
 
-All features are float64 tensors; image pixels are scaled to [0, 1] by /255.
+Image features are stored as the uint8 bytes they were read in, [N,C,H,W];
+synthetic features are float64. gather is the one place rows become
+float64: it scales image bytes to [0, 1] by /255 as each batch is gathered.
 Datasets are immutable after construction. Views never copy features: they
 hold index arrays into the source dataset's storage.
 """
 
+import os
 import struct
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,28 +46,32 @@ class SyntheticSpec:
             raise DataError("dim must be >= 1, got %r" % (self.dim,))
 
 
+def gather(features, idx):
+    """features[idx] as float64: stored image bytes divided by 255, float64
+    rows as they are. Each byte converts exactly and divides with one
+    rounding, so the rows equal those of converting every byte up front."""
+    rows = features[idx]
+    return rows / 255.0 if rows.dtype == np.uint8 else rows
+
+
 class LabeledDataset:
-    """Feature tensor, integer labels, and a disjoint train/test partition,
+    """Stored features, integer labels, and a disjoint train/test partition,
     checked in O(n) by one bincount, after a length check and a range check
     that keeps a negative index from reaching bincount."""
 
     def __init__(self, features, labels, class_count, train_indices, test_indices):
-        self.features = features
+        # a read-only view; a Tensor is unwrapped to its array
+        self.features = (features.array if isinstance(features, Tensor) else features).view()
+        self.features.flags.writeable = False
         self.labels = np.asarray(labels, dtype=np.int64)
         self.class_count = int(class_count)
         self.train_indices = np.asarray(train_indices, dtype=np.int64)
         self.test_indices = np.asarray(test_indices, dtype=np.int64)
-        n = features.shape[0]
+        n = self.features.shape[0]
         if self.labels.shape != (n,):
-            raise DataError(
-                "labels length %d does not match %d samples" % (len(self.labels), n)
-            )
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= class_count
-        ):
-            raise DataError(
-                "labels must lie in [0, %d)" % class_count
-            )
+            raise DataError("labels length %d does not match %d samples" % (len(self.labels), n))
+        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= class_count):
+            raise DataError("labels must lie in [0, %d)" % class_count)
         both = np.concatenate([self.train_indices, self.test_indices])
         if len(both) != n or n and (both.min() < 0 or both.max() >= n
                                     or np.bincount(both, minlength=n).max() != 1):
@@ -74,7 +82,9 @@ class LabeledDataset:
 
     @property
     def feature_array(self):
-        return self.features.array
+        """Every row gathered, for callers outside the library: a view of
+        float64 features, a float64 copy of image bytes."""
+        return gather(self.features, slice(None))
 
     def labels_at(self, idx):
         return self.labels[idx]
@@ -90,15 +100,12 @@ class BinaryTaskView:
 
     def __init__(self, source, target_class, train_indices):
         self.source = source
+        self.features = source.features
         self.target_class = int(target_class)
         self.train_indices = np.asarray(train_indices, dtype=np.int64)
         self.train_indices.flags.writeable = False
         self.test_indices = source.test_indices
         self.class_count = 2
-
-    @property
-    def feature_array(self):
-        return self.source.feature_array
 
     def labels_at(self, idx):
         return (self.source.labels[idx] == self.target_class).astype(np.int64)
@@ -141,91 +148,82 @@ def generate_synthetic(spec):
     feats = np.ascontiguousarray(feats[perm])
     labels = labels[perm]
     train_idx, test_idx = _stratified_split(labels, np.arange(n), 0.8, rng)
-    return LabeledDataset(Tensor._wrap(feats), labels, 2, train_idx, test_idx)
+    return LabeledDataset(feats, labels, 2, train_idx, test_idx)
 
 
 # ---------------------------------------------------------------------------
 # IDX (images/labels) parsing
 
 
-def _idx_header(data, path, magic_want, n_dims):
-    need = 4 * (1 + n_dims)
-    if len(data) < need:
+def _idx_header(f, path, magic_want, item_dims):
+    """Check an open IDX file's header, and that its payload holds exactly
+    the items it promises, each of extents item_dims; returns the item
+    count, with the file at the payload."""
+    need = 4 * (2 + len(item_dims))
+    head = f.read(need)
+    if len(head) < need:
         raise DataFormatError(
             "%s: truncated header, %d bytes but %d needed at offset 0"
-            % (path, len(data), need)
+            % (path, len(head), need)
         )
-    magic = struct.unpack(">I", data[:4])[0]
+    magic = struct.unpack(">I", head[:4])[0]
     if magic != magic_want:
         raise DataFormatError(
             "%s: bad magic 0x%08x at byte offset 0 (expected 0x%08x)"
             % (path, magic, magic_want)
         )
-    dims = struct.unpack(">%dI" % n_dims, data[4:need])
-    return dims, need
-
-
-def _read_idx_images(path):
-    with open(path, "rb") as f:
-        data = f.read()
-    (count, rows, cols), offset = _idx_header(data, path, _IDX_IMAGE_MAGIC, 3)
-    if (rows, cols) != (28, 28):
+    count, *dims = struct.unpack(">%dI" % (1 + len(item_dims)), head[4:])
+    if tuple(dims) != item_dims:
         raise DataFormatError(
-            "%s: expected 28x28 images, header says %dx%d" % (path, rows, cols)
+            "%s: expected %s images, header says %s"
+            % (path, "x".join(map(str, item_dims)), "x".join(map(str, dims)))
         )
-    want = count * rows * cols
-    have = len(data) - offset
+    want = count * int(np.prod(item_dims))
+    have = os.fstat(f.fileno()).st_size - need
     if have != want:
         raise DataFormatError(
             "%s: payload is %d bytes at offset %d, header promises %d"
-            % (path, have, offset, want)
+            % (path, have, need, want)
         )
-    return np.frombuffer(data, np.uint8, offset=offset).reshape(count, rows, cols)
+    return count
 
 
 def _read_idx_labels(path):
     with open(path, "rb") as f:
-        data = f.read()
-    (count,), offset = _idx_header(data, path, _IDX_LABEL_MAGIC, 1)
-    have = len(data) - offset
-    if have != count:
-        raise DataFormatError(
-            "%s: payload is %d bytes at offset %d, header promises %d"
-            % (path, have, offset, count)
-        )
-    labels = np.frombuffer(data, np.uint8, offset=offset)
+        _idx_header(f, path, _IDX_LABEL_MAGIC, ())
+        labels = np.frombuffer(f.read(), np.uint8)
     bad = np.flatnonzero(labels > 9)
     if bad.size:
         raise DataFormatError(
             "%s: label byte %d out of range at offset %d"
-            % (path, labels[bad[0]], offset + bad[0])
+            % (path, labels[bad[0]], 8 + bad[0])
         )
     return labels
 
 
 def load_mnist(images_path, labels_path, test_images_path, test_labels_path):
-    """Parse IDX image/label pairs into a dataset of [N,1,28,28] features;
-    the first pair is the train split, the second the test split."""
-    blocks, label_blocks = [], []
-    for ip, lp in ((images_path, labels_path), (test_images_path, test_labels_path)):
-        images = _read_idx_images(ip)
-        labels = _read_idx_labels(lp)
-        if len(images) != len(labels):
-            raise DataFormatError(
-                "image count %d (%s) does not match label count %d (%s)"
-                % (len(images), ip, len(labels), lp)
-            )
-        blocks.append(images)
-        label_blocks.append(labels)
-    feats = np.concatenate(blocks).astype(np.float64)[:, None, :, :]
-    feats /= 255.0
-    labels = np.concatenate(label_blocks).astype(np.int64)
-    n_train = len(blocks[0])
-    n = len(labels)
-    return LabeledDataset(
-        Tensor._wrap(feats), labels, 10,
-        np.arange(n_train), np.arange(n_train, n),
-    )
+    """Parse IDX image/label pairs into a dataset of [N,1,28,28] uint8
+    features; the first pair is the train split, the second the test split.
+    Both files' pixels are read into one array, once their headers check."""
+    with ExitStack() as stack:
+        files, label_blocks = [], []
+        for ip, lp in ((images_path, labels_path), (test_images_path, test_labels_path)):
+            f = stack.enter_context(open(ip, "rb"))
+            count = _idx_header(f, ip, _IDX_IMAGE_MAGIC, (28, 28))
+            labels = _read_idx_labels(lp)
+            if count != len(labels):
+                raise DataFormatError(
+                    "image count %d (%s) does not match label count %d (%s)"
+                    % (count, ip, len(labels), lp)
+                )
+            files.append(f)
+            label_blocks.append(labels)
+        labels = np.concatenate(label_blocks).astype(np.int64)
+        feats = np.empty((len(labels), 1, 28, 28), np.uint8)
+        n_train = len(label_blocks[0])
+        files[0].readinto(feats[:n_train])
+        files[1].readinto(feats[n_train:])
+    return LabeledDataset(feats, labels, 10, np.arange(n_train), np.arange(n_train, len(labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +251,7 @@ def _read_cifar_batch(path):
 
 
 def load_cifar10(batch_paths, test_path):
-    """Parse 3073-byte-record batches into [N,3,32,32] features.
+    """Parse 3073-byte-record batches into [N,3,32,32] uint8 features.
 
     batch_paths (a list) fill the train split, test_path the test split.
     """
@@ -262,15 +260,9 @@ def load_cifar10(batch_paths, test_path):
     blocks = [_read_cifar_batch(p) for p in batch_paths]
     n_train = sum(len(b) for b in blocks)
     blocks.append(_read_cifar_batch(test_path))
-    records = np.concatenate(blocks)
-    labels = records[:, 0].astype(np.int64)
-    feats = records[:, 1:].astype(np.float64).reshape(-1, 3, 32, 32)
-    feats /= 255.0
-    n = len(labels)
-    return LabeledDataset(
-        Tensor._wrap(feats), labels, 10,
-        np.arange(n_train), np.arange(n_train, n),
-    )
+    labels = np.concatenate([b[:, 0] for b in blocks]).astype(np.int64)
+    feats = np.concatenate([b[:, 1:] for b in blocks]).reshape(-1, 3, 32, 32)
+    return LabeledDataset(feats, labels, 10, np.arange(n_train), np.arange(n_train, len(labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +288,8 @@ def stratified_subset(data, n):
         keep.append(cls[:quota])
     keep = np.sort(np.concatenate(keep))
     sel = np.concatenate([keep, data.test_indices])
-    feats = np.ascontiguousarray(data.feature_array[sel])
-    labels = data.labels[sel]
-    return LabeledDataset(
-        Tensor._wrap(feats), labels, k,
-        np.arange(len(keep)), np.arange(len(keep), len(sel)),
-    )
+    return LabeledDataset(data.features[sel], data.labels[sel], k,
+                          np.arange(len(keep)), np.arange(len(keep), len(sel)))
 
 
 def make_ova_views(data, k, balance_seed):
@@ -313,9 +301,7 @@ def make_ova_views(data, k, balance_seed):
     pre-shuffled. Test indices are the source's full test split.
     """
     if k != data.class_count:
-        raise DataError(
-            "k=%d but the dataset has %d classes" % (k, data.class_count)
-        )
+        raise DataError("k=%d but the dataset has %d classes" % (k, data.class_count))
     train_idx = data.train_indices
     train_labels = data.labels_at(train_idx)
     views = []

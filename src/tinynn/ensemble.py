@@ -142,7 +142,7 @@ def _member_seed(base_seed, class_index):
 
 
 def _build_member(data, hidden_units, seed):
-    shape = tuple(data.feature_array.shape[1:])
+    shape = tuple(data.features.shape[1:])
     if len(shape) == 3:
         return build_conv_net(shape, hidden_units, 1, seed)
     if len(shape) == 1:
@@ -182,7 +182,7 @@ def evaluate(ensemble, data, policy="redundant-error", scores=None):
     idx = data.test_indices
     if len(idx) == 0:
         raise DataError("test split is empty")
-    scores = (member_scores(ensemble, data.feature_array, idx) if scores is None
+    scores = (member_scores(ensemble, data.features, idx) if scores is None
               else np.column_stack(scores))
     threshold = THRESHOLD if ensemble is None else ensemble.threshold
     pos_sets = [tuple(np.flatnonzero(row)) for row in scores > threshold]

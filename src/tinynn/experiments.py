@@ -369,11 +369,19 @@ def build_config(file_values=None, flag_values=None):
 # run directory bookkeeping
 
 
-def _shape(value):
-    """A JSON value's shape: its dicts and lists, with each leaf's type."""
-    if isinstance(value, dict):
-        return {k: _shape(v) for k, v in value.items()}
-    return [_shape(v) for v in value] if isinstance(value, list) else type(value)
+def _fits(value, template):
+    """Whether a JSON value has the template's dicts and lists and, at each
+    leaf, a value of the template leaf's type, or the template leaf itself
+    where that is a value and not a type."""
+    if isinstance(template, dict):
+        return (isinstance(value, dict) and value.keys() == template.keys()
+                and all(_fits(value[k], t) for k, t in template.items()))
+    if isinstance(template, list):
+        return (isinstance(value, list) and len(value) == len(template)
+                and all(map(_fits, value, template)))
+    if isinstance(template, type):
+        return type(value) is template
+    return type(value) is type(template) and value == template
 
 
 def _sha256_file(path):
@@ -477,26 +485,27 @@ class RunContext:
                 done[entry["cell"]] = entry
         return done
 
-    def run_cells(self, cells, work, write, row_shape):
+    def run_cells(self, cells, work, write, row_template):
         """Run independent cells; returns their rows in cell order.
 
         cells maps names to work's argument. A cell whose progress record
         still hash-verifies is skipped; its outputs, row and divergence come
-        from the record, and a row whose _shape is not row_shape(name,
-        whether the record holds a divergence) is a data error. A record of
-        a cell not in cells adds nothing. The rest run as work(cell) through
-        fork_map over config.jobs, each timed where it runs. Then, in the
-        parent and in cell order, each gets its stage, write(name, result)
-        writes its outputs and returns (output names, row, divergence or
-        None), its progress record is appended and its result is dropped, so
-        a serial run writes each cell before the next starts and holds one
-        cell's result at a time.
+        from the record. A row that does not fit (_fits) row_template(name,
+        whether the record holds a divergence), which holds the values that
+        identify the cell, is a data error. A record of a cell not in cells
+        adds nothing. The rest run as work(cell) through fork_map over
+        config.jobs, each timed where it runs. Then, in the parent and in
+        cell order, each gets its stage, write(name, result) writes its
+        outputs and returns (output names, row, divergence or None), its
+        progress record is appended and its result is dropped, so a serial
+        run writes each cell before the next starts and holds one cell's
+        result at a time.
         """
         done = self.completed_cells()
         for name in cells:
             if name in done:
                 record = done[name]
-                if _shape(record.get("row")) != row_shape(name, "divergence" in record):
+                if not _fits(record.get("row"), row_template(name, "divergence" in record)):
                     raise DataError("%s: malformed row in the record of cell %s"
                                     % (self._progress_path, name))
                 self.outputs.update(record["outputs"])
@@ -619,11 +628,13 @@ def _run_synthetic_sweep(ctx, config):
         return names, row, diverged if summary.divergences else None
 
     metrics = ("accuracy", "sensitivity", "specificity")
-    shape = {
-        "std": float, "n_samples": int, "hidden": int, "n_ok": int,
-        "metrics": {m: [float, float] for m in metrics},
-    }
-    grid_rows = ctx.run_cells(cells, work, write, lambda name, diverged: shape)
+
+    def row_template(name, diverged):
+        std, n, h, _ = cells[name]
+        return {"std": std, "n_samples": n, "hidden": h, "n_ok": int,
+                "metrics": {m: [float, float] for m in metrics}}
+
+    grid_rows = ctx.run_cells(cells, work, write, row_template)
     ctx.write("grid.csv", write_csv, "std,n_samples,hidden,metric,mean,stddev,n", (
         ("%g" % row["std"], row["n_samples"], row["hidden"], m, *row["metrics"][m],
          row["n_ok"])
@@ -644,7 +655,7 @@ def _trained(train_cell):
 
 def _train_conv(data, width, cfg):
     """A multi-class conv net of width hidden units, seeded and trained at cfg."""
-    net = build_conv_net(tuple(data.feature_array.shape[1:]), width, data.class_count, cfg.seed)
+    net = build_conv_net(tuple(data.features.shape[1:]), width, data.class_count, cfg.seed)
     return train(net, data, cfg)
 
 
@@ -674,10 +685,11 @@ def _run_layer_size_sweep(ctx, config):
         names = _save_trained(ctx, ["loss_w%d.csv" % width, "width_%d.ckpt" % width], result)
         return names, {"width": width, "accuracy": result[1].accuracy, "diverged": 0}, None
 
-    def row_shape(name, diverged):
-        return {"width": int, "accuracy": type(None) if diverged else float, "diverged": int}
+    def row_template(name, diverged):
+        return {"width": int(name[1:]), "accuracy": type(None) if diverged else float,
+                "diverged": int(diverged)}
 
-    rows = sorted(ctx.run_cells(cells, _trained, write, row_shape), key=lambda r: r["width"])
+    rows = sorted(ctx.run_cells(cells, _trained, write, row_template), key=lambda r: r["width"])
     ctx.write("accuracy_vs_width.csv", write_csv, "width,accuracy,diverged", (
         (r["width"], "" if r["accuracy"] is None else r["accuracy"], r["diverged"])
         for r in rows
@@ -737,12 +749,12 @@ def _run_ova(ctx, config):
         row = {m: getattr(result[1], m) for m in _MEMBER_METRICS}
         return _save_trained(ctx, names, result), row, None
 
-    def row_shape(name, diverged):
+    def row_template(name, diverged):
         member_row = {m: float for m in _MEMBER_METRICS}
-        comparison_row = {"width": int, "accuracy": float}
-        return type(None) if diverged else comparison_row if name == "comparison" else member_row
+        row = {"width": width, "accuracy": float} if name == "comparison" else member_row
+        return type(None) if diverged else row
 
-    rows = ctx.run_cells(cells, _trained, write, row_shape)
+    rows = ctx.run_cells(cells, _trained, write, row_template)
     per_class = rows[:k]
     if None in per_class:
         return {}
@@ -761,7 +773,7 @@ def _run_ova(ctx, config):
         for i, member in enumerate(scores):
             if member is None:
                 path = ctx.path("ensemble/" + member_name(i))
-                scores[i] = predict_scores(load_network(path), data.feature_array, idx)[:, 0]
+                scores[i] = predict_scores(load_network(path), data.features, idx)[:, 0]
         outcome = evaluate_ensemble(None, data, config.aggregation, scores)
     ctx.write("verdicts.csv", write_verdicts_csv, outcome, idx, data.labels_at(idx))
     ctx.write("summary.csv", write_outcome_summary_csv, outcome)

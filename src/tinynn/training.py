@@ -24,6 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .datasets import gather
 from .errors import ConfigError, DataError, DivergenceError
 from .layers import Network, _dense, _forward_images, backward, forward
 from .rng import LANE_BLOCK, Rng, derive_seed
@@ -196,7 +197,7 @@ def train(net, data, cfg):
         raise ConfigError(
             "batch_size %d exceeds training-set size %d" % (cfg.batch_size, n)
         )
-    features = data.feature_array
+    features = data.features
     binary = net.spec.output_units == 1
     fused = _binary_ce_from_logits if binary else _softmax_ce_from_logits
     rngs = [Rng(derive_seed(seed)) for seed in (cfg.seed if lanes else (cfg.seed,))]
@@ -209,7 +210,7 @@ def train(net, data, cfg):
     # divergence is detected by the explicit finiteness check below, so the
     # intermediate overflow warnings on the way there are just noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        probe = features[by_trial + (train_idx[..., :min(512, n)],)]
+        probe = gather(features, by_trial + (train_idx[..., :min(512, n)],))
         if lanes:
             step = max(1, _FLAT_CHUNK // probe.shape[-2])
             for lo in range(0, lanes[0], step):
@@ -223,7 +224,7 @@ def train(net, data, cfg):
             total = np.zeros(lanes)
             for start in range(0, n, cfg.batch_size):
                 idx = order[..., start:start + cfg.batch_size]
-                x = features[by_trial + (idx,)]
+                x = gather(features, by_trial + (idx,))
                 y = data.labels_at(idx)
                 _, cache = forward(net, x, train=True)
                 loss, dz = fused(cache[-1]["z"], y)
@@ -300,13 +301,14 @@ def _multiclass_report(preds, labels, k):
 
 
 def predict_scores(net, features, idx):
-    """Forward a set of rows in fixed-size chunks; returns the raw outputs."""
+    """Forward rows idx of stored features in fixed-size chunks, each
+    gathered as float64; returns the raw outputs."""
     # image rows pass the conv stack one at a time, so a chunk sizes only
     # the gathered input and the flat rows the dense layers take
     chunk = 64 if len(net.spec.input_shape) == 3 else _FLAT_CHUNK
     outs = []
     for start in range(0, len(idx), chunk):
-        batch = features[idx[start:start + chunk]]
+        batch = gather(features, idx[start:start + chunk])
         out, _ = forward(net, batch)
         outs.append(out.array)
     return np.concatenate(outs, axis=0)
@@ -317,7 +319,7 @@ def evaluate(net, data):
     idx = data.test_indices
     if len(idx) == 0:
         raise DataError("test split is empty")
-    out = predict_scores(net, data.feature_array, idx)
+    out = predict_scores(net, data.features, idx)
     labels = data.labels_at(idx)
     if net.spec.output_units == 1:
         return _binary_report(out[:, 0], labels)
@@ -353,7 +355,7 @@ class _TrialStack:
         self.net = Network(
             net.spec, [{k: stacked(v) for k, v in p.items()} for p in net.params]
         )
-        self.feature_array = stacked(data.feature_array)
+        self.features = stacked(data.features)
         self.labels = stacked(data.labels)
         self.train_indices = stacked(data.train_indices)
         self.test_indices = stacked(data.test_indices)
@@ -364,7 +366,7 @@ class _TrialStack:
         """Copy the next trial's dataset, network and shuffle seed into the
         stack; True once the stack is full."""
         t = len(self.shuffle_seeds)
-        self.feature_array[t] = data.feature_array
+        self.features[t] = data.features
         self.labels[t] = data.labels
         self.train_indices[t] = data.train_indices
         self.test_indices[t] = data.test_indices
@@ -380,14 +382,14 @@ class _TrialStack:
 
     def trial(self, t):
         """Trial t's arrays, as evaluate reads them: no second partition check."""
-        return SimpleNamespace(feature_array=self.feature_array[t],
+        return SimpleNamespace(features=self.features[t],
                                test_indices=self.test_indices[t],
                                labels_at=self.labels[t].__getitem__)
 
 
 def _trial_shapes(data, net):
     return (
-        data.feature_array.shape, data.train_indices.shape, data.test_indices.shape,
+        data.features.shape, data.train_indices.shape, data.test_indices.shape,
         net.spec.input_shape, net.spec.layers,
     )
 
@@ -395,7 +397,7 @@ def _trial_shapes(data, net):
 def _trial_bytes(data, net):
     """A trial's share of a stack, with the copy of its training indices
     that train shuffles and the lane block its shuffle generator keeps."""
-    arrays = [data.feature_array, data.labels, data.train_indices, data.train_indices,
+    arrays = [data.features, data.labels, data.train_indices, data.train_indices,
               data.test_indices] + [v for p in net.params for v in p.values()]
     return sum(a.nbytes for a in arrays) + LANE_BLOCK * np.dtype(np.uint64).itemsize
 

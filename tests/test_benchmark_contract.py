@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 from tinynn import cli, ensemble, layers, training
-from tinynn.datasets import LabeledDataset, SyntheticSpec, generate_synthetic, make_ova_views
+from tinynn.datasets import (
+    LabeledDataset, SyntheticSpec, generate_synthetic, load_mnist, make_ova_views,
+)
 from tinynn.experiments import build_config
 from tinynn.layers import build_conv_net, build_mlp, forward
 from tinynn.rng import Rng
@@ -65,6 +67,23 @@ def test_dataset_from_tensor():
         np.arange(4), np.zeros(0, np.int64),
     )
     assert data.feature_array.shape == (4, 1, 28, 28)
+
+
+def generated_mnist(directory):
+    """The conv-train inputs, written as IDX files and loaded; returns the
+    dataset and the generated images."""
+    train, test = INPUTS.conv_train_split(7)
+    INPUTS.write_mnist_dir(directory, train, test)
+    data = load_mnist(*(os.path.join(directory, n) for n in INPUTS.MNIST_FILES))
+    return data, np.concatenate([train[0], test[0]])
+
+
+def test_feature_array_rounds_back_to_the_idx_bytes(tmp_path):
+    # perfbench/selftest.py reads the loaded images back this way
+    data, images = generated_mnist(str(tmp_path))
+    x = data.feature_array
+    assert x.dtype == np.float64 and x.shape == (len(images), 1, 28, 28)
+    np.testing.assert_array_equal(np.rint(x[:, 0] * 255.0).astype(np.uint8), images)
 
 
 def small_outcome():
@@ -147,6 +166,23 @@ def test_member_scores_and_evaluate(monkeypatch):
     assert outcome.counts == {
         "correct": 2, "redundant": 0, "no_positive": 0, "wrong_single": 1,
     }
+
+
+def test_member_scores_match_on_the_bytes_and_their_float64_view(tmp_path):
+    # the library scores the stored bytes; the benchmark may rescore the
+    # same rows from feature_array
+    data, _ = generated_mnist(str(tmp_path))
+    members = conv_members()
+    for i, net in enumerate(members):
+        randomize_head(net, Rng(i))
+        net.params[5]["b"][...] = 1.0  # every hidden unit live
+    ens = ensemble.OvaEnsemble(members=members)
+    idx = np.arange(0, len(data.labels), 7)
+    stored = ensemble.member_scores(ens, data.features, idx)
+    viewed = ensemble.member_scores(ens, data.feature_array, idx)
+    assert data.features.dtype == np.uint8
+    assert (stored.max(axis=0) > stored.min(axis=0)).all()  # the rows tell apart
+    assert stored.tobytes() == viewed.tobytes()
 
 
 def test_build_config_with_benchmark_keys():

@@ -3,6 +3,7 @@ stratified subsetting, and balanced one-vs-all views."""
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tinynn.datasets import (
     BinaryTaskView,
     LabeledDataset,
     SyntheticSpec,
+    gather,
     generate_synthetic,
     load_cifar10,
     load_mnist,
@@ -225,6 +227,7 @@ def tiny_mnist_files(tmp_path):
         paths[name] = str(p)
     paths["train_imgs"] = train_imgs
     paths["train_labels"] = train_labels
+    paths["test_imgs"] = test_imgs
     return paths
 
 
@@ -327,6 +330,7 @@ def tiny_cifar_files(tmp_path):
         "test": str(tb),
         "train_px": train_px,
         "train_labels": train_labels,
+        "test_px": test_px,
     }
 
 
@@ -376,6 +380,89 @@ class TestCifarParsing:
             load_cifar10([], "test_batch.bin")
 
 
+def upfront(pixels):
+    """Image features as loading once made them: every byte converted to
+    float64, then divided by 255 in place."""
+    feats = pixels.astype(np.float64)
+    feats /= 255.0
+    return feats
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestImageStorage:
+    """Image features stay the bytes they were read in, and a gather gives
+    the rows of converting them up front, bit for bit."""
+
+    def assert_stored_as_bytes(self, data, pixels):
+        assert data.features.dtype == np.uint8
+        assert data.features.nbytes == pixels.size  # one byte per pixel
+        np.testing.assert_array_equal(data.features, pixels)
+        every = np.arange(len(pixels))[::-1]
+        assert same_bits(gather(data.features, every), upfront(pixels)[every])
+
+    def test_mnist(self, tiny_mnist_files):
+        f = tiny_mnist_files
+        data = load_mnist(
+            f["train-images"], f["train-labels"], f["test-images"], f["test-labels"]
+        )
+        pixels = np.concatenate([f["train_imgs"], f["test_imgs"]])[:, None]
+        self.assert_stored_as_bytes(data, pixels)
+
+    def test_cifar(self, tiny_cifar_files):
+        f = tiny_cifar_files
+        data = load_cifar10(f["batches"], f["test"])
+        self.assert_stored_as_bytes(data, np.concatenate([f["train_px"], f["test_px"]]))
+
+    def test_every_byte_value(self):
+        values = np.arange(256, dtype=np.uint8)
+        assert same_bits(gather(values, slice(None)), upfront(values))
+
+    def test_float64_rows_pass_unchanged(self):
+        data = generate_synthetic(SyntheticSpec(std=0.5, n_samples=40, seed=1))
+        idx = data.train_indices[::-1]
+        assert same_bits(gather(data.features, idx), data.features[idx])
+
+    def test_subset_copies_bytes(self, tiny_mnist_files):
+        f = tiny_mnist_files
+        data = load_mnist(
+            f["train-images"], f["train-labels"], f["test-images"], f["test-labels"]
+        )
+        sub = stratified_subset(data, 10)
+        assert sub.features.dtype == np.uint8
+        assert not np.shares_memory(sub.features, data.features)
+        np.testing.assert_array_equal(
+            sub.features[sub.test_indices], data.features[data.test_indices]
+        )
+
+    def test_load_peak_stays_below_twice_the_pixel_bytes(self, tmp_path):
+        # a float64 copy of the features alone would take 8x the pixel
+        # bytes; each file's pixels are read once, into the kept array
+        rng = np.random.default_rng(2)
+        images = rng.integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        labels = np.arange(2000) % 10
+        paths = []
+        for name, blob in (
+            ("train-images", idx_images_bytes(images[:1600])),
+            ("train-labels", idx_labels_bytes(labels[:1600])),
+            ("test-images", idx_images_bytes(images[1600:])),
+            ("test-labels", idx_labels_bytes(labels[1600:])),
+        ):
+            (tmp_path / name).write_bytes(blob)
+            paths.append(str(tmp_path / name))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            data = load_mnist(*paths)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * images.nbytes
+        np.testing.assert_array_equal(data.features[:, 0], images)
+
+
 def grid_dataset(per_class=20, k=4, test_per_class=5):
     """Deterministic dataset: label c has feature value c."""
     n = per_class * k
@@ -414,9 +501,7 @@ class TestStratifiedSubset:
     def test_self_contained_copy(self):
         data = grid_dataset()
         sub = stratified_subset(data, 8)
-        assert sub.feature_array.base is None or (
-            sub.feature_array.base is not data.feature_array
-        )
+        assert not np.shares_memory(sub.features, data.features)
 
     def test_deterministic_first_rows(self):
         data = grid_dataset()
@@ -454,7 +539,7 @@ class TestOvaViews:
     def test_no_feature_copy(self):
         data = grid_dataset()
         view = make_ova_views(data, 4, balance_seed=0)[0]
-        assert view.feature_array is data.feature_array
+        assert view.features is data.features
 
     def test_deterministic_per_seed(self):
         data = grid_dataset()

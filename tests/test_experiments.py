@@ -775,16 +775,22 @@ class TestResume:
         lambda r: r.update(row={}),
         lambda r: r["row"].update(n_ok=True),
         lambda r: r["row"]["metrics"].update(accuracy=[0.5]),
-    ], ids=["no-row", "not-an-object", "no-keys", "bool-count", "short-metric"])
+        # the right shape, but values that name another cell
+        lambda r: r["row"].update(hidden=7, std=9.5),
+        lambda r: r["row"].update(hidden=2),
+        lambda r: r["row"].update(n_samples=480),
+    ], ids=["no-row", "not-an-object", "no-keys", "bool-count", "short-metric",
+            "foreign-cell", "next-cell-width", "other-size"])
     def test_resume_malformed_row_is_data_error(self, fault, sweep_run, tmp_path, capsys):
         # a skipped cell's row feeds the grid; its outputs still hash-match
         run = tmp_path / "interrupted"
-        interrupt_after_first_cell(sweep_run.run_dir, run)
+        cell = interrupt_after_first_cell(sweep_run.run_dir, run)
         record = json.loads((run / "progress.jsonl").read_text())
         fault(record)
         (run / "progress.jsonl").write_text(json.dumps(record) + "\n")
         assert main(["--resume", str(run)]) == 2
-        assert "malformed row in the record of cell" in capsys.readouterr().err
+        assert "malformed row in the record of cell %s" % cell in capsys.readouterr().err
+        assert not (run / "grid.csv").exists()
 
     def test_resume_keeps_a_skipped_cells_divergence(self, tmp_path, monkeypatch, capsys):
         real = experiments.repeat_trials
@@ -998,6 +1004,27 @@ class TestLayerSizeSweepRun:
         assert resumed.manifest["divergences"] == first.manifest["divergences"]
         assert resumed.manifest["seeds"] == first.manifest["seeds"]
         assert resumed.diverged
+
+    @pytest.mark.parametrize("edit", [{"width": 7}, {"width": 2}, {"diverged": 1}],
+                             ids=["foreign-width", "next-width", "diverged-flag"])
+    def test_resume_rejects_a_row_that_names_another_width(
+        self, edit, tiny_mnist_dir, tmp_path, capsys
+    ):
+        # w1's record still hash-verifies, but its row names another width,
+        # or a divergence its record does not hold
+        cfg = tiny_image_config("layer-size-sweep", tmp_path, tiny_mnist_dir)
+        run = run_experiment(cfg).run_dir
+        progress = os.path.join(run, "progress.jsonl")
+        with open(progress) as f:
+            records = [json.loads(line) for line in f]
+        assert records[0]["cell"] == "w1"
+        records[0]["row"].update(edit)
+        with open(progress, "w") as f:
+            f.writelines(json.dumps(r) + "\n" for r in records)
+        os.remove(os.path.join(run, "accuracy_vs_width.csv"))
+        assert main(["--resume", run]) == 2
+        assert "malformed row in the record of cell w1" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(run, "accuracy_vs_width.csv"))
 
 
 class TestOvaRuns:

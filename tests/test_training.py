@@ -233,7 +233,7 @@ class TestTrainLoop:
         base = synth(12, n=2000)
 
         class Swapped:
-            feature_array = base.feature_array
+            features = base.features
             train_indices = base.train_indices
             test_indices = base.test_indices
             class_count = 2
@@ -407,7 +407,7 @@ class TestRepeatTrials:
         real_init = LabeledDataset.__init__
 
         def counting(self, *args):
-            made.append(len(args[0].array))
+            made.append(len(args[0]))
             real_init(self, *args)
 
         monkeypatch.setattr(LabeledDataset, "__init__", counting)
