@@ -3,12 +3,12 @@
 Exit codes: 0 success, 1 bad configuration (an unknown flag, a bad flag
 value, a flag given with --resume, or one but --out with --replay, a
 config file the INI parser rejects and an output path that cannot be
-created included), 2 unreadable or malformed data (a manifest that is not an
-object holding a config object included), 3 training diverged: a sweep
-cell, a one-vs-all member or the comparison net, recorded in the manifest,
-4 an output could not be written (a full disk, say). A run that exits 1 or
-2 removes the directories it created; one that exits 4 keeps its
-directory, which --resume finishes.
+created included), 2 unreadable or malformed data (a directory where an
+input file should be and a manifest that is not an object holding a config
+object included), 3 training diverged: a sweep cell, a one-vs-all member or
+the comparison net, recorded in the manifest, 4 an output could not be
+written (a full disk, say). A run that exits 1 or 2 removes the directories
+it created; one that exits 4 keeps its directory, which --resume finishes.
 """
 
 import argparse

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DataFormatError
+from .errors import DataError, DataFormatError, os_error_as
 from .rng import Rng, derive_seed
 from .tensor import Tensor
 
@@ -189,7 +189,7 @@ def _idx_header(f, path, magic_want, item_dims):
 
 
 def _read_idx_labels(path):
-    with open(path, "rb") as f:
+    with os_error_as(DataError, "read", path), open(path, "rb") as f:
         _idx_header(f, path, _IDX_LABEL_MAGIC, ())
         labels = np.frombuffer(f.read(), np.uint8)
     bad = np.flatnonzero(labels > 9)
@@ -208,8 +208,9 @@ def load_mnist(images_path, labels_path, test_images_path, test_labels_path):
     with ExitStack() as stack:
         files, label_blocks = [], []
         for ip, lp in ((images_path, labels_path), (test_images_path, test_labels_path)):
-            f = stack.enter_context(open(ip, "rb"))
-            count = _idx_header(f, ip, _IDX_IMAGE_MAGIC, (28, 28))
+            with os_error_as(DataError, "read", ip):
+                f = stack.enter_context(open(ip, "rb"))
+                count = _idx_header(f, ip, _IDX_IMAGE_MAGIC, (28, 28))
             labels = _read_idx_labels(lp)
             if count != len(labels):
                 raise DataFormatError(
@@ -221,8 +222,9 @@ def load_mnist(images_path, labels_path, test_images_path, test_labels_path):
         labels = np.concatenate(label_blocks).astype(np.int64)
         feats = np.empty((len(labels), 1, 28, 28), np.uint8)
         n_train = len(label_blocks[0])
-        files[0].readinto(feats[:n_train])
-        files[1].readinto(feats[n_train:])
+        for f, part in zip(files, (feats[:n_train], feats[n_train:])):
+            with os_error_as(DataError, "read", f.name):
+                f.readinto(part)
     return LabeledDataset(feats, labels, 10, np.arange(n_train), np.arange(n_train, len(labels)))
 
 
@@ -230,8 +232,9 @@ def load_mnist(images_path, labels_path, test_images_path, test_labels_path):
 # CIFAR-10 binary batches
 
 
-def _read_cifar_batch(path):
-    with open(path, "rb") as f:
+def _read_cifar_batch(path, labels, feats):
+    """Check a batch file, then copy its records into the slots given."""
+    with os_error_as(DataError, "read", path), open(path, "rb") as f:
         data = f.read()
     if len(data) == 0 or len(data) % _CIFAR_RECORD:
         raise DataFormatError(
@@ -240,29 +243,31 @@ def _read_cifar_batch(path):
                                 len(data) % _CIFAR_RECORD)
         )
     records = np.frombuffer(data, np.uint8).reshape(-1, _CIFAR_RECORD)
-    labels = records[:, 0]
-    bad = np.flatnonzero(labels > 9)
+    bad = np.flatnonzero(records[:, 0] > 9)
     if bad.size:
         raise DataFormatError(
             "%s: label byte %d out of range at offset %d (record %d)"
-            % (path, labels[bad[0]], bad[0] * _CIFAR_RECORD, bad[0])
+            % (path, records[bad[0], 0], bad[0] * _CIFAR_RECORD, bad[0])
         )
-    return records
+    labels[...] = records[:, 0]
+    feats.reshape(len(records), -1)[...] = records[:, 1:]
 
 
 def load_cifar10(batch_paths, test_path):
     """Parse 3073-byte-record batches into [N,3,32,32] uint8 features.
 
     batch_paths (a list) fill the train split, test_path the test split.
+    Each file's records are copied into place before the next file is read.
     """
     if not batch_paths:
         raise DataError("no batch files given")
-    blocks = [_read_cifar_batch(p) for p in batch_paths]
-    n_train = sum(len(b) for b in blocks)
-    blocks.append(_read_cifar_batch(test_path))
-    labels = np.concatenate([b[:, 0] for b in blocks]).astype(np.int64)
-    feats = np.concatenate([b[:, 1:] for b in blocks]).reshape(-1, 3, 32, 32)
-    return LabeledDataset(feats, labels, 10, np.arange(n_train), np.arange(n_train, len(labels)))
+    paths = list(batch_paths) + [test_path]
+    counts = [os.stat(p).st_size // _CIFAR_RECORD for p in paths]
+    ends = np.cumsum(counts)
+    labels, feats = np.empty(ends[-1], np.int64), np.empty((ends[-1], 3, 32, 32), np.uint8)
+    for p, start, end in zip(paths, ends - counts, ends):
+        _read_cifar_batch(p, labels[start:end], feats[start:end])
+    return LabeledDataset(feats, labels, 10, np.arange(ends[-2]), np.arange(ends[-2], ends[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library; os_error_as maps an OSError to one.
 
 The CLI maps these onto exit codes, so keep the hierarchy flat and the
 categories disjoint: configuration problems, data/file problems,
 numerical divergence and failed output writes are the four failure classes
 a run can end with.
 """
+
+from contextlib import contextmanager
 
 
 class DimensionError(ValueError):
@@ -42,3 +44,14 @@ class ConfigError(ValueError):
 class WriteError(RuntimeError):
     """A run's output could not be written (a full disk, say); message names
     the file."""
+
+
+@contextmanager
+def os_error_as(error, verb, path):
+    """Raise an OSError from the block as error naming path, which it
+    yields: an unreadable input as a DataError, a failed write as a
+    WriteError, a run directory that cannot be made as a ConfigError."""
+    try:
+        yield path
+    except OSError as e:
+        raise error("cannot %s %s: %s" % (verb, path, e)) from e

@@ -42,7 +42,8 @@ from .ensemble import (
     write_outcome_summary_csv,
     write_verdicts_csv,
 )
-from .errors import ConfigError, DataError, DataFormatError, DivergenceError, WriteError
+from .errors import (ConfigError, DataError, DataFormatError, DivergenceError, WriteError,
+                     os_error_as)
 from .layers import build_conv_net, build_mlp, load_network, save_network
 from .rng import derive_seed
 from .training import (
@@ -397,10 +398,9 @@ class RunContext:
 
     def __init__(self, config, run_dir):
         self.config = config
-        try:
+        # --out may name a file, or a path under one
+        with os_error_as(ConfigError, "create run directory", run_dir):
             os.makedirs(run_dir, exist_ok=True)
-        except OSError as e:  # --out names a file, or a path under one
-            raise ConfigError("cannot create run directory %r: %s" % (run_dir, e))
         self.run_dir = run_dir
         self.stages = []
         self.outputs = {}
@@ -426,19 +426,10 @@ class RunContext:
         for name in names:
             self.outputs[name] = _sha256_file(self.path(name))
 
-    @contextmanager
-    def _writing(self, name):
-        """Raise an OSError from writing the named file (a full disk, say) as
-        a WriteError; the directory stays resumable."""
-        try:
-            yield self.path(name)
-        except OSError as e:
-            raise WriteError("cannot write %s: %s" % (self.path(name), e)) from e
-
     def write(self, name, writer, *args):
         """writer(path, *args) writes the named output, in a subdirectory
         of the run directory if the name has one; it is then hashed."""
-        with self._writing(name) as path:
+        with os_error_as(WriteError, "write", self.path(name)) as path:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             writer(path, *args)
         self.register(name)
@@ -450,7 +441,7 @@ class RunContext:
             entry["row"] = row
         if divergence is not None:
             entry["divergence"] = divergence
-        with self._writing("progress.jsonl") as path, open(path, "a") as f:
+        with os_error_as(WriteError, "write", self._progress_path) as path, open(path, "a") as f:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
         return entry
 
@@ -464,7 +455,7 @@ class RunContext:
         done = {}
         if not os.path.exists(self._progress_path):
             return done
-        with self._writing("progress.jsonl") as path, open(path, "rb+") as f:
+        with os_error_as(WriteError, "write", self._progress_path) as path, open(path, "rb+") as f:
             data = f.read()
             end = data.rfind(b"\n") + 1
             if end < len(data):
@@ -542,7 +533,7 @@ class RunContext:
     def _write_json(self, name, obj):
         """Write obj as the named JSON file through a temporary file renamed
         over it, so that a stop leaves the whole file or none."""
-        with self._writing(name) as path:
+        with os_error_as(WriteError, "write", self.path(name)) as path:
             with open(path + ".tmp", "w") as f:
                 json.dump(obj, f, indent=2, sort_keys=True)
                 f.write("\n")
@@ -837,14 +828,14 @@ def resume_run(run_dir):
     config_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(config_path):
         raise ConfigError("%s has no config.json to resume from" % run_dir)
-    with open(config_path) as f:
+    with os_error_as(DataError, "read", config_path), open(config_path) as f:
         config = ExperimentConfig.from_resolved(json.load(f))
     return run_experiment(config, run_dir)
 
 
 def replay_manifest(manifest_path, out=None):
     """Re-run a manifest's recorded config; outputs come out bit-identical."""
-    with open(manifest_path) as f:
+    with os_error_as(DataError, "read", manifest_path), open(manifest_path) as f:
         manifest = json.load(f)
     if not isinstance(manifest, dict) or "config" not in manifest:
         raise DataError("%s is not a run manifest: no config object" % manifest_path)

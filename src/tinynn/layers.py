@@ -15,11 +15,12 @@ odd kernel sizes and the hidden width are free.
 
 The image layers (the two conv and pool pairs and the flatten) run one
 image at a time, forward and backward, in training as in evaluation,
-through buffers made once per pass; only the dense layers take the whole
-batch. A training step's batch-sized arrays are the cache backward reads:
-the conv inputs, the pool winners and the ReLU masks. The per-image
-gradients continue the sums a whole-batch pass would take, so every value
-equals that pass's, bit for bit (but for the bias gradient of a conv with a
+through one-image buffers made once per architecture (_image_buffers) and
+shared by every network of it; only the dense layers take the whole batch.
+A training step's batch-sized arrays are the cache backward reads: the
+conv inputs, the pool winners and the ReLU masks. The per-image gradients
+continue the sums a whole-batch pass would take, so every value equals
+that pass's, bit for bit (but for the bias gradient of a conv with a
 single filter; see _backward_images).
 
 A Network holds its spec and parameters only. backward() returns each
@@ -35,6 +36,7 @@ backward then take [T, batch, ...] arrays and run one matmul per layer for
 all T; a network without that axis runs the same lines.
 """
 
+import functools
 import math
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -249,54 +251,64 @@ def _dense(x, p):
     return x @ p["w"] + p["b"][..., None, :]
 
 
+@functools.lru_cache(maxsize=1)
+def _image_buffers(shape, *layers):
+    """The one-image scratch buffers of the conv, pool, conv, pool layers
+    over input shape [C,H,W], one dict per layer. The key is the
+    architecture, so every pass of every network of one shape shares them:
+    a pass must not start while another runs in the same process (threads)."""
+    (c, h, w), bufs = shape, []
+    for conv in layers[::2]:
+        f, k = conv.filters, conv.kernel_size
+        bufs.append({"cols": _Columns(c, h, w, k, k), "out": _nhwc((1, f, h, w)),
+                     "prod": np.empty((f, k * k * c))})
+        if len(bufs) > 1:  # conv2's input gradient
+            bufs[-1]["in"] = {"prod": np.empty((h, w, c)),
+                              "out": np.empty((1, h + k - 1, w + k - 1, c))}
+        c, h, w = f, h // 2, w // 2
+        bufs.append({"out": _nhwc((1, c, h, w)), "gate": np.empty((1, c, h, w))})
+    return bufs
+
+
 def _forward_images(net, x, cache=None):
     """The image layers (NetworkSpec.image_layers) one image at a time;
     returns their output for x [N,C,H,W] as a C-contiguous array, each
     image's row in [C,H,W] order.
 
     Each conv or pool layer runs its kernel on a one-image batch through
-    buffers made once per call: a conv's columns, weight matrix and output,
-    its ReLU applied in place, and a pool's output. A training pass (cache,
-    a list, given) appends one dict per layer with what backward reads (see
-    forward), batch-sized, each image writing its own slot: a conv's input,
-    and a pool's winners and its conv's ReLU mask. Every value equals the
-    kernels' on the whole batch.
+    the architecture's buffers (_image_buffers): a conv's columns and
+    output, its ReLU applied in place, and a pool's output. A training pass
+    (cache, a list, given) appends one dict per layer with what backward
+    reads (see forward), batch-sized, each image writing its own slot: a
+    conv's input, and a pool's winners and its conv's ReLU mask. Every
+    value equals the kernels' on the whole batch.
     """
     spec = net.spec
     shapes = [spec.input_shape] + spec.layer_shapes
     n = len(x)
     train = cache is not None
-    stages = []
-    for i, layer in enumerate(spec.layers[:4]):  # conv, pool, conv, pool
-        c = {}
-        shape = (n,) + shapes[i + 1]
-        bufs = {"out": _nhwc((1,) + shape[1:])}
-        if isinstance(layer, Conv2DSpec):
-            k = layer.kernel_size
-            bufs.update(cols=_Columns(*shapes[i], k, k), wmat=_weight_matrix(net.params[i]["w"]))
-            if train:
-                c["x"] = x if i == 0 else _nhwc((n,) + shapes[i])
-        else:
-            bufs["winners"] = train
-            if train:
-                c.update(idx=_nhwc(shape, np.uint8), live=_nhwc(shape, bool))
-        stages.append((i, layer, c, bufs))
+    bufs = _image_buffers(spec.input_shape, *spec.layers[:4])
+    wmat = {i: _weight_matrix(net.params[i]["w"]) for i in (0, 2)}
+    kept = [{} for _ in bufs]
     if train:
-        cache += [c for _, _, c, _ in stages] + [{}]  # the flatten keeps nothing
+        kept[0]["x"], kept[2]["x"] = x, _nhwc((n,) + shapes[2])
+        for i in (1, 3):
+            kept[i].update(idx=_nhwc((n,) + shapes[i + 1], np.uint8),
+                           live=_nhwc((n,) + shapes[i + 1], bool))
+        cache += kept + [{}]  # the flatten keeps nothing
     out = np.empty((n,) + shapes[5])
     for j in range(n):
         src = x[j:j + 1]
-        for i, layer, c, bufs in stages:
-            if isinstance(layer, Conv2DSpec):
-                if train and i:
-                    c["x"][j:j + 1] = src
-                p = net.params[i]
-                src = _conv2d(src, p["w"], p["b"], **bufs)
-                np.maximum(src, 0.0, out=src)
-            else:
-                src, _ = _maxpool2d(src, idx=c["idx"][j:j + 1] if train else None, **bufs)
-                if train:
-                    np.greater(src, 0.0, out=c["live"][j:j + 1])
+        for i in (0, 2):  # a conv, then its pool
+            p, b, conv, pool = net.params[i], bufs[i], kept[i], kept[i + 1]
+            if train and i:
+                conv["x"][j:j + 1] = src
+            src = _conv2d(src, p["w"], p["b"], cols=b["cols"], wmat=wmat[i], out=b["out"])
+            np.maximum(src, 0.0, out=src)
+            src, _ = _maxpool2d(src, out=bufs[i + 1]["out"], winners=train,
+                                idx=pool["idx"][j:j + 1] if train else None)
+            if train:
+                np.greater(src, 0.0, out=pool["live"][j:j + 1])
         out[j].reshape(src.shape[1:])[...] = src[0]
     return out
 
@@ -306,52 +318,44 @@ def _backward_images(net, d, cache, grads):
     [N, ...], the gradient at the flatten; sets each conv's gradients in
     grads.
 
-    Buffers are made once per call. An image whose d row is all zero is
-    skipped. A pool gates its gradient with its conv's ReLU mask, then
-    scatters it into the conv's output-gradient buffer: NHWC memory, rows
-    1.. of a [1 + H*W, F] array whose row 0 holds the running bias sums.
-    Each conv's kernel and bias gradients continue one sum over the images,
-    in the order numpy sums the whole batch: from +0.0, so a skipped
-    image's +-0.0 terms would leave it unchanged, over (image, row, column)
-    in turn. (A one-filter conv's whole-batch gradient is one contiguous
-    block that numpy sums pairwise, which no per-image order matches.)
+    Scratch buffers are the architecture's (_image_buffers). An image whose
+    d row is all zero is skipped. A pool gates its gradient with its conv's
+    ReLU mask, then scatters it into the conv's output-gradient buffer:
+    NHWC memory, rows 1.. of a [1 + H*W, F] array whose row 0 holds the
+    running bias sums. Each conv's kernel and bias gradients continue one
+    sum over the images, in the order numpy sums the whole batch: from
+    +0.0, so a skipped image's +-0.0 terms would leave it unchanged, over
+    (image, row, column) in turn. (A one-filter conv's whole-batch gradient
+    is one contiguous block that numpy sums pairwise, which no per-image
+    order matches.)
     """
     spec = net.spec
     shapes = [spec.input_shape] + spec.layer_shapes
-    state = {}
+    bufs = _image_buffers(spec.input_shape, *spec.layers[:4])
+    acc, rows, scatter = {}, {}, {}
     for i in (0, 2):
         f, c, k, _ = spec.param_shapes[i]["w"]
         h, w = shapes[i + 1][1:]
-        acc, rows = np.zeros((f, k * k * c)), np.zeros((1 + h * w, f))
-        grads[i] = {"w": acc.reshape(f, k, k, c).transpose(0, 3, 1, 2), "b": rows[0]}
-        state[i] = {"cols": _Columns(c, h, w, k, k), "prod": np.empty(acc.shape),
-                    "acc": acc, "rows": rows}
-        if i:
-            state[i]["in"] = {"taps": _conv_taps(net.params[i]["w"]),
-                              "prod": np.empty((h, w, c)),
-                              "out": np.empty((1, h + k - 1, w + k - 1, c))}
-        state[i + 1] = {"gate": np.empty((1,) + shapes[i + 2]),
-                        "out": rows[1:].reshape(1, h, w, f).transpose(0, 3, 1, 2)}
+        acc[i], rows[i] = np.zeros((f, k * k * c)), np.zeros((1 + h * w, f))
+        grads[i] = {"w": acc[i].reshape(f, k, k, c).transpose(0, 3, 1, 2), "b": rows[i][0]}
+        scatter[i] = rows[i][1:].reshape(1, h, w, f).transpose(0, 3, 1, 2)
+    taps = _conv_taps(net.params[2]["w"])
     for j in range(len(d)):
         dj = d[j:j + 1]
         if not dj.any():
             continue
         dj = dj.reshape((1,) + shapes[4])
-        for i in (3, 2, 1, 0):
-            layer, c, s = spec.layers[i], cache[i], state[i]
-            if isinstance(layer, MaxPool2DSpec):
-                # the ReLU gate: d * False keeps a negative d's sign, as the
-                # unfused d * (z > 0) does
-                dj = np.multiply(dj, c["live"][j:j + 1], out=s["gate"])
-                dj = _maxpool2d_grad(dj, c["idx"][j:j + 1], *shapes[i][1:], out=s["out"])
-                continue
-            rows = s["rows"]
-            rows[0] = np.add.reduce(rows, axis=0)
-            k = layer.kernel_size
-            _conv2d_kernel_grad(dj, c["x"][j:j + 1], k, k, cols=s["cols"], prod=s["prod"],
-                                acc=s["acc"])
+        for i in (2, 0):  # a pool, then its conv
+            b, conv, pool, k = bufs[i], cache[i], cache[i + 1], spec.layers[i].kernel_size
+            # the ReLU gate: d * False keeps a negative d's sign, as the
+            # unfused d * (z > 0) does
+            dj = np.multiply(dj, pool["live"][j:j + 1], out=bufs[i + 1]["gate"])
+            dj = _maxpool2d_grad(dj, pool["idx"][j:j + 1], *shapes[i + 1][1:], out=scatter[i])
+            rows[i][0] = np.add.reduce(rows[i], axis=0)
+            _conv2d_kernel_grad(dj, conv["x"][j:j + 1], k, k, cols=b["cols"], prod=b["prod"],
+                                acc=acc[i])
             if i:
-                dj = _conv2d_input_grad(dj, net.params[i]["w"], **s["in"])
+                dj = _conv2d_input_grad(dj, net.params[i]["w"], taps=taps, **b["in"])
 
 
 def forward(net, batch, train=False):

@@ -11,20 +11,21 @@ The raw ndarray kernels (_conv2d, _maxpool2d, ...) run on unwrapped arrays
 for speed and rely on the training loop's divergence check instead of
 per-op validation. Each takes an [N,...] batch and loops over its images,
 so the layers call them with a one-image batch (N = 1), once per image, and
-hand in the buffers they reuse across those calls as keyword-only
-arguments; a kernel makes whatever buffer it is not given. Conv forward and
-its kernel gradient read tap-major columns, [H,W,kh,kw,C] per image, that
-_Columns copies from a window view of a zero-padded NHWC buffer; the kernel
-gradient recomputes them from the layer input and adds each image's term
-into an accumulator that successive calls continue. The input gradient is
-one GEMM per image and tap, its [HW,F] output gradient times the tap's
-[F,C] weights, scatter-added in tap order into a padded buffer. Both
-gradient kernels skip an image whose output gradient is all zero, as a
-silent hidden unit leaves it: its terms are +-0.0 and would leave their
-+0.0 buffers unchanged. The conv kernels return [N,C,H,W] views of NHWC
-memory (_nhwc), and the pool kernels keep that layout, so the reshapes to
-[NHW, C] between them are free. A pool records its winners as a uint8 map
-of window positions, one byte per window.
+hand in the buffers they reuse, one set per architecture
+(layers._image_buffers), as keyword-only arguments; a kernel makes
+whatever buffer it is not given. Conv forward and its kernel gradient read
+tap-major columns, [H,W,kh,kw,C] per image, that _Columns copies from a
+window view of a zero-padded NHWC buffer; the kernel gradient recomputes
+them from the layer input and adds each image's term into an accumulator
+that successive calls continue. The input gradient is one GEMM per image
+and tap, its [HW,F] output gradient times the tap's [F,C] weights,
+scatter-added in tap order into a padded buffer. Both gradient kernels
+skip an image whose output gradient is all zero, as a silent hidden unit
+leaves it: its terms are +-0.0 and would leave their +0.0 buffers
+unchanged. The conv kernels return [N,C,H,W] views of NHWC memory (_nhwc),
+and the pool kernels keep that layout, so the reshapes to [NHW, C] between
+them are free. A pool records its winners as a uint8 map of window
+positions, one byte per window.
 """
 
 import numpy as np

@@ -462,6 +462,28 @@ class TestImageStorage:
         assert peak < 2 * images.nbytes
         np.testing.assert_array_equal(data.features[:, 0], images)
 
+    def test_cifar_load_holds_one_batch_file_at_a_time(self, tmp_path):
+        # six equal batch files: holding them all while their pixels are
+        # copied peaks near twice the pixel bytes, one at a time near 7/6
+        rng = np.random.default_rng(3)
+        pixels = rng.integers(0, 256, size=(6, 400, 3, 32, 32), dtype=np.uint8)
+        labels = np.arange(400) % 10
+        paths = []
+        for i, block in enumerate(pixels):
+            (tmp_path / ("batch%d.bin" % i)).write_bytes(cifar_batch_bytes(labels, block))
+            paths.append(str(tmp_path / ("batch%d.bin" % i)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            data = load_cifar10(paths[:5], paths[5])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * pixels.nbytes
+        np.testing.assert_array_equal(data.features, pixels.reshape(-1, 3, 32, 32))
+        np.testing.assert_array_equal(data.labels, np.tile(labels, 6))
+        assert len(data.train_indices) == 2000 and len(data.test_indices) == 400
+
 
 def grid_dataset(per_class=20, k=4, test_per_class=5):
     """Deterministic dataset: label c has feature value c."""

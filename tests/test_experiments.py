@@ -1444,6 +1444,28 @@ class TestCli:
         assert main(["--replay", str(bad)]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["replay", "resume", "mnist-dir"])
+    def test_unreadable_input_is_data_error(self, case, tmp_path, monkeypatch, capsys):
+        # a directory where an input file is read: the manifest, the stored
+        # config.json, the dataset's files. Nothing is left behind
+        monkeypatch.chdir(tmp_path)
+        if case == "replay":
+            argv, named = ["--replay", "adir"], "adir"
+            os.makedirs("adir")
+        elif case == "resume":
+            argv, named = ["--resume", "run"], os.path.join("run", "config.json")
+            os.makedirs(named)
+        else:
+            argv = ["--experiment", "ova-binary", "--dataset", "mnist", "--hidden", "1",
+                    "--mnist-dir", "mnist", "--out", "out"]
+            named = os.path.join("mnist", MNIST_FILES[0])
+            for name in MNIST_FILES:
+                os.makedirs(os.path.join("mnist", name))
+        before = tree_state(tmp_path)
+        assert main(argv) == 2
+        assert "data error: cannot read %s" % named in capsys.readouterr().err
+        assert tree_state(tmp_path) == before
+
     def test_replay_incomplete_config_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "manifest.json"
         bad.write_text('{"config": {"kind": "synthetic-sweep"}}')
@@ -1593,7 +1615,7 @@ _SIZE_FLAGS = {
     "--epochs": _pool(["1"], ["0"]),
     "--subset": _pool(["40"], ["-1"]),
     "--batch": _pool(["8"], ["0", "100000"]),
-    "--mnist-dir": _pool(["MNIST"], ["missing"]),
+    "--mnist-dir": _pool(["MNIST"], ["missing", "dirs"]),
 }
 _OTHER_FLAGS = {
     "--experiment": _pool(list(KINDS), ["frobnicate"]),
@@ -1673,13 +1695,17 @@ def cli_cases(draw):
         "resumed/config.json": draw(_config_text(lambda c: c)),
         "resumed/progress.jsonl": "\n".join(draw(st.lists(_PROGRESS_LINES, max_size=3)))
         + draw(st.sampled_from(["\n", ""])),
+        # directories where a manifest, a stored config or the data is read
+        "adir/kept": "kept",
+        "stored/config.json/kept": "kept",
+        **{"dirs/%s/kept" % name: "kept" for name in MNIST_FILES},
     }
     mode = draw(st.sampled_from(["run", "replay", "resume"]))
     if mode == "replay":
-        argv = ["--replay", "manifest.json"]
+        argv = ["--replay", draw(_pool(["manifest.json"], ["adir"]))]
         argv += draw(st.sampled_from([[], ["--out", "replayed"], ["--out", "afile"]]))
     elif mode == "resume":
-        argv = ["--resume", draw(_pool(["resumed"], ["missing"]))]
+        argv = ["--resume", draw(_pool(["resumed"], ["missing", "stored"]))]
     else:
         argv = ["--config", "run.ini"]
         for flag, values in _SIZE_FLAGS.items():

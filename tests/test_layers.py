@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinynn import layers, tensor
+from tinynn.datasets import LabeledDataset
 from tinynn.errors import CheckpointError, DimensionError, StateError
 from tinynn.layers import (
     Conv2DSpec,
@@ -26,6 +27,7 @@ from tinynn.layers import (
     save_network,
 )
 from tinynn.rng import Rng
+from tinynn.training import TrainConfig, evaluate, train
 
 from reference import (
     EDGE_LOGITS,
@@ -512,6 +514,59 @@ class TestGradients:
 
 def len_params(net):
     return sum(v.size for p in net.params for v in p.values())
+
+
+class TestImageBuffers:
+    """The image layers' one-image scratch buffers are made once per
+    architecture and shared by every pass; what a pass hands out is its own."""
+
+    def test_training_and_evaluation_make_columns_once_per_conv(self, monkeypatch):
+        made = []
+
+        class Counting(tensor._Columns):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(tensor, "_Columns", Counting)
+        monkeypatch.setattr(layers, "_Columns", Counting)
+        layers._image_buffers.cache_clear()
+        rng = np.random.default_rng(5)
+        data = LabeledDataset(rng.integers(0, 256, (24, 1, 8, 8), dtype=np.uint8),
+                              np.arange(24) % 2, 2, np.arange(16), np.arange(16, 24))
+        net = build_conv_net((1, 8, 8), 2, 1, seed=3)
+        conv1 = net.params[0]["w"].copy()
+        # 3 epochs of 4 steps, the dead-unit probe, then the test split
+        train(net, data, TrainConfig(learning_rate=0.05, epochs=3, batch_size=4))
+        evaluate(net, data)
+        assert not np.array_equal(net.params[0]["w"], conv1)  # backward reached conv1
+        assert made == [(1, 8, 8, 5, 5), (32, 4, 4, 5, 5)]
+
+    def test_passes_that_alternate_equal_each_pass_alone(self):
+        # two networks of one architecture and one of another, each pass
+        # byte-equal to that network's pass on freshly made buffers; every
+        # step's output and gradients are held to the end
+        nets = [prepared(lambda s=s, c=c: build_conv_net((c, 8, 8), 2, 1, seed=s), 3)
+                for s, c in ((1, 1), (2, 1), (3, 3))]
+
+        def step(net, x):
+            out, cache = forward(net, x, train=True)
+            return out.array, forward(net, x)[0].array, backward(net, out.array - 1.0, cache)
+
+        alone = []
+        for net, x in nets:
+            layers._image_buffers.cache_clear()
+            alone.append(step(net, x))
+        order = [0, 2, 1, 0, 1, 2]
+        steps = [forward(*nets[k], train=True) for k in order]
+        evals = [forward(*nets[k])[0].array for k in order]
+        grads = [backward(nets[k][0], out.array - 1.0, cache)
+                 for k, (out, cache) in reversed(list(zip(order, steps)))][::-1]
+        for k, (out, _), ev, g in zip(order, steps, evals, grads):
+            assert out.array.tobytes() == alone[k][0].tobytes()
+            assert ev.tobytes() == alone[k][1].tobytes()
+            assert_grads_equal(g, alone[k][2])
+        assert layers._image_buffers.cache_info().currsize == 1
 
 
 class TestOrientation:
