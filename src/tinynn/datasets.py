@@ -26,7 +26,8 @@ _CIFAR_RECORD = 3073  # 1 label byte + 3 * 1024 channel-planar pixels
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Two Gaussian clusters at +/-bias along every coordinate."""
+    """Two Gaussian clusters at +/-bias along every coordinate. A positive
+    std and an even n_samples >= 2 are checked by ExperimentConfig.validate."""
 
     std: float
     n_samples: int
@@ -34,16 +35,6 @@ class SyntheticSpec:
     mean: float = 0.0
     bias: float = 0.5
     dim: int = 3
-
-    def __post_init__(self):
-        if self.std <= 0:
-            raise DataError("std must be positive, got %r" % (self.std,))
-        if self.n_samples < 2 or self.n_samples % 2:
-            raise DataError(
-                "n_samples must be even and >= 2, got %r" % (self.n_samples,)
-            )
-        if self.dim < 1:
-            raise DataError("dim must be >= 1, got %r" % (self.dim,))
 
 
 def gather(features, idx):
@@ -259,8 +250,6 @@ def load_cifar10(batch_paths, test_path):
     batch_paths (a list) fill the train split, test_path the test split.
     Each file's records are copied into place before the next file is read.
     """
-    if not batch_paths:
-        raise DataError("no batch files given")
     paths = list(batch_paths) + [test_path]
     counts = [os.stat(p).st_size // _CIFAR_RECORD for p in paths]
     ends = np.cumsum(counts)
@@ -281,8 +270,6 @@ def stratified_subset(data, n):
     availability; features of the kept rows are copied so the result is a
     self-contained dataset. Used by the --subset CLI flag.
     """
-    if n < 1:
-        raise DataError("subset size must be >= 1, got %r" % (n,))
     k = data.class_count
     n = min(n, len(data.train_indices))
     train_labels = data.labels_at(data.train_indices)

@@ -85,13 +85,10 @@ def outcome_from_positive_sets(
 ):
     """Tally verdicts for precomputed positive sets (one iterable per sample).
 
-    argmax, each sample's highest-scoring member, is read by the argmax
-    policy only.
+    policy is one of POLICIES, as ExperimentConfig.validate checks. argmax,
+    each sample's highest-scoring member, is read by the argmax policy only;
+    evaluate passes it for that policy.
     """
-    if policy not in POLICIES:
-        raise DataError("unknown aggregation policy %r" % (policy,))
-    if policy == "argmax" and argmax is None:
-        raise DataError("argmax policy needs raw scores; use evaluate()")
     verdicts = []
     counts = dict.fromkeys(VERDICT_KINDS, 0)
     max_set = 0
@@ -145,9 +142,7 @@ def _build_member(data, hidden_units, seed):
     shape = tuple(data.features.shape[1:])
     if len(shape) == 3:
         return build_conv_net(shape, hidden_units, 1, seed)
-    if len(shape) == 1:
-        return build_mlp(shape[0], hidden_units, seed)
-    raise DataError("features must be [N,C,H,W] or [N,D], got %r" % (shape,))
+    return build_mlp(shape[0], hidden_units, seed)
 
 
 def train_member(view, hidden_units, cfg, seed):

@@ -29,10 +29,6 @@ class CheckpointError(ValueError):
     """Checkpoint bytes rejected: bad magic, bad tag, or shape mismatch."""
 
 
-class StateError(RuntimeError):
-    """An operation was called out of order (backward before forward)."""
-
-
 class DivergenceError(RuntimeError):
     """Training loss became NaN/Inf; message names the epoch and batch."""
 

@@ -387,7 +387,7 @@ def _fits(value, template):
 
 def _sha256_file(path):
     h = hashlib.sha256()
-    with open(path, "rb") as f:
+    with os_error_as(DataError, "read", path), open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
@@ -463,11 +463,14 @@ class RunContext:
         for line in data[:end].splitlines():
             if not line.strip():
                 continue
-            entry = json.loads(line)
+            try:
+                entry = json.loads(line)
+            except UnicodeDecodeError:
+                entry = None
             if not (isinstance(entry, dict) and isinstance(entry.get("cell"), str)
                     and isinstance(entry.get("outputs"), dict)):
                 raise DataError("%s: not a progress record: %r"
-                                % (self._progress_path, line.decode()))
+                                % (self._progress_path, line.decode(errors="replace")))
             ok = all(
                 os.path.exists(self.path(n)) and _sha256_file(self.path(n)) == h
                 for n, h in entry["outputs"].items()

@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import CheckpointError, DimensionError, StateError
+from .errors import CheckpointError, DimensionError
 from .rng import Rng
 from .tensor import (
     Tensor,
@@ -396,7 +396,8 @@ def forward(net, batch, train=False):
 def backward(net, loss_grad, cache):
     """One step's parameter gradients from the loss gradient w.r.t. the
     output logits: a new list with one {name: array} dict per layer, empty
-    for a layer without parameters.
+    for a layer without parameters. cache is forward's train=True cache of
+    the same network, as train passes it.
 
     The head's activation is fused into loss_grad; the hidden layer's ReLU
     is differentiated here, and each conv's through its pool's cached mask
@@ -412,10 +413,6 @@ def backward(net, loss_grad, cache):
     starts), and p - lr * (+0.0) is p, bit for bit. The image pass skips,
     in the same way, each image whose own gradient is all zero.
     """
-    if cache is None:
-        raise StateError("backward called without a forward cache (train=True)")
-    if len(cache) != len(net.spec.layers):
-        raise StateError("forward cache does not match the network's layers")
     grads = [{} for _ in cache]
     d = np.asarray(loss_grad)
     last = len(net.spec.layers) - 1

@@ -198,7 +198,8 @@ _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _maxpool2d(x, *, out=None, idx=None, winners=True):
-    """Non-overlapping 2x2/stride-2 max pool.
+    """Non-overlapping 2x2/stride-2 max pool of even spatial dims, which
+    the NetworkSpec walk checks.
 
     Returns (pooled [N,C,H/2,W/2], winner), winner a uint8 [N,C,H/2,W/2]
     map of the window position 0..3 in row-major scan order, ties taking
@@ -207,11 +208,6 @@ def _maxpool2d(x, *, out=None, idx=None, winners=True):
     the two are written into, made here when not given; with winners=False
     the winner map is not computed and None is returned for it.
     """
-    h, w = x.shape[2:]
-    if h % 2 or w % 2:
-        raise DimensionError(
-            "max pool needs even spatial dims, got %dx%d" % (h, w)
-        )
     v0, v1, v2, v3 = (x[:, :, a::2, b::2] for a, b in _WINDOW)
     pooled = np.maximum(v0, v1, out=out)
     np.maximum(pooled, np.maximum(v2, v3), out=pooled)

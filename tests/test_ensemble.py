@@ -11,13 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinynn import experiments
-from tinynn.datasets import SyntheticSpec, generate_synthetic, make_ova_views
+from tinynn.datasets import make_ova_views
 from tinynn.ensemble import (
     POLICIES,
     VERDICT_KINDS,
-    EnsembleOutcome,
     OvaEnsemble,
-    Verdict,
     evaluate,
     load_ensemble,
     member_scores,
@@ -98,14 +96,6 @@ class TestOutcome:
         assert [v.predicted for v in out.verdicts] == [2, 1, 0]
         assert [v.positives for v in out.verdicts] == sets
         assert out.max_positive_set == 2
-
-    def test_argmax_policy_rejected_without_scores(self):
-        with pytest.raises(DataError, match="argmax"):
-            outcome_from_positive_sets([(1,)], [1], policy="argmax")
-
-    def test_unknown_policy(self):
-        with pytest.raises(DataError):
-            outcome_from_positive_sets([], [], policy="vote")
 
 
 @st.composite

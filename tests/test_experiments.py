@@ -756,18 +756,30 @@ class TestResume:
             assert [json.loads(line) for line in f] == [json.loads(r) for r in records]
 
     @pytest.mark.parametrize(
-        "bad", ['{"cell": "std0.5', "5", '{"cell": "std0.5"}', '{"cell": 1, "outputs": {}}'],
-        ids=["torn", "not-an-object", "no-outputs", "non-string-cell"],
+        "bad", [b'{"cell": "std0.5', b"5", b'{"cell": "std0.5"}', b'{"cell": 1, "outputs": {}}',
+                b'{"cell": "std0.5\xff", "outputs": {}}'],
+        ids=["torn", "not-an-object", "no-outputs", "non-string-cell", "not-utf-8"],
     )
     def test_resume_bad_record_before_the_last_is_data_error(
         self, bad, sweep_run, tmp_path, capsys
     ):
         run = tmp_path / "interrupted"
         interrupt_after_first_cell(sweep_run.run_dir, run)
-        text = (run / "progress.jsonl").read_text()
-        (run / "progress.jsonl").write_text(bad + "\n" + text)
+        text = (run / "progress.jsonl").read_bytes()
+        (run / "progress.jsonl").write_bytes(bad + b"\n" + text)
         assert main(["--resume", str(run)]) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_resume_over_an_output_that_is_a_directory_is_data_error(
+        self, sweep_run, tmp_path, capsys
+    ):
+        run = tmp_path / "interrupted"
+        cell = interrupt_after_first_cell(sweep_run.run_dir, run)
+        summary = run / ("%s_summary.csv" % cell)
+        summary.unlink()
+        summary.mkdir()
+        assert main(["--resume", str(run)]) == 2
+        assert "data error: cannot read %s" % summary in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", [
         lambda r: r.pop("row"),
@@ -1344,6 +1356,20 @@ class TestCli:
         # the failed run leaves no run directory, nor the parents it made
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_train,n_test,message", [
+        (0, 20, "training split is empty"), (60, 0, "test split is empty"),
+    ], ids=["train", "t10k"])
+    def test_empty_split_is_data_error(self, n_train, n_test, message, tmp_path, capsys):
+        (tmp_path / "mnist").mkdir()
+        mnist = random_mnist_dir(tmp_path / "mnist", n_train, n_test)
+        out = tmp_path / "out"
+        argv = ["--experiment", "layer-size-sweep", "--dataset", "mnist", "--mnist-dir", mnist,
+                "--hidden", "1", "--subset", "10", "--batch", "5", "--epochs", "1",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "data error: %s" % message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "kind,setting",
         [
@@ -1663,6 +1689,7 @@ _PROGRESS_LINES = _pool(
      json.dumps({"cell": "member-3", "outputs": {}, "row": {"width": 1, "accuracy": 0.5}}),
      json.dumps({"cell": "member-3", "outputs": {}}),
      json.dumps({"cell": 5, "outputs": {}}), "5", "not json",
+     json.dumps({"cell": "std0.5_n240_h1", "outputs": {"outdir": "00"}}),
      '{"cell": "std0.5_n240_h1", "outp'],
 )
 _KIND = st.sampled_from(KINDS)
@@ -1695,8 +1722,10 @@ def cli_cases(draw):
         "resumed/config.json": draw(_config_text(lambda c: c)),
         "resumed/progress.jsonl": "\n".join(draw(st.lists(_PROGRESS_LINES, max_size=3)))
         + draw(st.sampled_from(["\n", ""])),
-        # directories where a manifest, a stored config or the data is read
+        # directories where a manifest, a stored config, a recorded output or
+        # the data is read
         "adir/kept": "kept",
+        "resumed/outdir/kept": "kept",
         "stored/config.json/kept": "kept",
         **{"dirs/%s/kept" % name: "kept" for name in MNIST_FILES},
     }

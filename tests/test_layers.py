@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tinynn import layers, tensor
 from tinynn.datasets import LabeledDataset
-from tinynn.errors import CheckpointError, DimensionError, StateError
+from tinynn.errors import CheckpointError, DimensionError
 from tinynn.layers import (
     Conv2DSpec,
     DenseSpec,
@@ -32,7 +32,6 @@ from tinynn.training import TrainConfig, evaluate, train
 from reference import (
     EDGE_LOGITS,
     analytic_grads,
-    cross_entropy_loss,
     fd_check,
     orient_on_every_row,
     randomize_head,
@@ -342,22 +341,6 @@ class TestForward:
         net = build_mlp(4, 2, seed=0)
         out, cache = forward(net, rand((3, 4), 0))
         assert cache is None
-
-
-class TestBackwardState:
-    def test_backward_without_cache(self):
-        net = build_mlp(4, 2, seed=0)
-        out, cache = forward(net, rand((3, 4), 0))
-        _, dz = cross_entropy_loss(out, np.array([0, 1, 0]))
-        with pytest.raises(StateError):
-            backward(net, dz, cache)
-
-    def test_backward_with_foreign_cache(self):
-        net = build_mlp(4, 2, seed=0)
-        other = build_conv_net((1, 8, 8), 2, 3, seed=1)
-        _, cache = forward(other, rand((2, 1, 8, 8), 0), train=True)
-        with pytest.raises(StateError):
-            backward(net, np.zeros((2, 1)), cache)
 
 
 def assert_grads_equal(got, want):

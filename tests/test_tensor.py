@@ -269,10 +269,6 @@ class TestMaxPool:
             np.testing.assert_array_equal(idx[0, :, 0, 0], [0, 1])
             np.testing.assert_array_equal(pooled[0, :, 0, 0], [0.0, 7.0])
 
-    def test_odd_dims_rejected(self):
-        with pytest.raises(DimensionError, match="even"):
-            tensor._maxpool2d(rand((1, 1, 5, 4), 0))
-
     def test_only_2x2_stride_2(self):
         with pytest.raises(DimensionError, match="2x2"):
             NetworkSpec((1, 6, 6), [
