@@ -5,11 +5,12 @@ value, a flag given with --resume, or one but --out with --replay, a
 config file the INI parser rejects and an output path that cannot be
 created included), 2 unreadable or malformed data (a directory where an
 input file or a recorded output should be, a progress line that is not
-UTF-8 and a manifest that is not an object holding a config object
-included), 3 training diverged: a sweep cell, a one-vs-all member or
-the comparison net, recorded in the manifest, 4 an output could not be
-written (a full disk, say). A run that exits 1 or 2 removes the directories
-it created; one that exits 4 keeps its directory, which --resume finishes.
+UTF-8, a manifest that is not an object holding a config object and a
+resumed member checkpoint that is not its member's network included), 3
+training diverged: a sweep cell, a one-vs-all member or the comparison
+net, recorded in the manifest, 4 an output could not be written (a full
+disk, say). A run that exits 1 or 2 removes the directories it created;
+one that exits 4 keeps its directory, which --resume finishes.
 """
 
 import argparse
@@ -17,7 +18,8 @@ import json
 import sys
 from dataclasses import fields
 
-from .errors import ConfigError, DataError, DataFormatError, DivergenceError, WriteError
+from .errors import (CheckpointError, ConfigError, DataError, DataFormatError,
+                     DivergenceError, WriteError)
 from .experiments import (
     ExperimentConfig,
     build_config,
@@ -96,7 +98,8 @@ def main(argv=None):
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return 1
-    except (DataFormatError, DataError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (CheckpointError, DataFormatError, DataError, FileNotFoundError,
+            json.JSONDecodeError) as e:
         print("data error: %s" % e, file=sys.stderr)
         return 2
     except DivergenceError as e:

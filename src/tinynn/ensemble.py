@@ -9,14 +9,14 @@ aggregation policies exist purely as diagnostics and are off by default.
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DivergenceError
-from .layers import build_conv_net, build_mlp, load_network, save_network
+from .errors import DataError
+from .layers import load_network, save_network
 from .rng import _MASK64
-from .training import predict_scores, train, write_csv
+from .training import predict_scores, write_csv
 
 POLICIES = ("redundant-error", "priority", "argmax")
 THRESHOLD = 0.5  # a member fires on a score above it
@@ -135,30 +135,8 @@ class OvaEnsemble:
 
 
 def _member_seed(base_seed, class_index):
+    """Class class_index's member seed, for its init and its training stream."""
     return (base_seed ^ class_index) & _MASK64
-
-
-def _build_member(data, hidden_units, seed):
-    shape = tuple(data.features.shape[1:])
-    if len(shape) == 3:
-        return build_conv_net(shape, hidden_units, 1, seed)
-    return build_mlp(shape[0], hidden_units, seed)
-
-
-def train_member(view, hidden_units, cfg, seed):
-    """Train the member for view's class; returns (net, report).
-
-    seed, _member_seed(cfg.seed, class), is used for init and for its
-    training stream, so members are independent and train in any order
-    with the same bytes. A divergence is re-raised naming the class.
-    """
-    net = _build_member(view.source, hidden_units, seed)
-    try:
-        return train(net, view, replace(cfg, seed=seed))
-    except DivergenceError as e:
-        raise DivergenceError(
-            "member for class %d diverged: %s" % (view.target_class, e)
-        )
 
 
 def member_scores(ensemble, features, indices):

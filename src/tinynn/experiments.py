@@ -15,11 +15,12 @@ and the one-vs-all members and ova-ensemble's comparison net.
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime
 from functools import partial
 
@@ -37,7 +38,6 @@ from .ensemble import (
     _member_seed,
     evaluate as evaluate_ensemble,
     member_name,
-    train_member,
     write_ensemble_json,
     write_outcome_summary_csv,
     write_verdicts_csv,
@@ -61,20 +61,20 @@ from .training import (
 KINDS = ("synthetic-sweep", "layer-size-sweep", "ova-binary", "ova-ensemble")
 DATASETS = ("synthetic", "mnist", "cifar10")
 
-DEFAULT_WIDTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-DEFAULT_SYNTH_HIDDEN = (1, 10, 100)
 DEFAULT_STDS = (0.1, 0.5, 1.0)
 DEFAULT_SIZES = (1000, 10000, 100000)
 
 
 @dataclass(frozen=True)
 class Budget:
-    """A default training budget. Its field names are the config fields it
-    fills when a run does not set them."""
+    """A kind's default budget. Its field names are the config fields it
+    fills, once, as the config is made, where the run does not set them.
+    hidden is a table column only: no flag or INI key sets a Budget."""
 
     learning_rate: float
     epochs: int
     subset: int = 0  # stratified cap on training rows; 0 is the full split
+    hidden: tuple = (1,)
 
 
 BUDGETS = {
@@ -82,7 +82,7 @@ BUDGETS = {
     # accuracy table reflects undertrained networks (single neuron ~0.70,
     # wider ~0.78-0.81), which two epochs at lr 0.02 reproduce. Fully
     # converged MLPs would all sit at the Bayes rate instead.
-    "synthetic": Budget(0.02, 2),
+    "synthetic": Budget(0.02, 2, hidden=(1, 10, 100)),
     # Layer-size sweeps train every width to convergence on a small
     # stratified subset. Each net ends up fitting those samples outright, so
     # the measured accuracy reflects generalization from the sample count
@@ -90,7 +90,7 @@ BUDGETS = {
     # the hidden layer moves it only marginally. The budget is part of the
     # resolved config and so lands in every manifest. ova-ensemble trains
     # its comparison net at it too.
-    "layer-sweep": Budget(0.05, 70, 125),
+    "layer-sweep": Budget(0.05, 70, 125, (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)),
     "conv-members": Budget(0.015, 5),
     "mlp-members": Budget(0.05, 20),
 }
@@ -166,15 +166,16 @@ def _setting(section, key, parse, default=MISSING, flag=None, choices=None, help
 class ExperimentConfig:
     """Fully resolved run parameters; the manifest stores exactly this.
 
-    learning_rate, epochs and subset left at None take the run's default
-    budget from BUDGETS.
+    hidden, learning_rate, epochs and subset left at None take the kind's
+    BUDGETS entry, once, as the config is made; from then on every field
+    holds a concrete value.
     """
 
     kind: str = _setting("experiment", "kind", _text, flag="--experiment",
                          choices=KINDS, help="what to run")
     dataset: str = _setting("experiment", "dataset", _text, flag="--dataset",
                             choices=DATASETS)
-    hidden: tuple = _setting("experiment", "hidden", _int_list, flag="--hidden",
+    hidden: tuple = _setting("experiment", "hidden", _int_list, None, "--hidden",
                              help="comma-separated hidden sizes, e.g. 1 or 16,128")
     trials: int = _setting("experiment", "trials", _int, 100, "--trials",
                            help="trial repetitions per sweep cell")
@@ -200,6 +201,13 @@ class ExperimentConfig:
     mnist_dir: str = _setting("data", "mnist_dir", _text, None, "--mnist-dir")
     cifar_dir: str = _setting("data", "cifar_dir", _text, None, "--cifar-dir")
 
+    def __post_init__(self):
+        name = {"synthetic-sweep": "synthetic", "layer-size-sweep": "layer-sweep"}.get(
+            self.kind, "mlp-members" if self.dataset == "synthetic" else "conv-members")
+        for f in fields(Budget):
+            if getattr(self, f.name) is None:
+                setattr(self, f.name, getattr(BUDGETS[name], f.name))
+
     def validate(self):
         for f in fields(self):
             choices, value = f.metadata["choices"], getattr(self, f.name)
@@ -220,13 +228,13 @@ class ExperimentConfig:
             )
         if self.trials < 2:
             raise ConfigError("trials must be >= 2, got %r" % (self.trials,))
-        if self.subset is not None and self.subset < 0:
+        if self.subset < 0:
             raise ConfigError("subset must be >= 0, got %r" % (self.subset,))
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1, got %r" % (self.jobs,))
-        if self.learning_rate is not None and not (0.0 < self.learning_rate <= 1.0):
+        if not (0.0 < self.learning_rate <= 1.0):
             raise ConfigError("lr must be in (0, 1], got %r" % (self.learning_rate,))
-        if self.epochs is not None and self.epochs < 1:
+        if self.epochs < 1:
             raise ConfigError("epochs must be >= 1, got %r" % (self.epochs,))
         if self.batch_size < 1:
             raise ConfigError("batch must be >= 1, got %r" % (self.batch_size,))
@@ -237,9 +245,9 @@ class ExperimentConfig:
                              ("stds", ["%g" % s for s in self.stds])):
             if len(set(values)) != len(values):
                 raise ConfigError("%s repeats a value, got %r" % (name, values))
-        if not all(s > 0 for s in (*self.stds, self.synth_std)):
+        if not all(0 < s < math.inf for s in (*self.stds, self.synth_std)):
             raise ConfigError(
-                "stds and synth_std must be positive, got %r and %r"
+                "stds and synth_std must be positive and finite, got %r and %r"
                 % (self.stds, self.synth_std)
             )
         if any(n < 2 or n % 2 for n in (*self.sizes, self.synth_n)):
@@ -249,27 +257,9 @@ class ExperimentConfig:
             )
         return self
 
-    def budget(self):
-        """The run's default budget, overridden by the values it sets."""
-        if self.kind == "synthetic-sweep":
-            default = BUDGETS["synthetic"]
-        elif self.kind == "layer-size-sweep":
-            default = BUDGETS["layer-sweep"]
-        elif self.dataset == "synthetic":
-            default = BUDGETS["mlp-members"]
-        else:
-            default = BUDGETS["conv-members"]
-        explicit = {
-            f.name: getattr(self, f.name)
-            for f in fields(Budget)
-            if getattr(self, f.name) is not None
-        }
-        return replace(default, **explicit)
-
     def resolved(self):
         """Concrete values for every knob, as stored in the manifest."""
         d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d.update(asdict(self.budget()))
         d = {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
         if self.kind == "ova-ensemble":
             comparison = BUDGETS["layer-sweep"]
@@ -279,13 +269,8 @@ class ExperimentConfig:
         return d
 
     def train_config(self, seed=None):
-        budget = self.budget()
-        return TrainConfig(
-            learning_rate=budget.learning_rate,
-            epochs=budget.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed if seed is None else seed,
-        )
+        return TrainConfig(self.learning_rate, self.epochs, self.batch_size,
+                           self.seed if seed is None else seed)
 
     @classmethod
     def from_resolved(cls, d):
@@ -296,14 +281,6 @@ class ExperimentConfig:
         return build_config(
             flag_values={f.name: d[f.name] for f in fields(cls) if f.name in d}
         )
-
-
-def default_hidden(kind):
-    if kind == "synthetic-sweep":
-        return DEFAULT_SYNTH_HIDDEN
-    if kind == "layer-size-sweep":
-        return DEFAULT_WIDTHS
-    return (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +332,12 @@ def build_config(file_values=None, flag_values=None):
         merged.setdefault(
             "cifar_dir", os.path.join(data_dir, "cifar-10-batches-bin")
         )
-    kind = merged.get("kind")
-    if kind is None:
+    if merged.get("kind") is None:
         raise ConfigError("an experiment kind is required (--experiment)")
     if merged.get("dataset") is None:
         raise ConfigError("a dataset is required (--dataset)")
     parsers = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)}
     kwargs = {k: parsers[k](k, v) for k, v in merged.items()}
-    kwargs.setdefault("hidden", default_hidden(kind))
     return ExperimentConfig(**kwargs).validate()
 
 
@@ -647,10 +622,18 @@ def _trained(train_cell):
         return str(e)
 
 
-def _train_conv(data, width, cfg):
-    """A multi-class conv net of width hidden units, seeded and trained at cfg."""
-    net = build_conv_net(tuple(data.features.shape[1:]), width, data.class_count, cfg.seed)
-    return train(net, data, cfg)
+def _build_net(data, width, units, seed):
+    """The network of width hidden units a cell trains over data: the conv
+    stack with a units-wide head over image rows, else the one-output MLP."""
+    shape = tuple(data.features.shape[1:])
+    if len(shape) == 3:
+        return build_conv_net(shape, width, units, seed)
+    return build_mlp(shape[0], width, seed)
+
+
+def _train_net(data, width, units, cfg):
+    """_build_net's network, seeded and trained at cfg; returns (net, report)."""
+    return train(_build_net(data, width, units, cfg.seed), data, cfg)
 
 
 def _save_trained(ctx, names, result):
@@ -665,11 +648,12 @@ def _run_layer_size_sweep(ctx, config):
     """One multi-class conv net per hidden width at the sweep budget; cell
     w<width> trains the net of that width."""
     with ctx.stage("load-data"):
-        data = _apply_subset(load_dataset(config), config.budget().subset)
+        data = _apply_subset(load_dataset(config), config.subset)
     cells = {}
     for w in config.hidden:
         ctx.seeds["width-%d" % w] = seed = derive_seed(config.seed, w)
-        cells["w%d" % w] = partial(_train_conv, data, w, config.train_config(seed))
+        cells["w%d" % w] = partial(_train_net, data, w, data.class_count,
+                                   config.train_config(seed))
 
     def write(name, result):
         width = int(name[1:])
@@ -707,13 +691,13 @@ def _run_ova(ctx, config):
     """
     with ctx.stage("load-data"):
         full = load_dataset(config)
-        data = _apply_subset(full, config.budget().subset)
+        data = _apply_subset(full, config.subset)
     k, h, cfg = data.class_count, config.hidden[0], config.train_config()
     views = make_ova_views(data, k, config.seed)
     cells = {}
     for i in range(k):
         ctx.seeds["member-%d" % i] = seed = _member_seed(config.seed, i)
-        cells["member-%d" % i] = partial(train_member, views[i], h, cfg, seed)
+        cells["member-%d" % i] = partial(_train_net, views[i], h, 1, replace(cfg, seed=seed))
     if config.kind == "ova-ensemble":
         # equal-width single network: K members of width h have K*h hidden
         # units; compare against the next power of two, trained exactly like
@@ -723,7 +707,7 @@ def _run_ova(ctx, config):
         ctx.seeds["comparison"] = seed = derive_seed(config.seed, _SEED_COMPARISON)
         budget = BUDGETS["layer-sweep"]
         cells["comparison"] = partial(
-            _train_conv, _apply_subset(full, budget.subset), width,
+            _train_net, _apply_subset(full, budget.subset), width, k,
             replace(config.train_config(seed), learning_rate=budget.learning_rate,
                     epochs=budget.epochs),
         )
@@ -737,7 +721,8 @@ def _run_ova(ctx, config):
             return [], {"width": width, "accuracy": result[1].accuracy}, None
         i = int(name[len("member-"):])
         if diverged:
-            return [], None, {"class": i, "error": result}
+            return [], None, {"class": i, "error": "member for class %d diverged: %s"
+                              % (i, result)}
         scores[i] = result[1].scores
         names = ["loss_class_%d.csv" % i, "ensemble/" + member_name(i)]
         row = {m: getattr(result[1], m) for m in _MEMBER_METRICS}
@@ -763,11 +748,17 @@ def _run_ova(ctx, config):
     idx = data.test_indices
     with ctx.stage("evaluate"):
         # a fresh member's report holds its scores on the split the ensemble
-        # is judged on; a skipped member's checkpoint is loaded and scored
+        # is judged on; a skipped member's checkpoint is loaded, checked to
+        # be the network its cell builds, and scored
         for i, member in enumerate(scores):
             if member is None:
                 path = ctx.path("ensemble/" + member_name(i))
-                scores[i] = predict_scores(load_network(path), data.features, idx)[:, 0]
+                net = load_network(path)
+                want = _build_net(views[i], h, 1, ctx.seeds["member-%d" % i]).spec
+                if ((net.spec.input_shape, net.spec.layers, net.spec.seed)
+                        != (want.input_shape, want.layers, want.seed)):
+                    raise DataError("%s is not the network member %d trains" % (path, i))
+                scores[i] = predict_scores(net, data.features, idx)[:, 0]
         outcome = evaluate_ensemble(None, data, config.aggregation, scores)
     ctx.write("verdicts.csv", write_verdicts_csv, outcome, idx, data.labels_at(idx))
     ctx.write("summary.csv", write_outcome_summary_csv, outcome)

@@ -43,8 +43,9 @@ class TrainConfig:
     """Hyperparameters for one training run.
 
     The learning rate and epoch count have no defaults: every caller passes
-    the budget it trains at (the runners take theirs from experiments.BUDGETS
-    once ExperimentConfig.validate has checked lr, epochs and batch).
+    the budget it trains at. The library's caller is
+    ExperimentConfig.train_config, which passes the config's resolved and
+    validated lr, epochs and batch.
     """
 
     learning_rate: float

@@ -5,15 +5,9 @@ import tempfile
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-DATA_ROOT = os.environ.get("TINYNN_DATA_DIR", "/root/data")
+from tinynn.experiments import CIFAR_FILES, MNIST_FILES
 
-MNIST_NAMES = (
-    "train-images-idx3-ubyte",
-    "train-labels-idx1-ubyte",
-    "t10k-images-idx3-ubyte",
-    "t10k-labels-idx1-ubyte",
-)
-CIFAR_NAMES = tuple("data_batch_%d.bin" % i for i in range(1, 6)) + ("test_batch.bin",)
+DATA_ROOT = os.environ.get("TINYNN_DATA_DIR", "/root/data")
 
 
 def pytest_configure(config):
@@ -35,7 +29,7 @@ def data_root():
 @pytest.fixture(scope="session")
 def mnist_paths():
     d = os.path.join(DATA_ROOT, "mnist")
-    paths = [os.path.join(d, n) for n in MNIST_NAMES]
+    paths = [os.path.join(d, n) for n in MNIST_FILES]
     if not all(os.path.exists(p) for p in paths):
         pytest.skip("mnist files not present under %s" % d)
     return paths
@@ -44,7 +38,7 @@ def mnist_paths():
 @pytest.fixture(scope="session")
 def cifar_paths():
     d = os.path.join(DATA_ROOT, "cifar-10-batches-bin")
-    paths = [os.path.join(d, n) for n in CIFAR_NAMES]
+    paths = [os.path.join(d, n) for n in CIFAR_FILES]
     if not all(os.path.exists(p) for p in paths):
         pytest.skip("cifar-10 files not present under %s" % d)
     return paths

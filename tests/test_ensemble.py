@@ -4,6 +4,7 @@ import itertools
 import json
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from tinynn.ensemble import (
     outcome_from_positive_sets,
     resolve_verdict,
     save_ensemble,
-    train_member,
     write_outcome_summary_csv,
     write_verdicts_csv,
     _member_seed,
@@ -173,7 +173,8 @@ def train_members(data, hidden_units, cfg):
     """Every class's member, trained as the one-vs-all runs train it:
     returns the ensemble and the members' reports."""
     trained = [
-        train_member(view, hidden_units, cfg, _member_seed(cfg.seed, i))
+        experiments._train_net(
+            view, hidden_units, 1, replace(cfg, seed=_member_seed(cfg.seed, i)))
         for i, view in enumerate(make_ova_views(data, data.class_count, cfg.seed))
     ]
     return OvaEnsemble(members=[net for net, _ in trained]), [rep for _, rep in trained]
@@ -190,8 +191,8 @@ def ova_binary_run(out, monkeypatch, data, hidden=2, **settings):
 
 
 class TestTrainEnsemble:
-    """The K members: train_member, and the one-vs-all runs that train them
-    as cells."""
+    """The K members: experiments._train_net over each class's view, and the
+    one-vs-all runs that train them as cells."""
 
     def test_one_member_per_class_and_reports(self):
         data = synth_multi()

@@ -27,8 +27,6 @@ from tinynn.errors import ConfigError, DataError, DivergenceError
 from tinynn.experiments import (
     BUDGETS,
     DATASETS,
-    DEFAULT_SYNTH_HIDDEN,
-    DEFAULT_WIDTHS,
     KINDS,
     MNIST_FILES,
     POLICIES,
@@ -38,7 +36,6 @@ from tinynn.experiments import (
     RunResult,
     _SEED_COMPARISON,
     build_config,
-    default_hidden,
     load_config_file,
     load_dataset,
     replay_manifest,
@@ -111,17 +108,19 @@ def stop_at_write(monkeypatch, name, limit, skip=0):
 
 def member_trains(monkeypatch, stop_at=None):
     """The classes of the members that start training, in order; with
-    stop_at, the member of that class Stops as it starts."""
+    stop_at, the member of that class Stops as it starts. Members train on
+    one-vs-all views, which alone have a target_class."""
     started = []
-    real_train = ensemble.train
+    real_train = experiments.train
 
     def recording_train(net, view, cfg):
-        started.append(view.target_class)
-        if view.target_class == stop_at:
-            raise Stop
+        if hasattr(view, "target_class"):
+            started.append(view.target_class)
+            if view.target_class == stop_at:
+                raise Stop
         return real_train(net, view, cfg)
 
-    monkeypatch.setattr(ensemble, "train", recording_train)
+    monkeypatch.setattr(experiments, "train", recording_train)
     return started
 
 
@@ -255,28 +254,39 @@ OVA_ENSEMBLE_OUTPUTS = {
 }
 
 
+def budget_fields(cfg):
+    """The config fields a Budget fills, as a Budget."""
+    return Budget(cfg.learning_rate, cfg.epochs, cfg.subset, cfg.hidden)
+
+
+WIDTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
+
 class TestDefaults:
     def test_default_hidden_by_kind(self):
-        assert default_hidden("synthetic-sweep") == DEFAULT_SYNTH_HIDDEN
-        assert default_hidden("layer-size-sweep") == DEFAULT_WIDTHS
-        assert default_hidden("ova-binary") == (1,)
-        assert default_hidden("ova-ensemble") == (1,)
+        for kind, dataset, hidden in [
+            ("synthetic-sweep", "synthetic", (1, 10, 100)),
+            ("layer-size-sweep", "mnist", WIDTHS),
+            ("ova-binary", "mnist", (1,)),
+            ("ova-binary", "synthetic", (1,)),
+            ("ova-ensemble", "cifar10", (1,)),
+        ]:
+            cfg = build_config(flag_values={"kind": kind, "dataset": dataset})
+            assert cfg.hidden == hidden
 
     def test_synthetic_sweep_budget(self):
         cfg = build_config(flag_values={"kind": "synthetic-sweep", "dataset": "synthetic"})
-        assert cfg.hidden == DEFAULT_SYNTH_HIDDEN
-        assert cfg.budget() == BUDGETS["synthetic"] == Budget(0.02, 2, 0)
+        assert budget_fields(cfg) == BUDGETS["synthetic"] == Budget(0.02, 2, 0, (1, 10, 100))
 
     def test_layer_sweep_budget(self):
         cfg = build_config(flag_values={"kind": "layer-size-sweep", "dataset": "mnist"})
-        assert cfg.hidden == DEFAULT_WIDTHS
-        assert cfg.budget() == BUDGETS["layer-sweep"] == Budget(0.05, 70, 125)
+        assert budget_fields(cfg) == BUDGETS["layer-sweep"] == Budget(0.05, 70, 125, WIDTHS)
 
     def test_ova_budgets_follow_dataset(self):
         conv = build_config(flag_values={"kind": "ova-binary", "dataset": "mnist"})
-        assert conv.budget() == Budget(0.015, 5, 0)
+        assert budget_fields(conv) == BUDGETS["conv-members"] == Budget(0.015, 5, 0, (1,))
         mlp = build_config(flag_values={"kind": "ova-binary", "dataset": "synthetic"})
-        assert mlp.budget() == Budget(0.05, 20, 0)
+        assert budget_fields(mlp) == BUDGETS["mlp-members"] == Budget(0.05, 20, 0, (1,))
 
     def test_explicit_values_win_over_resolution(self):
         cfg = build_config(
@@ -286,14 +296,16 @@ class TestDefaults:
                 "learning_rate": 0.2,
                 "epochs": 7,
                 "subset": 123,
+                "hidden": "3,5",
             }
         )
-        assert cfg.budget() == Budget(0.2, 7, 123)
+        assert budget_fields(cfg) == Budget(0.2, 7, 123, (3, 5))
 
     def test_train_config_carries_resolved_budget(self):
         cfg = tiny_sweep_config("runs")
+        assert cfg.learning_rate == BUDGETS["synthetic"].learning_rate
         tc = cfg.train_config()
-        assert tc.learning_rate == cfg.budget().learning_rate
+        assert tc.learning_rate == cfg.learning_rate
         assert tc.epochs == 1
         assert tc.seed == cfg.seed
         assert cfg.train_config(99).seed == 99
@@ -440,6 +452,9 @@ class TestValidation:
             ({"sizes": (240, 240)}, "sizes repeats"),
             ({"stds": (0.5, 0.5)}, "stds repeats"),
             ({"stds": (0.1234567, 0.1234568)}, "stds repeats"),
+            # the generator cannot draw at an infinite spread
+            ({"stds": (0.5, float("inf"))}, "positive and finite"),
+            ({"synth_std": float("inf")}, "positive and finite"),
         ],
     )
     def test_rejects(self, overrides, fragment):
@@ -926,6 +941,13 @@ COMPARISON_CSV = (
 )
 
 
+def small_comparison_budget(monkeypatch):
+    """Set the layer-sweep budget, which ova-ensemble's comparison net trains
+    at, to 40 rows, 2 epochs and lr 0.04, keeping its widths."""
+    monkeypatch.setitem(experiments.BUDGETS, "layer-sweep", replace(
+        BUDGETS["layer-sweep"], learning_rate=0.04, epochs=2, subset=40))
+
+
 def tiny_image_config(kind, out, mnist_dir, hidden=(1, 2), jobs=1, batch=32):
     # OVA views on subset 40 hold only 8 rows, so those runs need batch <= 8
     return ExperimentConfig(
@@ -1067,7 +1089,8 @@ class TestOvaRuns:
         real_train = experiments.train
 
         def recording_train(net, data, cfg):
-            trained.append((len(data.train_indices), cfg.epochs, cfg.learning_rate))
+            if not hasattr(data, "target_class"):  # members pass through
+                trained.append((len(data.train_indices), cfg.epochs, cfg.learning_rate))
             return real_train(net, data, cfg)
 
         scored = []
@@ -1085,7 +1108,7 @@ class TestOvaRuns:
         monkeypatch.setattr(ensemble, "predict_scores", counting_predict)
         # the comparison net trains at the layer-sweep budget, which no other
         # stage of an ova-ensemble run reads; a small one keeps the test short
-        monkeypatch.setitem(experiments.BUDGETS, "layer-sweep", Budget(0.04, 2, 40))
+        small_comparison_budget(monkeypatch)
         cfg = tiny_image_config("ova-ensemble", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
         result = run_experiment(cfg)
         assert len(loads) == 1  # the comparison stage reuses the loaded dataset
@@ -1127,14 +1150,14 @@ class TestOvaRuns:
                                            capsys):
         # the other members still train and are recorded; the files that
         # need every member are not written, and the run exits 3
-        real_train = ensemble.train
+        real_train = experiments.train
 
         def diverge_on_class_1(net, view, cfg):
-            if view.target_class == 1:
+            if getattr(view, "target_class", None) == 1:
                 raise DivergenceError("loss diverged at epoch 1, batch 1")
             return real_train(net, view, cfg)
 
-        monkeypatch.setattr(ensemble, "train", diverge_on_class_1)
+        monkeypatch.setattr(experiments, "train", diverge_on_class_1)
         out = tmp_path / "runs"
         assert main(image_argv("ova-binary", tiny_mnist_dir, str(out), "1", "8")) == 3
         assert "divergence" in capsys.readouterr().err
@@ -1157,14 +1180,15 @@ class TestOvaRuns:
         # dropped before the next starts
         members = []
         alive = []
-        real_train = ensemble.train
+        real_train = experiments.train
 
         def tracking_train(net, view, cfg):
-            alive.append([i for i, ref in enumerate(members) if ref() is not None])
-            members.append(weakref.ref(net))
+            if hasattr(view, "target_class"):
+                alive.append([i for i, ref in enumerate(members) if ref() is not None])
+                members.append(weakref.ref(net))
             return real_train(net, view, cfg)
 
-        monkeypatch.setattr(ensemble, "train", tracking_train)
+        monkeypatch.setattr(experiments, "train", tracking_train)
         cfg = tiny_image_config("ova-binary", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
         result = run_experiment(cfg)
         assert alive == [[]] * 10
@@ -1217,13 +1241,15 @@ class TestOvaRuns:
         # stopped as the comparison net starts, the run resumes to train it
         # alone; stopped after its cell is recorded, it trains nothing. The
         # skipped members are scored from their checkpoints, one at a time.
-        monkeypatch.setitem(experiments.BUDGETS, "layer-sweep", Budget(0.04, 2, 40))
+        small_comparison_budget(monkeypatch)
         run = tmp_path / "run"
         cfg = tiny_image_config("ova-ensemble", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
         comparisons, stopping = [], [stop == "comparison"]
         real_train = experiments.train
 
         def comparison_train(net, data, cfg):
+            if hasattr(data, "target_class"):  # members pass through
+                return real_train(net, data, cfg)
             comparisons.append(cfg.seed)
             if stopping[0]:
                 raise Stop
@@ -1255,6 +1281,42 @@ class TestOvaRuns:
         with open(run / "comparison.csv") as f:
             assert f.read() == COMPARISON_CSV
 
+    @pytest.mark.parametrize("overwrite,loads", [
+        # member 0 as a synthetic run writes it: an MLP over 3 inputs
+        pytest.param(lambda path: layers.save_network(layers.build_mlp(3, 1, 0), path),
+                     True, id="synthetic-mlp"),
+        # member 0 as a --hidden 2 --seed 5 run on this data writes it
+        pytest.param(lambda path: layers.save_network(
+            layers.build_conv_net((1, 28, 28), 2, 1, 5), path), True, id="hidden-2-seed-5"),
+        # torn bytes, which load_network rejects as a CheckpointError
+        pytest.param(lambda path: os.truncate(path, 40), False, id="torn"),
+    ])
+    def test_resume_rejects_a_member_checkpoint_of_another_network(
+        self, overwrite, loads, tiny_mnist_dir, tmp_path, monkeypatch, capsys
+    ):
+        # member 0's checkpoint overwritten, its progress record rewritten to
+        # the new bytes' hash: the resume that scores it is a data error, one
+        # that names the file where the checkpoint loads, and writes nothing
+        small_comparison_budget(monkeypatch)
+        cfg = tiny_image_config("ova-ensemble", tmp_path, tiny_mnist_dir, hidden=(1,), batch=8)
+        run = run_experiment(cfg).run_dir
+        ckpt = os.path.join(run, "ensemble", "member_0.ckpt")
+        overwrite(ckpt)
+        progress = os.path.join(run, "progress.jsonl")
+        with open(progress) as f:
+            records = [json.loads(line) for line in f]
+        assert records[0]["cell"] == "member-0"
+        records[0]["outputs"]["ensemble/member_0.ckpt"] = hashlib.sha256(
+            file_bytes(ckpt)).hexdigest()
+        with open(progress, "w") as f:
+            f.writelines(json.dumps(r) + "\n" for r in records)
+        verdicts = file_bytes(os.path.join(run, "verdicts.csv"))
+        assert main(["--resume", run]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "Traceback" not in err
+        assert (ckpt in err) == loads
+        assert file_bytes(os.path.join(run, "verdicts.csv")) == verdicts
+
     def test_a_failed_write_exits_4_and_resumes(self, tiny_mnist_dir, tmp_path,
                                                 monkeypatch, capsys):
         # a full disk at member 5's checkpoint: exit 4, no traceback, and the
@@ -1282,7 +1344,11 @@ class TestOvaRuns:
             assert json.load(f)["outputs"] == OVA_MEMBER_OUTPUTS
 
     def test_comparison_divergence_is_recorded(self, tiny_mnist_dir, tmp_path, monkeypatch):
+        real_train = experiments.train
+
         def diverge(net, data, cfg):
+            if hasattr(data, "target_class"):  # members pass through
+                return real_train(net, data, cfg)
             raise DivergenceError("loss diverged at epoch 1, batch 1")
 
         monkeypatch.setattr(experiments, "train", diverge)
@@ -1773,7 +1839,7 @@ class TestExitCodeContract:
         stderr = io.StringIO()
         # ova-ensemble's comparison net trains at the layer-sweep budget,
         # which no flag sets; a small one keeps each case short
-        small = Budget(0.04, 1, 40)
+        small = replace(BUDGETS["layer-sweep"], learning_rate=0.04, epochs=1, subset=40)
         cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as root, \
                 mock.patch.dict(experiments.BUDGETS, {"layer-sweep": small}):
